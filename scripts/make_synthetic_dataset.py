@@ -3,7 +3,10 @@
 
 The synthetic generator plants known device offsets, x/y gradients and local
 process noise, and stores the drawn components in ground_truth.json, so the
-analysis results can be compared against what was actually put in. Usage:
+analysis results can be compared against what was actually put in. With
+--analyze, the dataset goes through the chain of run_reference_analysis.py
+(every stage including similarity, then report; parsed once), except that
+attack samples 4 target devices, not 8. Usage:
 
     python3 scripts/make_synthetic_dataset.py --seed 7 --preset spatial \
         --out synth-run/ --analyze
@@ -13,7 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from pufstat.cli import main as pufstat_main
+from pufstat.cli import main as pufstat_main, run_chain
 
 
 def main() -> int:
@@ -39,30 +42,13 @@ def main() -> int:
     if code != 0:
         return code
 
-    if not args.analyze:
-        print(f"dataset in {Path(args.out) / 'dataset'}")
-        return 0
-
     dataset = Path(args.out) / "dataset"
-    base = ["--dataset", str(dataset), "--layout", "files",
-            "--meta", str(dataset / "serials.csv"), "--out", args.out]
-    for step in (
-        ["ingest"] + base,
-        ["normality"] + base,
-        ["similarity"] + base,
-        ["entropy"] + base,
-        ["correlate"] + base,
-        ["attack", "--seed", str(args.seed), "--devices", "4"] + base,
-        ["pca", "--geometry", args.geometry or "8x16:col"] + base,
-        ["report", "--out", args.out],
-    ):
-        print(f"==> pufstat {' '.join(step)}", flush=True)
-        code = pufstat_main(step)
-        if code != 0:
-            print(f"step failed with exit code {code}", file=sys.stderr)
-            return code
-    print(f"analysis artifacts in {args.out}")
-    return 0
+    if not args.analyze:
+        print(f"dataset in {dataset}")
+        return 0
+    return run_chain(str(dataset), args.out, meta=str(dataset / "serials.csv"),
+                     geometry=args.geometry or "8x16:col", seed=args.seed,
+                     attack_devices=4)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Run the full analysis pipeline against a measured RO frequency dataset.
 
-Feeds one dataset through every subcommand in dependency order and leaves
-all artifacts plus report.json in the output directory. Usage:
+Runs ingest, normality, similarity (only with --meta), entropy, correlate,
+attack (8 sampled target devices, both modes) and pca, then report, through
+``pufstat.cli.run_chain``: the dataset is parsed, hashed and derived once,
+and the artifacts equal those of the subcommands run one by one. Usage:
 
     python3 scripts/run_reference_analysis.py --dataset /path/to/dataset \
         --meta /path/to/serials.csv --out results/
@@ -11,7 +13,7 @@ all artifacts plus report.json in the output directory. Usage:
 import argparse
 import sys
 
-from pufstat.cli import main as pufstat_main
+from pufstat.cli import run_chain
 
 
 def main() -> int:
@@ -22,36 +24,9 @@ def main() -> int:
     parser.add_argument("--out", required=True)
     parser.add_argument("--geometry", default="16x32:col")
     parser.add_argument("--seed", type=int, default=1, help="attack device/position seed")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
-
-    base = ["--dataset", args.dataset, "--layout", args.layout, "--out", args.out]
-    if args.meta:
-        base += ["--meta", args.meta]
-
-    steps = [
-        ["ingest"] + base,
-        ["normality", "--matrix", "all"] + base,
-        ["entropy"] + base,
-        ["correlate"] + base,
-        [
-            "attack", "--seed", str(args.seed), "--devices", "8",
-            "--mode", "both", "--threads", str(args.threads),
-        ] + base,
-        ["pca", "--geometry", args.geometry] + base,
-    ]
-    if args.meta:
-        steps.insert(2, ["similarity"] + base)
-    steps.append(["report", "--out", args.out])
-
-    for step in steps:
-        print(f"==> pufstat {' '.join(step)}", flush=True)
-        code = pufstat_main(step)
-        if code != 0:
-            print(f"step failed with exit code {code}", file=sys.stderr)
-            return code
-    print(f"all artifacts in {args.out}")
-    return 0
+    return run_chain(args.dataset, args.out, layout=args.layout, meta=args.meta,
+                     geometry=args.geometry, seed=args.seed, attack_devices=8)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +23,11 @@ from . import __version__
 from .bias import bias_histogram, bias_report
 from .correlation import fit_line, profile
 from .covfit import evaluate_attack
-from .dataset import LayoutSpec, load_metadata, load_readings, write_dataset
+from .dataset import (DeviceMeta, LayoutSpec, ReadingsTensor, dataset_files,
+                      load_metadata, load_readings, write_dataset)
 from .errors import PufStatError, UnavailableAnalysisError
 from .geometry import DEFAULT_GEOMETRY, GridGeometry
-from .matrices import build_matrices, pack_bits
+from .matrices import PufMatrices, build_matrices, pack_bits
 from .normality import REJECT_1PCT, test_rows
 from .output import ArtifactWriter, RunManifest, hash_input_files
 from .pca import loading_map, pca, pc_key_correlation, standardize, truncated_bits
@@ -40,7 +41,23 @@ DEFAULT_FIXED_COUNTS = "auto"
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+    """argparse type for a comma-separated list of integers."""
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
+def _int_list_text(text: str) -> str:
+    """Like _int_list, but keeps the text as given (the pca manifest records it)."""
+    _int_list(text)
+    return text
+
+
+def _fixed_counts(text: str) -> str | list[int]:
+    return text if text == "auto" else _int_list(text)
 
 
 def _resolve_out(args) -> Path:
@@ -48,63 +65,54 @@ def _resolve_out(args) -> Path:
     return Path(out)
 
 
-def _load(args):
+@dataclass(frozen=True)
+class Inputs:
+    """What a dataset subcommand reads, parsed, derived and hashed once."""
+
+    readings: ReadingsTensor
+    meta: DeviceMeta | None
+    layout: LayoutSpec
+    matrices: PufMatrices
+    input_sha256: str
+
+
+def _load(args) -> Inputs:
     layout = LayoutSpec.parse(args.layout)
     readings = load_readings(args.dataset, layout)
     meta = None
+    files = dataset_files(args.dataset, layout)
     if args.meta:
         meta = load_metadata(args.meta, readings.num_devices)
-    return readings, meta, layout
-
-
-def _input_hash(args, layout: LayoutSpec) -> str:
-    root = Path(args.dataset)
-    if layout.kind == "files":
-        import fnmatch
-
-        files = [
-            p for p in root.iterdir()
-            if p.is_file() and fnmatch.fnmatch(p.name, layout.pattern)
-        ]
-    else:
-        files = [root]
-    if args.meta:
         files.append(Path(args.meta))
-    return hash_input_files(files)
+    return Inputs(readings, meta, layout, build_matrices(readings), hash_input_files(files))
 
 
-def _manifest(args, subcommand: str, params: dict, layout: LayoutSpec | None) -> RunManifest:
+def _manifest(args, subcommand: str, params: dict, inputs: Inputs) -> RunManifest:
     return RunManifest(
         version=__version__,
         subcommand=subcommand,
         params=params,
-        dataset=str(args.dataset) if getattr(args, "dataset", None) else None,
-        layout=layout.describe() if layout else None,
-        meta=str(args.meta) if getattr(args, "meta", None) else None,
+        dataset=str(args.dataset),
+        layout=inputs.layout.describe(),
+        meta=str(args.meta) if args.meta else None,
         geometry=getattr(args, "geometry", None),
         seed=getattr(args, "seed", None),
-        input_sha256=_input_hash(args, layout) if layout else None,
+        input_sha256=inputs.input_sha256,
     )
 
 
-def cmd_ingest(args) -> int:
-    readings, meta, layout = _load(args)
-    matrices = build_matrices(readings)
-    manifest = _manifest(args, "ingest", {}, layout)
+def cmd_ingest(args, inputs: Inputs) -> int:
+    matrices = inputs.matrices
+    manifest = _manifest(args, "ingest", {}, inputs)
     writer = ArtifactWriter(_resolve_out(args), manifest)
-
-    def matrix_rows(m, label):
-        header = [label] + [f"d{j}" for j in range(m.shape[1])]
-        rows = [[i] + list(m[i]) for i in range(m.shape[0])]
-        return header, rows
-
     for name, matrix, label, units in (
         ("freq.csv", matrices.freq, "ro", "MHz"),
         ("dev.csv", matrices.dev, "ro", "MHz"),
         ("diff.csv", matrices.diff, "pair", "MHz"),
         ("bits.csv", matrices.bits, "pair", "bit"),
     ):
-        header, rows = matrix_rows(matrix, label)
+        header = [label] + [f"d{j}" for j in range(matrix.shape[1])]
+        rows = [[i] + list(matrix[i]) for i in range(matrix.shape[0])]
         writer.write_csv(name, header, rows, units)
     if matrices.num_pairs % 8 == 0:
         writer.write_binary("bits.bin", pack_bits(matrices.bits))
@@ -118,11 +126,10 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def cmd_normality(args) -> int:
-    readings, _, layout = _load(args)
-    matrices = build_matrices(readings)
+def cmd_normality(args, inputs: Inputs) -> int:
+    matrices = inputs.matrices
     selected = MATRIX_CHOICES[:3] if args.matrix == "all" else (args.matrix,)
-    manifest = _manifest(args, "normality", {"matrix": args.matrix}, layout)
+    manifest = _manifest(args, "normality", {"matrix": args.matrix}, inputs)
     writer = ArtifactWriter(_resolve_out(args), manifest)
     for name in selected:
         matrix = getattr(matrices, name)
@@ -153,20 +160,17 @@ def cmd_normality(args) -> int:
     return 0
 
 
-def cmd_similarity(args) -> int:
-    readings, meta, layout = _load(args)
-    if meta is None:
+def cmd_similarity(args, inputs: Inputs) -> int:
+    if inputs.meta is None:
         raise UnavailableAnalysisError(
             "similarity needs per-device serial numbers; pass --meta"
         )
-    matrices = build_matrices(readings)
-    gv = group_variance_map(matrices.dev, min_group=args.min_group)
-    group_sizes = _int_list(args.group_sizes)
+    gv = group_variance_map(inputs.matrices.dev, min_group=args.min_group)
     manifest = _manifest(
         args,
         "similarity",
-        {"min_group": args.min_group, "group_sizes": group_sizes},
-        layout,
+        {"min_group": args.min_group, "group_sizes": args.group_sizes},
+        inputs,
     )
     writer = ArtifactWriter(_resolve_out(args), manifest)
     rows = []
@@ -175,7 +179,7 @@ def cmd_similarity(args) -> int:
         for b in range(a + args.min_group - 1, num_devices):
             rows.append([a, b, gv.values[a, b]])
     writer.write_dat("group_variance.dat", "a b s2", [(None, rows)], "MHz^2")
-    corr_rows = [[g, serial_correlation(gv, meta, g)] for g in group_sizes]
+    corr_rows = [[g, serial_correlation(gv, inputs.meta, g)] for g in args.group_sizes]
     writer.write_csv(
         "serial_corr.csv", ["group_size", "corr"], corr_rows, "dimensionless"
     )
@@ -183,11 +187,10 @@ def cmd_similarity(args) -> int:
     return 0
 
 
-def cmd_entropy(args) -> int:
-    readings, _, layout = _load(args)
-    matrices = build_matrices(readings)
+def cmd_entropy(args, inputs: Inputs) -> int:
+    matrices = inputs.matrices
     report = bias_report(matrices.diff, matrices.bits)
-    manifest = _manifest(args, "entropy", {}, layout)
+    manifest = _manifest(args, "entropy", {}, inputs)
     writer = ArtifactWriter(_resolve_out(args), manifest)
     rows = [
         [k, report.p_binary[k], report.p_normal[k]]
@@ -219,10 +222,9 @@ def cmd_entropy(args) -> int:
     return 0
 
 
-def cmd_correlate(args) -> int:
-    readings, _, layout = _load(args)
-    matrices = build_matrices(readings)
-    manifest = _manifest(args, "correlate", {}, layout)
+def cmd_correlate(args, inputs: Inputs) -> int:
+    matrices = inputs.matrices
+    manifest = _manifest(args, "correlate", {}, inputs)
     writer = ArtifactWriter(_resolve_out(args), manifest)
     summaries = {}
     for name, matrix, key in (
@@ -243,12 +245,11 @@ def cmd_correlate(args) -> int:
     return 0
 
 
-def cmd_attack(args) -> int:
-    readings, _, layout = _load(args)
-    matrices = build_matrices(readings)
+def cmd_attack(args, inputs: Inputs) -> int:
+    matrices = inputs.matrices
     num_devices = matrices.num_devices
     if args.device_indices:
-        devices = _int_list(args.device_indices)
+        devices = args.device_indices
     else:
         rng = np.random.default_rng(args.seed)
         devices = sorted(
@@ -257,7 +258,7 @@ def cmd_attack(args) -> int:
     if args.fixed_counts == "auto":
         fixed_counts = [matrices.num_pairs * k // 8 for k in range(8)]
     else:
-        fixed_counts = _int_list(args.fixed_counts)
+        fixed_counts = args.fixed_counts
     modes = ("trend", "exact") if args.mode == "both" else (args.mode,)
     manifest = _manifest(
         args,
@@ -269,14 +270,13 @@ def cmd_attack(args) -> int:
             "select": args.select,
             "trend_magnitude": args.trend_magnitude,
         },
-        layout,
+        inputs,
     )
     writer = ArtifactWriter(_resolve_out(args), manifest)
-
-    def run_device(device):
-        out = []
+    cells = []
+    for device in devices:
         for mode in modes:
-            out.extend(
+            cells.extend(
                 evaluate_attack(
                     matrices.diff,
                     device,
@@ -287,15 +287,6 @@ def cmd_attack(args) -> int:
                     trend_magnitude=args.trend_magnitude,
                 )
             )
-        return out
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            per_device = list(pool.map(run_device, devices))
-    else:
-        per_device = [run_device(d) for d in devices]
-
-    cells = [cell for group in per_device for cell in group]
     for cell in cells:
         if cell.error:
             print(
@@ -339,9 +330,8 @@ def cmd_attack(args) -> int:
     return 0
 
 
-def cmd_pca(args) -> int:
-    readings, _, layout = _load(args)
-    matrices = build_matrices(readings)
+def cmd_pca(args, inputs: Inputs) -> int:
+    matrices = inputs.matrices
     geometry = GridGeometry.parse(args.geometry)
     scaled = standardize(matrices.freq)
     result = pca(scaled, geometry)
@@ -349,7 +339,7 @@ def cmd_pca(args) -> int:
         args,
         "pca",
         {"pcs": args.pcs, "trunc_ranks": args.trunc_ranks},
-        layout,
+        inputs,
     )
     writer = ArtifactWriter(_resolve_out(args), manifest)
     frac_rows = [
@@ -453,8 +443,7 @@ REPORT_OPTIONAL = ("serial_corr.csv", "trunc_agreement.csv", "correlate.json")
 
 
 def _read_csv_artifact(path: Path) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
+    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if not ln.startswith("#")]
     reader = csv.DictReader(lines)
     return list(reader)
 
@@ -500,26 +489,22 @@ def cmd_report(args) -> int:
         {"pc": int(row["pc"]), "variance_fraction": float(row["variance_fraction"])}
         for row in fractions
     ]
-    for name in REPORT_OPTIONAL:
-        path = out_dir / name
-        if not path.is_file():
-            continue
-        if name == "serial_corr.csv":
-            payload["similarity"] = {
-                "serial_correlation": [
-                    {"group_size": int(r["group_size"]), "corr": float(r["corr"])}
-                    for r in _read_csv_artifact(path)
-                ]
-            }
-        elif name == "trunc_agreement.csv":
-            payload["pca"]["truncated_agreement"] = [
-                {"r": int(r["r"]), "agreement": float(r["agreement"])}
-                for r in _read_csv_artifact(path)
+    if (out_dir / "serial_corr.csv").is_file():
+        payload["similarity"] = {
+            "serial_correlation": [
+                {"group_size": int(r["group_size"]), "corr": float(r["corr"])}
+                for r in _read_csv_artifact(out_dir / "serial_corr.csv")
             ]
-        elif name == "correlate.json":
-            data = json.loads(path.read_text())
-            data.pop("manifest_hash", None)
-            payload["correlation_profiles"] = data
+        }
+    if (out_dir / "trunc_agreement.csv").is_file():
+        payload["pca"]["truncated_agreement"] = [
+            {"r": int(r["r"]), "agreement": float(r["agreement"])}
+            for r in _read_csv_artifact(out_dir / "trunc_agreement.csv")
+        ]
+    if (out_dir / "correlate.json").is_file():
+        data = json.loads((out_dir / "correlate.json").read_text())
+        data.pop("manifest_hash", None)
+        payload["correlation_profiles"] = data
     manifest = RunManifest(
         version=__version__,
         subcommand="report",
@@ -567,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("similarity", parents=[dataset_parent, out_parent],
                        help="group variance vs. serial numbers")
     p.add_argument("--min-group", type=int, default=5)
-    p.add_argument("--group-sizes", default="5,10,20")
+    p.add_argument("--group-sizes", type=_int_list, default="5,10,20")
     p.set_defaults(func=cmd_similarity)
 
     p = sub.add_parser("entropy", parents=[dataset_parent, out_parent],
@@ -582,15 +567,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="leave-one-out covariance-fitting attack")
     p.add_argument("--seed", type=int, required=True, help="seed for device/position selection")
     p.add_argument("--devices", type=int, default=8, help="number of target devices to sample")
-    p.add_argument("--device-indices", default=None, help="explicit comma-separated targets")
+    p.add_argument("--device-indices", type=_int_list, default=None,
+                   help="explicit comma-separated targets")
     p.add_argument(
-        "--fixed-counts", default=DEFAULT_FIXED_COUNTS,
+        "--fixed-counts", type=_fixed_counts, default=DEFAULT_FIXED_COUNTS,
         help="comma-separated pinned-position counts, or 'auto' for 8 even steps",
     )
     p.add_argument("--mode", choices=("trend", "exact", "both"), default="both")
     p.add_argument("--select", choices=("even", "random"), default="even")
     p.add_argument("--trend-magnitude", type=float, default=1.0)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("pca", parents=[dataset_parent, out_parent],
@@ -598,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--geometry", default=DEFAULT_GEOMETRY.describe(),
                    help="chip grid as ROWSxCOLS:order")
     p.add_argument("--pcs", type=int, default=8, help="components to export maps for")
-    p.add_argument("--trunc-ranks", default=None,
+    p.add_argument("--trunc-ranks", type=_int_list_text, default=None,
                    help="comma-separated ranks for the truncation sweep")
     p.set_defaults(func=cmd_pca)
 
@@ -620,17 +605,60 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args, loaded: dict) -> int:
+    """Run one parsed subcommand and map its errors to exit codes. ``loaded``
+    keeps the Inputs of the last (dataset, layout, meta) for the next call."""
     try:
-        return args.func(args)
+        if not hasattr(args, "dataset"):
+            return args.func(args)
+        key = (args.dataset, args.layout, args.meta)
+        if key not in loaded:
+            loaded.clear()
+            loaded[key] = _load(args)
+        return args.func(args, loaded[key])
     except PufStatError as exc:
         print(f"pufstat: {exc.category} error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"pufstat: i/o error: {exc}", file=sys.stderr)
         return 3
+
+
+def main(argv=None) -> int:
+    return _run(build_parser().parse_args(argv), {})
+
+
+def run_chain(dataset: str, out: str, *, layout: str = "files", meta: str | None = None,
+              geometry: str, seed: int, attack_devices: int) -> int:
+    """Run ingest, normality, similarity (only with ``meta``), entropy,
+    correlate, attack and pca on one dataset, then report, all into ``out``.
+
+    The artifacts are those of running the subcommands one by one, but the
+    dataset is parsed, hashed and derived once. Returns the first non-zero
+    exit code, else 0."""
+    base = ["--dataset", dataset, "--layout", layout, "--out", out]
+    if meta:
+        base += ["--meta", meta]
+    stages = [["ingest"], ["normality", "--matrix", "all"]]
+    if meta:
+        stages.append(["similarity"])
+    stages += [
+        ["entropy"],
+        ["correlate"],
+        ["attack", "--seed", str(seed), "--devices", str(attack_devices), "--mode", "both"],
+        ["pca", "--geometry", geometry],
+    ]
+    steps = [stage + base for stage in stages] + [["report", "--out", out]]
+    parser = build_parser()
+    loaded = {}
+    for step in steps:
+        print(f"==> pufstat {' '.join(step)}", flush=True)
+        code = _run(parser.parse_args(step), loaded)
+        if code != 0:
+            print(f"step failed with exit code {code}", file=sys.stderr)
+            return code
+    print(f"all artifacts in {out}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -213,17 +213,26 @@ def load_readings(path: str | Path, layout: LayoutSpec | None = None) -> Reading
     return ReadingsTensor(tensor, provenance)
 
 
-def _load_files(root: Path, layout: LayoutSpec) -> tuple[np.ndarray, list[str]]:
-    if not root.is_dir():
-        raise FileNotFoundError(f"dataset directory not found: {root}")
-    names = sorted(
-        p.name for p in root.iterdir()
-        if p.is_file() and fnmatch.fnmatch(p.name, layout.pattern)
+def dataset_files(path: str | Path, layout: LayoutSpec) -> list[Path]:
+    """The files a dataset is read from: the device files in device order,
+    or the consolidated CSV."""
+    path = Path(path)
+    if layout.kind != "files":
+        return [path]
+    if not path.is_dir():
+        raise FileNotFoundError(f"dataset directory not found: {path}")
+    files = sorted(
+        p for p in path.iterdir() if p.is_file() and fnmatch.fnmatch(p.name, layout.pattern)
     )
-    if not names:
+    if not files:
         raise StructuralError(
-            f"no files matching {layout.pattern!r} under {root}"
+            f"no files matching {layout.pattern!r} under {path}"
         )
+    return files
+
+
+def _load_files(root: Path, layout: LayoutSpec) -> tuple[np.ndarray, list[str]]:
+    names = [p.name for p in dataset_files(root, layout)]
     tables = []
     shape = None
     for name in names:

@@ -1,11 +1,16 @@
+import hashlib
 import json
+import runpy
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pufstat.cli import main
+import pufstat.cli
+from pufstat.cli import main, run_chain
 from pufstat.dataset import LayoutSpec, load_readings
 from pufstat.matrices import build_matrices, pack_bits, unpack_bits
 
@@ -215,3 +220,110 @@ def test_manifest_links_all_artifacts(dataset_args, tmp_path):
     head = (out / "freq.csv").read_text().splitlines()[0]
     assert head == f"# manifest: {manifest['hash']}"
     assert manifest["input_sha256"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["attack", "--seed", "1", "--device-indices", "3,x"], "--device-indices"),
+    (["attack", "--seed", "1", "--fixed-counts", "0,8,y"], "--fixed-counts"),
+    (["similarity", "--group-sizes", "5,w"], "--group-sizes"),
+    (["pca", "--trunc-ranks", "1,z"], "--trunc-ranks"),
+])
+def test_malformed_int_list_is_usage_error(argv, flag, dataset_args, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + dataset_args + ["--out", str(out)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected comma-separated integers" in err
+    assert not out.exists()
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+CHAIN_MANIFESTS = {
+    f"{stage}_manifest.json"
+    for stage in ("ingest", "normality", "similarity", "entropy", "correlate",
+                  "attack", "pca", "report")
+}
+
+
+def _run_stages(dataset, layout, meta, out, geometry, seed, attack_devices):
+    """The chain's stages as separate main() calls: the oracle for run_chain."""
+    base = ["--dataset", dataset, "--layout", layout, "--meta", meta, "--out", out]
+    for argv in (
+        ["ingest"] + base,
+        ["normality", "--matrix", "all"] + base,
+        ["similarity"] + base,
+        ["entropy"] + base,
+        ["correlate"] + base,
+        ["attack", "--seed", str(seed), "--devices", str(attack_devices),
+         "--mode", "both"] + base,
+        ["pca", "--geometry", geometry] + base,
+        ["report", "--out", out],
+    ):
+        assert main(argv) == 0, argv
+
+
+def _digests(root: Path) -> dict:
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in root.rglob("*") if path.is_file()
+    }
+
+
+def _run_script(name, argv, monkeypatch):
+    monkeypatch.setattr(sys, "argv", [str(SCRIPTS / name)] + argv)
+    with pytest.raises(SystemExit) as excinfo:
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return excinfo.value.code
+
+
+@pytest.mark.parametrize("layout", ["files", "csv"])
+def test_chain_loads_once_and_matches_stages(layout, tmp_path, monkeypatch, capsys):
+    loads = []
+    real_load = pufstat.cli.load_readings
+
+    def counting_load(*args, **kwargs):
+        loads.append(args)
+        return real_load(*args, **kwargs)
+
+    # Relative paths keep the manifests, and so every artifact, comparable
+    # across output directories.
+    monkeypatch.chdir(tmp_path)
+    synth = ["synth", "--seed", "5", "--devices", "24", "--ros", "32", "--samples", "4",
+             "--geometry", "4x8:col"]
+    assert main(synth + ["--layout", layout, "--out", "data"]) == 0
+    dataset = "data/dataset/readings.csv" if layout == "csv" else "data/dataset"
+    meta = "data/dataset/serials.csv"
+    _run_stages(dataset, layout, meta, "stages", "4x8:col", 1, 8)
+    expected = _digests(tmp_path / "stages")
+    assert CHAIN_MANIFESTS == {name for name in expected if name.endswith("_manifest.json")}
+
+    monkeypatch.setattr(pufstat.cli, "load_readings", counting_load)
+    assert run_chain(dataset, "chain", layout=layout, meta=meta, geometry="4x8:col",
+                     seed=1, attack_devices=8) == 0
+    assert len(loads) == 1
+    assert _digests(tmp_path / "chain") == expected
+
+    loads.clear()
+    assert _run_script("run_reference_analysis.py",
+                       ["--dataset", dataset, "--layout", layout, "--meta", meta,
+                        "--geometry", "4x8:col", "--out", "script"], monkeypatch) == 0
+    assert len(loads) == 1
+    assert _digests(tmp_path / "script") == expected
+
+    if layout == "files":
+        # make_synthetic_dataset.py writes its own files dataset into --out;
+        # run it and the stages in two directories under the same names.
+        (tmp_path / "one").mkdir()
+        (tmp_path / "two").mkdir()
+        monkeypatch.chdir(tmp_path / "one")
+        monkeypatch.setattr(pufstat.cli, "load_readings", real_load)
+        assert main(synth + ["--preset", "spatial", "--out", "syn"]) == 0
+        _run_stages("syn/dataset", "files", "syn/dataset/serials.csv", "syn", "4x8:col", 5, 4)
+        monkeypatch.chdir(tmp_path / "two")
+        monkeypatch.setattr(pufstat.cli, "load_readings", counting_load)
+        loads.clear()
+        assert _run_script("make_synthetic_dataset.py",
+                           synth[1:] + ["--out", "syn", "--analyze"], monkeypatch) == 0
+        assert len(loads) == 1
+        assert _digests(tmp_path / "two" / "syn") == _digests(tmp_path / "one" / "syn")
