@@ -50,6 +50,17 @@ def _int_list(text: str) -> list[int]:
         ) from None
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type for a count or seed: an integer >= 0."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _int_list_text(text: str) -> str:
     """Like _int_list, but keeps the text as given (the pca manifest records it)."""
     _int_list(text)
@@ -112,8 +123,7 @@ def cmd_ingest(args, inputs: Inputs) -> int:
         ("bits.csv", matrices.bits, "pair", "bit"),
     ):
         header = [label] + [f"d{j}" for j in range(matrix.shape[1])]
-        rows = [[i] + list(matrix[i]) for i in range(matrix.shape[0])]
-        writer.write_csv(name, header, rows, units)
+        writer.write_csv(name, header, [np.arange(matrix.shape[0]), *matrix.T], units)
     if matrices.num_pairs % 8 == 0:
         writer.write_binary("bits.bin", pack_bits(matrices.bits))
     else:
@@ -134,13 +144,16 @@ def cmd_normality(args, inputs: Inputs) -> int:
     for name in selected:
         matrix = getattr(matrices, name)
         results, summary = test_rows(matrix)
-        rows = [
-            [r.row_index, r.a2, r.a2_star, int(r.reject_at_1pct)] for r in results
+        columns = [
+            [r.row_index for r in results],
+            [r.a2 for r in results],
+            [r.a2_star for r in results],
+            [r.reject_at_1pct for r in results],
         ]
         writer.write_csv(
             f"normality_{name}.csv",
             ["row", "a2", "a2_star", "reject"],
-            rows,
+            columns,
             "dimensionless",
         )
         writer.write_json(
@@ -173,15 +186,13 @@ def cmd_similarity(args, inputs: Inputs) -> int:
         inputs,
     )
     writer = ArtifactWriter(_resolve_out(args), manifest)
-    rows = []
-    num_devices = gv.num_devices
-    for a in range(num_devices):
-        for b in range(a + args.min_group - 1, num_devices):
-            rows.append([a, b, gv.values[a, b]])
-    writer.write_dat("group_variance.dat", "a b s2", [(None, rows)], "MHz^2")
-    corr_rows = [[g, serial_correlation(gv, inputs.meta, g)] for g in args.group_sizes]
+    # Windows a..b of at least min_group devices, a then b ascending.
+    a, b = np.triu_indices(gv.num_devices, args.min_group - 1)
+    writer.write_dat("group_variance.dat", "a b s2", [(None, [a, b, gv.values[a, b]])],
+                     "MHz^2")
+    corrs = [serial_correlation(gv, inputs.meta, g) for g in args.group_sizes]
     writer.write_csv(
-        "serial_corr.csv", ["group_size", "corr"], corr_rows, "dimensionless"
+        "serial_corr.csv", ["group_size", "corr"], [args.group_sizes, corrs], "dimensionless"
     )
     writer.finish()
     return 0
@@ -192,20 +203,18 @@ def cmd_entropy(args, inputs: Inputs) -> int:
     report = bias_report(matrices.diff, matrices.bits)
     manifest = _manifest(args, "entropy", {}, inputs)
     writer = ArtifactWriter(_resolve_out(args), manifest)
-    rows = [
-        [k, report.p_binary[k], report.p_normal[k]]
-        for k in range(report.p_binary.size)
-    ]
-    writer.write_csv("bias.csv", ["k", "p_binary", "p_normal"], rows, "probability")
+    writer.write_csv(
+        "bias.csv",
+        ["k", "p_binary", "p_normal"],
+        [np.arange(report.p_binary.size), report.p_binary, report.p_normal],
+        "probability",
+    )
     edges, counts_bin, counts_norm = bias_histogram(report)
-    hist_rows = [
-        [edges[i], (edges[i] + edges[i + 1]) / 2.0, int(counts_bin[i]), int(counts_norm[i])]
-        for i in range(counts_bin.size)
-    ]
+    centers = (edges[:-1] + edges[1:]) / 2.0
     writer.write_dat(
         "bias_hist.dat",
         "bin_left bin_center count_binary count_normal",
-        [(None, hist_rows)],
+        [(None, [edges[:-1], centers, counts_bin, counts_norm])],
         "bias (dimensionless)",
     )
     writer.write_json(
@@ -232,8 +241,8 @@ def cmd_correlate(args, inputs: Inputs) -> int:
         ("coco_B.dat", matrices.diff, "diff"),
     ):
         prof = profile(matrix)
-        rows = [[i, c] for i, c in enumerate(prof.coefficients)]
-        writer.write_dat(name, "index r", [(None, rows)], "dimensionless")
+        index = np.arange(prof.coefficients.size)
+        writer.write_dat(name, "index r", [(None, [index, prof.coefficients])], "dimensionless")
         slope, intercept = fit_line(prof.coefficients)
         summaries[key] = {
             "reference_index": prof.reference_index,
@@ -294,26 +303,16 @@ def cmd_attack(args, inputs: Inputs) -> int:
                 f"fixed={cell.fixed_count} failed: {cell.error}",
                 file=sys.stderr,
             )
-    rows = [
-        [
-            c.device_index,
-            c.mode,
-            c.fixed_count,
-            c.delta_correct,
-            c.objective,
-            c.iterations,
-        ]
-        for c in cells
-    ]
+    fields = ["device_index", "mode", "fixed_count", "delta_correct", "objective", "iterations"]
     writer.write_csv(
         "attack.csv",
         ["device", "mode", "fixed_count", "delta_correct", "objective", "iterations"],
-        rows,
+        [[getattr(c, f) for c in cells] for f in fields],
         "bits (delta_correct), MHz^2 scaled (objective)",
     )
     blocks = []
     for mode in modes:
-        mode_rows = []
+        counts, lows, highs = [], [], []
         for count in fixed_counts:
             deltas = [
                 c.delta_correct
@@ -321,8 +320,10 @@ def cmd_attack(args, inputs: Inputs) -> int:
                 if c.mode == mode and c.fixed_count == count and c.delta_correct is not None
             ]
             if deltas:
-                mode_rows.append([count, min(deltas), max(deltas)])
-        blocks.append((f"mode: {mode}", mode_rows))
+                counts.append(count)
+                lows.append(min(deltas))
+                highs.append(max(deltas))
+        blocks.append((f"mode: {mode}", [counts, lows, highs]))
     writer.write_dat(
         "attack_envelope.dat", "fixed_count min_delta max_delta", blocks, "bits"
     )
@@ -342,34 +343,25 @@ def cmd_pca(args, inputs: Inputs) -> int:
         inputs,
     )
     writer = ArtifactWriter(_resolve_out(args), manifest)
-    frac_rows = [
-        [k + 1, result.singular_values[k], result.variance_fractions[k]]
-        for k in range(result.rank)
-    ]
     writer.write_csv(
         "pca_fractions.csv",
         ["pc", "singular_value", "variance_fraction"],
-        frac_rows,
+        [np.arange(1, result.rank + 1), result.singular_values, result.variance_fractions],
         "dimensionless",
     )
     num_pcs = min(args.pcs, result.rank)
     for pc_num in range(1, num_pcs + 1):
         grid = loading_map(result, pc_num, geometry)
-        blocks = []
-        for x in range(geometry.cols):
-            col_rows = [[x, y, grid[y, x]] for y in range(geometry.rows)]
-            blocks.append((None, col_rows))
+        y = np.arange(geometry.rows)
+        blocks = [(None, [np.full_like(y, x), y, grid[:, x]]) for x in range(geometry.cols)]
         writer.write_dat(
             f"loading_pc{pc_num}.dat", "x y loading", blocks, "dimensionless"
         )
         scores = result.scores[:, pc_num - 1]
         counts, edges = np.histogram(scores, bins=40)
-        hist_rows = [
-            [(edges[i] + edges[i + 1]) / 2.0, int(counts[i])] for i in range(counts.size)
-        ]
         writer.write_dat(
-            f"scores_hist_pc{pc_num}.dat", "score count", [(None, hist_rows)],
-            "score (dimensionless)",
+            f"scores_hist_pc{pc_num}.dat", "score count",
+            [(None, [(edges[:-1] + edges[1:]) / 2.0, counts])], "score (dimensionless)",
         )
     if args.trunc_ranks:
         ranks = [r for r in _int_list(args.trunc_ranks) if 1 <= r <= result.rank]
@@ -377,12 +369,9 @@ def cmd_pca(args, inputs: Inputs) -> int:
         ranks = sorted(
             {1, 2, 4, 8, 16, 32, 64, 102, 128, result.rank} & set(range(1, result.rank + 1))
         )
-    trunc_rows = []
-    for r in ranks:
-        _, agreement = truncated_bits(result, scaled, r)
-        trunc_rows.append([r, agreement])
+    agreements = [truncated_bits(result, scaled, r)[1] for r in ranks]
     writer.write_csv(
-        "trunc_agreement.csv", ["r", "agreement"], trunc_rows, "fraction"
+        "trunc_agreement.csv", ["r", "agreement"], [ranks, agreements], "fraction"
     )
     key_corr = {}
     for pc_num in range(1, min(3, result.rank) + 1):
@@ -565,8 +554,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", parents=[dataset_parent, out_parent],
                        help="leave-one-out covariance-fitting attack")
-    p.add_argument("--seed", type=int, required=True, help="seed for device/position selection")
-    p.add_argument("--devices", type=int, default=8, help="number of target devices to sample")
+    p.add_argument("--seed", type=_non_negative_int, required=True,
+                   help="seed for device/position selection")
+    p.add_argument("--devices", type=_non_negative_int, default=8,
+                   help="number of target devices to sample")
     p.add_argument("--device-indices", type=_int_list, default=None,
                    help="explicit comma-separated targets")
     p.add_argument(
@@ -582,14 +573,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="principal component analysis of the frequency matrix")
     p.add_argument("--geometry", default=DEFAULT_GEOMETRY.describe(),
                    help="chip grid as ROWSxCOLS:order")
-    p.add_argument("--pcs", type=int, default=8, help="components to export maps for")
+    p.add_argument("--pcs", type=_non_negative_int, default=8,
+                   help="components to export maps for")
     p.add_argument("--trunc-ranks", type=_int_list_text, default=None,
                    help="comma-separated ranks for the truncation sweep")
     p.set_defaults(func=cmd_pca)
 
     p = sub.add_parser("synth", parents=[out_parent],
                        help="generate a synthetic dataset with ground truth")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_non_negative_int, required=True)
     p.add_argument("--preset", default="spatial", help="null, spatial, or noisy")
     p.add_argument("--devices", type=int, default=None)
     p.add_argument("--ros", type=int, default=None)

@@ -27,6 +27,7 @@ from .errors import (
     StructuralError,
     ValidationError,
 )
+from .output import format_table
 
 CSV_HEADER = ("device", "ro", "sample", "freq_mhz")
 
@@ -342,11 +343,6 @@ def load_metadata(path: str | Path, num_devices: int | None = None) -> DeviceMet
     return DeviceMeta(serials)
 
 
-def _fmt(value: float) -> str:
-    # 17 significant digits: round-trip exact and stable across runs.
-    return format(float(value), ".17g")
-
-
 def device_file_name(index: int, num_devices: int) -> str:
     width = max(4, len(str(max(num_devices - 1, 0))))
     return f"device_{index:0{width}d}.txt"
@@ -366,27 +362,21 @@ def write_dataset(
     if layout.kind == "files":
         sep = layout.delimiter if layout.delimiter is not None else " "
         for j in range(readings.num_devices):
-            table = values[j]
-            if layout.rows == "samples":
-                table = table.T
-            lines = [sep.join(_fmt(v) for v in row) for row in table]
+            # A file's columns are samples (rows=ros) or ROs (rows=samples).
+            columns = values[j] if layout.rows == "samples" else values[j].T
             name = device_file_name(j, readings.num_devices)
-            (out_dir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            (out_dir / name).write_text(format_table(columns, sep), encoding="utf-8")
     else:
+        # One reading per line in (device, ro, sample) order. CSV files end
+        # lines with "\r\n", as csv.writer does.
+        columns = [*np.indices(values.shape).reshape(3, -1), values.ravel()]
         with open(out_dir / "readings.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for j in range(readings.num_devices):
-                for i in range(readings.num_ros):
-                    for t in range(readings.num_samples):
-                        writer.writerow([j, i, t, _fmt(values[j, i, t])])
+            fh.write(",".join(CSV_HEADER) + "\r\n" + format_table(columns, ",", "\r\n"))
     if meta is not None:
         write_metadata(meta, out_dir / "serials.csv")
 
 
 def write_metadata(meta: DeviceMeta, path: str | Path) -> None:
+    columns = [np.arange(meta.num_devices), meta.serials]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("device", "serial"))
-        for j, serial in enumerate(meta.serials):
-            writer.writerow((j, int(serial)))
+        fh.write("device,serial\r\n" + format_table(columns, ",", "\r\n"))

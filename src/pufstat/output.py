@@ -7,8 +7,23 @@ the end lists each artifact with its content digest. Raw binary artifacts
 (the packed bit stream has no room for a header) are linked from the
 manifest side only.
 
-Numbers are formatted with 17 significant digits, which round-trips doubles
-exactly, so identical manifests always produce byte-identical artifacts.
+Tables are formatted a table at a time by ``format_table``. It builds one
+``%`` row template from the dtypes of equal-length columns and repeats it
+over a chunk of rows, so that one ``%`` formats 4096 rows. Each column goes
+through ``numpy.asarray``, and its dtype picks the conversion:
+
+* integer and bool columns use ``%d``;
+* float columns use ``%.17g``, which round-trips doubles exactly;
+* any other column (``str``, or ``None`` mixed with numbers, which numpy
+  stores as ``object``) uses ``%s`` over ``fmt_num``.
+
+``'%.17g' % x`` and ``format(x, '.17g')`` are the same string for every
+double: CPython formats both with ``PyOS_double_to_string(x, 'g', 17, 0)``.
+``'%d' % n`` is ``str(n)``. So a table holds exactly the bytes that
+``fmt_num`` gives for each value as a Python scalar. A Python list that
+mixes ints and floats becomes a float column, so pass such a column as an
+array of the dtype it should print as. Identical manifests always produce
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -19,15 +34,49 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
+# The ``%`` conversion of each numeric dtype kind; other kinds use "%s".
+_CONVERSIONS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}
+# Rows per formatting chunk: bounds the Python objects alive at once.
+_CHUNK_ROWS = 4096
+
 
 def fmt_num(value) -> str:
+    """One table cell: ``None`` is empty, text stays, bools are 0/1."""
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, (int,)):
         return str(value)
     return format(float(value), ".17g")
+
+
+def format_table(columns, sep: str = " ", newline: str = "\n") -> str:
+    """Rows of equal-length ``columns`` joined by ``sep``, each row ended by
+    ``newline``. No rows give the empty string."""
+    columns = [np.asarray(col) for col in columns]
+    if not columns or any(col.ndim != 1 for col in columns):
+        raise ValueError("format_table needs one or more 1-dimensional columns")
+    num_rows = len(columns[0])
+    if any(len(col) != num_rows for col in columns):
+        raise ValueError("format_table columns differ in length")
+    kinds = [col.dtype.kind for col in columns]
+    template = sep.replace("%", "%%").join(_CONVERSIONS.get(k, "%s") for k in kinds)
+    row = template + newline.replace("%", "%%")
+    width = len(columns)
+    chunks = []
+    for start in range(0, num_rows, _CHUNK_ROWS):
+        # One % per chunk: the row template repeated, over the cells row-major.
+        cells = [None] * (width * min(_CHUNK_ROWS, num_rows - start))
+        for index, (col, kind) in enumerate(zip(columns, kinds)):
+            values = col[start:start + _CHUNK_ROWS].tolist()
+            cells[index::width] = values if kind in _CONVERSIONS else [fmt_num(v) for v in values]
+        chunks.append(row * (len(cells) // width) % tuple(cells))
+    return "".join(chunks)
 
 
 def sha256_bytes(data: bytes) -> str:
@@ -118,34 +167,29 @@ class ArtifactWriter:
         text = json.dumps(body, indent=2, sort_keys=True) + "\n"
         return self._record(name, text.encode("utf-8"))
 
-    def write_csv(self, name: str, header, rows, units: str) -> Path:
-        lines = [
-            f"# manifest: {self.manifest.hash}",
-            f"# units: {units}",
-            ",".join(header),
-        ]
-        for row in rows:
-            lines.append(",".join(fmt_num(v) if not isinstance(v, str) else v for v in row))
-        return self._record(name, ("\n".join(lines) + "\n").encode("utf-8"))
+    def write_csv(self, name: str, header, columns, units: str) -> Path:
+        text = (
+            f"# manifest: {self.manifest.hash}\n"
+            f"# units: {units}\n"
+            f"{','.join(header)}\n"
+        ) + format_table(columns, ",")
+        return self._record(name, text.encode("utf-8"))
 
-    def write_dat(self, name: str, columns: str, blocks, units: str) -> Path:
+    def write_dat(self, name: str, header: str, blocks, units: str) -> Path:
         """Whitespace table for plotting. ``blocks`` is a list of
-        (comment_or_None, rows); blocks are separated by blank lines."""
-        lines = [
-            f"# manifest: {self.manifest.hash}",
-            f"# units: {units}",
-            f"# columns: {columns}",
+        (comment_or_None, columns); blocks are separated by blank lines."""
+        parts = [
+            f"# manifest: {self.manifest.hash}\n"
+            f"# units: {units}\n"
+            f"# columns: {header}\n"
         ]
-        first = True
-        for comment, rows in blocks:
-            if not first:
-                lines.append("")
-            first = False
+        for index, (comment, columns) in enumerate(blocks):
+            if index:
+                parts.append("\n")
             if comment:
-                lines.append(f"# {comment}")
-            for row in rows:
-                lines.append(" ".join(fmt_num(v) if not isinstance(v, str) else v for v in row))
-        return self._record(name, ("\n".join(lines) + "\n").encode("utf-8"))
+                parts.append(f"# {comment}\n")
+            parts.append(format_table(columns, " "))
+        return self._record(name, "".join(parts).encode("utf-8"))
 
     def write_binary(self, name: str, data: bytes) -> Path:
         return self._record(name, data)

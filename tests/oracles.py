@@ -8,7 +8,9 @@ gradient descent. Slow is fine; these exist to certify the fast paths.
 
 from __future__ import annotations
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -156,3 +158,56 @@ def pearson_reference(x, y) -> float:
     dx = math.fsum((a - mx) ** 2 for a in xs)
     dy = math.fsum((b - my) ** 2 for b in ys)
     return num / math.sqrt(dx * dy)
+
+
+def fmt_num_reference(value) -> str:
+    """One table cell the way artifacts were first written, value by value."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, int):
+        return str(value)
+    return format(float(value), ".17g")
+
+
+def format_rows_reference(rows, sep: str, newline: str = "\n") -> str:
+    """A table row by row: text cells as they are, every other cell through
+    ``fmt_num_reference``, each row ended by ``newline``."""
+    return "".join(
+        sep.join(v if isinstance(v, str) else fmt_num_reference(v) for v in row) + newline
+        for row in rows
+    )
+
+
+def write_dataset_reference(values, out_dir, kind: str = "files", rows: str = "ros",
+                            delimiter: str | None = None, serials=None) -> None:
+    """Write a (devices, ros, samples) array, and optionally its serials, the
+    way ``write_dataset`` lays them out, one value at a time; CSV files go
+    through ``csv.writer``."""
+    values = np.asarray(values, dtype=np.float64)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    num_devices, num_ros, num_samples = values.shape
+    if kind == "files":
+        sep = delimiter if delimiter is not None else " "
+        width = max(4, len(str(max(num_devices - 1, 0))))
+        for j in range(num_devices):
+            table = values[j].T if rows == "samples" else values[j]
+            lines = [sep.join(format(float(v), ".17g") for v in row) for row in table]
+            path = out_dir / f"device_{j:0{width}d}.txt"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    else:
+        with open(out_dir / "readings.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(("device", "ro", "sample", "freq_mhz"))
+            for j in range(num_devices):
+                for i in range(num_ros):
+                    for t in range(num_samples):
+                        writer.writerow([j, i, t, format(float(values[j, i, t]), ".17g")])
+    if serials is not None:
+        with open(out_dir / "serials.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(("device", "serial"))
+            for j, serial in enumerate(serials):
+                writer.writerow((j, int(serial)))

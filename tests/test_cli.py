@@ -13,6 +13,7 @@ import pufstat.cli
 from pufstat.cli import main, run_chain
 from pufstat.dataset import LayoutSpec, load_readings
 from pufstat.matrices import build_matrices, pack_bits, unpack_bits
+from pufstat.similarity import group_variance_map
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +237,42 @@ def test_malformed_int_list_is_usage_error(argv, flag, dataset_args, tmp_path, c
     err = capsys.readouterr().err
     assert f"argument {flag}: expected comma-separated integers" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["attack", "--seed", "1", "--devices", "-1"], "--devices"),
+    (["attack", "--seed", "-1"], "--seed"),
+    (["pca", "--pcs", "-2"], "--pcs"),
+    (["synth", "--seed", "-1"], "--seed"),
+    (["attack", "--seed", "x"], "--seed"),
+])
+def test_negative_count_is_usage_error(argv, flag, dataset_args, tmp_path, capsys):
+    out = tmp_path / "out"
+    extra = [] if argv[0] == "synth" else dataset_args
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + extra + ["--out", str(out)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected a non-negative integer" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("min_group", [2, 5, 13])
+def test_group_variance_rows_are_the_map(min_group, synth_out, dataset_args, tmp_path):
+    out = tmp_path / "sim"
+    assert main(["similarity", "--min-group", str(min_group), "--group-sizes", f"{min_group},20"]
+                + dataset_args + ["--out", str(out)]) == 0
+    dev = build_matrices(load_readings(synth_out / "dataset", LayoutSpec())).dev
+    gv = group_variance_map(dev, min_group=min_group)
+    lines = (out / "group_variance.dat").read_text().splitlines()
+    assert lines[2] == "# columns: a b s2"
+    rows = [line.split(" ") for line in lines[3:]]
+    num_devices = dev.shape[1]
+    windows = [(a, b) for a in range(num_devices) for b in range(a, num_devices)
+               if b - a + 1 >= min_group]
+    assert [(int(a), int(b)) for a, b, _ in rows] == windows
+    assert all(float(s2) == gv.values[a, b] for (a, b), (_, _, s2) in zip(windows, rows))
 
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
