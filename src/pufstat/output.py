@@ -24,6 +24,12 @@ double: CPython formats both with ``PyOS_double_to_string(x, 'g', 17, 0)``.
 mixes ints and floats becomes a float column, so pass such a column as an
 array of the dtype it should print as. Identical manifests always produce
 byte-identical artifacts.
+
+``ArtifactWriter`` appends each chunk's UTF-8 bytes to one buffer as soon as
+it is formatted, so a large table (``group_variance.dat`` is 57 MB at 2000
+devices) is held once, as that buffer. Joining the chunks and then encoding
+the text held three copies at once, and the peak RSS then depended on
+whether malloc had handed the freed chunks back to the system.
 """
 
 from __future__ import annotations
@@ -58,6 +64,12 @@ def fmt_num(value) -> str:
 def format_table(columns, sep: str = " ", newline: str = "\n") -> str:
     """Rows of equal-length ``columns`` joined by ``sep``, each row ended by
     ``newline``. No rows give the empty string."""
+    return "".join(_table_chunks(columns, sep, newline))
+
+
+def _table_chunks(columns, sep: str, newline: str):
+    """``format_table``'s text as consecutive strings of up to
+    ``_CHUNK_ROWS`` rows each."""
     columns = [np.asarray(col) for col in columns]
     if not columns or any(col.ndim != 1 for col in columns):
         raise ValueError("format_table needs one or more 1-dimensional columns")
@@ -68,15 +80,20 @@ def format_table(columns, sep: str = " ", newline: str = "\n") -> str:
     template = sep.replace("%", "%%").join(_CONVERSIONS.get(k, "%s") for k in kinds)
     row = template + newline.replace("%", "%%")
     width = len(columns)
-    chunks = []
     for start in range(0, num_rows, _CHUNK_ROWS):
         # One % per chunk: the row template repeated, over the cells row-major.
         cells = [None] * (width * min(_CHUNK_ROWS, num_rows - start))
         for index, (col, kind) in enumerate(zip(columns, kinds)):
             values = col[start:start + _CHUNK_ROWS].tolist()
             cells[index::width] = values if kind in _CONVERSIONS else [fmt_num(v) for v in values]
-        chunks.append(row * (len(cells) // width) % tuple(cells))
-    return "".join(chunks)
+        yield row * (len(cells) // width) % tuple(cells)
+
+
+def _append_table(data: bytearray, columns, sep: str) -> None:
+    """Append ``format_table(columns, sep)`` to ``data`` as UTF-8, a chunk
+    at a time."""
+    for chunk in _table_chunks(columns, sep, "\n"):
+        data += chunk.encode("utf-8")
 
 
 def sha256_bytes(data: bytes) -> str:
@@ -155,7 +172,7 @@ class ArtifactWriter:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.manifest = manifest
 
-    def _record(self, name: str, data: bytes) -> Path:
+    def _record(self, name: str, data: bytes | bytearray) -> Path:
         path = self.out_dir / name
         write_bytes_atomic(path, data)
         self.manifest.artifacts[name] = sha256_bytes(data)
@@ -168,28 +185,29 @@ class ArtifactWriter:
         return self._record(name, text.encode("utf-8"))
 
     def write_csv(self, name: str, header, columns, units: str) -> Path:
-        text = (
+        data = bytearray(
             f"# manifest: {self.manifest.hash}\n"
             f"# units: {units}\n"
-            f"{','.join(header)}\n"
-        ) + format_table(columns, ",")
-        return self._record(name, text.encode("utf-8"))
+            f"{','.join(header)}\n".encode("utf-8")
+        )
+        _append_table(data, columns, ",")
+        return self._record(name, data)
 
     def write_dat(self, name: str, header: str, blocks, units: str) -> Path:
         """Whitespace table for plotting. ``blocks`` is a list of
         (comment_or_None, columns); blocks are separated by blank lines."""
-        parts = [
+        data = bytearray(
             f"# manifest: {self.manifest.hash}\n"
             f"# units: {units}\n"
-            f"# columns: {header}\n"
-        ]
+            f"# columns: {header}\n".encode("utf-8")
+        )
         for index, (comment, columns) in enumerate(blocks):
             if index:
-                parts.append("\n")
+                data += b"\n"
             if comment:
-                parts.append(f"# {comment}\n")
-            parts.append(format_table(columns, " "))
-        return self._record(name, "".join(parts).encode("utf-8"))
+                data += f"# {comment}\n".encode("utf-8")
+            _append_table(data, columns, " ")
+        return self._record(name, data)
 
     def write_binary(self, name: str, data: bytes) -> Path:
         return self._record(name, data)
