@@ -284,18 +284,17 @@ def cmd_attack(args, inputs: Inputs) -> int:
     writer = ArtifactWriter(_resolve_out(args), manifest)
     cells = []
     for device in devices:
-        for mode in modes:
-            cells.extend(
-                evaluate_attack(
-                    matrices.diff,
-                    device,
-                    fixed_counts,
-                    mode=mode,
-                    seed=args.seed,
-                    selection=args.select,
-                    trend_magnitude=args.trend_magnitude,
-                )
+        cells.extend(
+            evaluate_attack(
+                matrices.diff,
+                device,
+                fixed_counts,
+                mode=modes,
+                seed=args.seed,
+                selection=args.select,
+                trend_magnitude=args.trend_magnitude,
             )
+        )
     for cell in cells:
         if cell.error:
             print(

@@ -12,11 +12,11 @@ The raw statistic is rescaled by a small-sample correction factor
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DegenerateDataError, InsufficientSampleError
 
@@ -27,19 +27,28 @@ REJECT_1PCT = 1.047
 MIN_SAMPLES = 8
 
 
+@functools.cache
+def _special():
+    """``scipy.special``, imported on first use: importing scipy costs about
+    0.3 s, and the commands that never test normality or bias skip it."""
+    from scipy import special
+
+    return special
+
+
 def normal_cdf(x: float) -> float:
     """Standard normal CDF, accurate to better than 1e-12 absolute."""
-    return float(special.ndtr(x))
+    return float(_special().ndtr(x))
 
 
 def log_normal_cdf(x: float) -> float:
     """log(Phi(x)), stable far into the lower tail."""
-    return float(special.log_ndtr(x))
+    return float(_special().log_ndtr(x))
 
 
 def log_normal_sf(x: float) -> float:
     """log(1 - Phi(x)), stable far into the upper tail."""
-    return float(special.log_ndtr(-x))
+    return float(_special().log_ndtr(-x))
 
 
 @dataclass(frozen=True)
@@ -82,8 +91,9 @@ def anderson_darling(sample, row_index: int = 0, min_samples: int = MIN_SAMPLES)
     if not std > 0.0:
         raise DegenerateDataError("sample has zero standard deviation")
     y = np.sort((x - x.mean()) / std)
-    log_cdf = special.log_ndtr(y)
-    log_sf = special.log_ndtr(-y)
+    log_ndtr = _special().log_ndtr
+    log_cdf = log_ndtr(y)
+    log_sf = log_ndtr(-y)
     weights = 2.0 * np.arange(n) + 1.0
     a2 = -np.sum(weights * (log_cdf + log_sf[::-1])) / n - n
     a2_star = a2 * sample_size_correction(n)

@@ -3,7 +3,9 @@
 Everything here is deliberately written along a different route than the
 library: quadrature instead of closed-form special functions, plain Python
 accumulation instead of vectorized numpy, exhaustive search instead of
-gradient descent. Slow is fine; these exist to certify the fast paths.
+gradient descent, and every line-search trial of that descent evaluated
+exactly instead of priced. Slow is fine; these exist to certify the fast
+paths.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ import math
 from pathlib import Path
 
 import numpy as np
+
+from pufstat.covfit import CovFitResult, FitOptions, bits_from_values
+from pufstat.errors import ConfigurationError, NumericError
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(80)
 
@@ -146,6 +151,95 @@ def covfit_grid_search(cov, row_means, fixed_mask, fixed_values, n_train,
         if values[arg] < best[0]:
             best = (float(values[arg]), (float(v0), float(grid1[arg])))
     return best
+
+
+def fit_reference(problem, options=None):
+    """The covariance-fit descent with every line-search trial evaluated
+    exactly (``cov @ d_new``): the plain loop the priced line search in
+    ``pufstat.covfit.fit`` must reproduce bit for bit."""
+    options = options or FitOptions()
+    k = problem.num_pairs
+    free = ~problem.fixed_mask
+    if not free.any():
+        raise ConfigurationError("no free coordinates; nothing to optimize")
+    scale = 1.0 / (problem.n_train + 1.0) ** 2
+
+    d = np.zeros(k)
+    d[problem.fixed_mask] = problem.fixed_values - problem.row_means[problem.fixed_mask]
+    if options.start_free is not None:
+        start = np.asarray(options.start_free, dtype=np.float64).ravel()
+        if start.size != int(free.sum()):
+            raise ConfigurationError(
+                f"start_free has {start.size} entries for {int(free.sum())} free coordinates"
+            )
+        d[free] = start
+
+    cov = problem.cov
+    cov_fro2 = float(np.sum(cov * cov))
+
+    def f_and_cd(d):
+        cd = cov @ d
+        dd = float(np.dot(d, d))
+        value = dd * dd - 2.0 * float(np.dot(d, cd)) + cov_fro2
+        return value, cd, dd
+
+    f_raw, cd, dd = f_and_cd(d)
+    if not np.isfinite(f_raw):
+        raise NumericError("objective is not finite at the starting point")
+    start_objective = f_raw * scale
+
+    iterations = 0
+    alpha = 1.0
+    stop_reason = f"max_iter reached ({options.max_iter})"
+    for _ in range(options.max_iter):
+        grad = 4.0 * (dd * d - cd)
+        grad[problem.fixed_mask] = 0.0
+        gnorm2 = float(np.dot(grad, grad))
+        if np.sqrt(gnorm2) * scale < options.grad_tol:
+            stop_reason = "gradient tolerance"
+            break
+        alpha = min(alpha * 4.0, 1e12)
+        accepted = False
+        while alpha > 1e-20:
+            d_new = d - alpha * grad
+            f_new, cd_new, dd_new = f_and_cd(d_new)
+            if np.isfinite(f_new) and f_new <= f_raw - options.armijo_c * alpha * gnorm2:
+                accepted = True
+                break
+            alpha *= options.backtrack
+        if not accepted:
+            stop_reason = "line search stalled"
+            break
+        decrease = (f_raw - f_new) * scale
+        d, f_raw, cd, dd = d_new, f_new, cd_new, dd_new
+        iterations += 1
+        if decrease < options.objective_tol * max(1.0, abs(f_raw) * scale):
+            stop_reason = "objective tolerance"
+            break
+
+    b_hat = problem.row_means + d
+    # Pin the fixed positions exactly; mu + (v - mu) can differ in the last ulp.
+    b_hat[problem.fixed_mask] = problem.fixed_values
+    bits_hat = bits_from_values(b_hat)
+
+    delta_correct = None
+    if problem.truth is not None:
+        b_start = problem.row_means.copy()
+        b_start[problem.fixed_mask] = problem.fixed_values
+        truth_bits = bits_from_values(problem.truth)
+        correct_start = int((bits_from_values(b_start) == truth_bits).sum())
+        correct_end = int((bits_hat == truth_bits).sum())
+        delta_correct = correct_end - correct_start
+
+    return CovFitResult(
+        b_hat=b_hat,
+        objective=float(f_raw * scale),
+        start_objective=float(start_objective),
+        iterations=iterations,
+        bits_hat=bits_hat,
+        delta_correct=delta_correct,
+        stop_reason=stop_reason,
+    )
 
 
 def pearson_reference(x, y) -> float:

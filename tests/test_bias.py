@@ -35,6 +35,17 @@ def test_bias_normal_three_sigma():
     assert bias_normal(diff)[0] == pytest.approx(0.998650101968370, abs=1e-12)
 
 
+def test_bias_report_normal_model_is_scipy_ndtr():
+    from scipy import special
+
+    rng = np.random.default_rng(17)
+    diff = rng.normal(0.3, 2.0, size=(24, 30))
+    report = bias_report(diff, (diff > 0).astype(np.uint8))
+    want = special.ndtr(diff.mean(axis=1) / diff.std(axis=1, ddof=1))
+    assert report.p_normal.tobytes() == want.tobytes()
+    assert report.entropy_normal == entropy(want)
+
+
 def test_bias_normal_degenerate_row():
     diff = np.asarray([[1.0, 1.0, 1.0], [0.5, 1.0, 2.0]])
     with pytest.raises(DegenerateDataError, match="\\[0\\]"):

@@ -210,6 +210,35 @@ def test_console_entry_point_runs():
     assert proc.stdout.strip().startswith("pufstat ")
 
 
+def test_attack_reports_failed_covariance_check_per_cell(dataset_args, tmp_path,
+                                                        monkeypatch, capsys):
+    monkeypatch.setattr(pufstat.covfit, "covariance_matrix",
+                        lambda train: -np.eye(train.shape[0]))
+    out = tmp_path / "bad-cov"
+    assert main(["attack", "--seed", "3", "--devices", "2", "--fixed-counts", "0,8,32",
+                 "--mode", "both", "--out", str(out)] + dataset_args) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 * 2 * 3
+    for line in err:
+        assert line.startswith("pufstat: attack cell device=")
+        assert line.endswith(
+            " failed: covariance matrix is not positive semidefinite (eigmin -1)")
+    rows = [ln.split(",") for ln in (out / "attack.csv").read_text().splitlines()
+            if not ln.startswith("#")][1:]
+    assert len(rows) == 12
+    assert all(row[3:] == ["", "", "0"] for row in rows)
+
+
+def test_import_defers_scipy():
+    src = Path(pufstat.cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, pufstat.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(src), "PATH": ""},
+    )
+    assert proc.stdout.strip() == "False"
+
+
 def test_manifest_links_all_artifacts(dataset_args, tmp_path):
     out = tmp_path / "mf"
     assert main(["ingest"] + dataset_args + ["--out", str(out)]) == 0

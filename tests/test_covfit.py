@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pufstat.covfit as covfit
 from oracles import (
     covfit_grid_search,
     covfit_objective_reference,
     expanded_covariance_reference,
+    fit_reference,
 )
 from pufstat.correlation import covariance_matrix
 from pufstat.covfit import (
+    MODES,
     AttackCell,
     CovFitProblem,
     FitOptions,
@@ -333,3 +338,245 @@ def test_attack_guards():
 
 def test_bits_from_values_strict_positive():
     assert bits_from_values([-1.0, 0.0, 2.0]).tolist() == [0, 0, 1]
+
+
+# --- the priced line search against the plain loop ------------------------
+
+
+def _assert_same_fit(got, want):
+    assert got.b_hat.tobytes() == want.b_hat.tobytes()
+    assert got.bits_hat.tobytes() == want.bits_hat.tobytes()
+    assert got.objective == want.objective
+    assert got.start_objective == want.start_objective
+    assert got.iterations == want.iterations
+    assert got.stop_reason == want.stop_reason
+    assert got.delta_correct == want.delta_correct
+
+
+def _training_problem(seed, k, n_train, fixed_mask, mode="exact", spread=1.0,
+                      offset=0.0, skew=0.0):
+    """A leave-one-out problem: train on ``n_train`` correlated devices, pin
+    the masked coordinates of one more device as the attack does. ``skew``
+    adds that much relative asymmetry, which the problem check tolerates."""
+    rng = np.random.default_rng(seed)
+    mixing = rng.normal(size=(k, k)) / np.sqrt(k)
+    data = spread * (mixing @ rng.normal(size=(k, n_train + 1))) + offset
+    truth, train = data[:, -1], data[:, :-1]
+    cov = covariance_matrix(train)
+    cov = cov + skew * np.abs(cov).max() * np.triu(rng.uniform(size=(k, k)), 1)
+    mask = np.asarray(fixed_mask, dtype=bool)
+    if mode == "exact":
+        values = truth[mask]
+    else:
+        values = np.where(truth[mask] > 0.0, 1.0, -1.0)
+    return CovFitProblem(
+        cov=cov, row_means=train.mean(axis=1), n_train=n_train,
+        fixed_mask=mask, fixed_values=values, mode=mode, truth=truth,
+    )
+
+
+@st.composite
+def _fit_cases(draw):
+    k = draw(st.integers(2, 12))
+    fixed = draw(st.lists(st.booleans(), min_size=k, max_size=k).filter(lambda m: not all(m)))
+    problem = _training_problem(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        k=k,
+        n_train=draw(st.integers(2, 40)),
+        fixed_mask=fixed,
+        mode=draw(st.sampled_from(MODES)),
+        spread=draw(st.sampled_from([1e-3, 1.0, 30.0])),
+        offset=draw(st.sampled_from([0.0, 1e6, -1e6])),
+        skew=draw(st.sampled_from([0.0, 1e-9])),
+    )
+    start_free = None
+    if draw(st.booleans()):
+        scale = draw(st.sampled_from([1e-6, 1.0, 1e3]))
+        start_free = scale * np.asarray(draw(st.lists(
+            st.floats(-1.0, 1.0), min_size=problem.num_free, max_size=problem.num_free)))
+    tight = draw(st.booleans())
+    options = FitOptions(
+        max_iter=draw(st.sampled_from([1, 2, 3, 40, 400])),
+        grad_tol=0.0 if tight else 1e-8,
+        objective_tol=0.0 if tight else 1e-12,
+        start_free=start_free,
+    )
+    return problem, options
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fit_cases())
+def test_fit_equals_plain_loop(case):
+    problem, options = case
+    _assert_same_fit(fit(problem, options), fit_reference(problem, options))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fit_cases())
+def test_price_never_rejects_a_trial_the_exact_evaluation_accepts(case):
+    # Set each trial's threshold to its own exact objective, so the exact
+    # test accepts it: the price must then not be counted as a sure reject.
+    problem, options = case
+    start = np.zeros(problem.num_free) if options.start_free is None else options.start_free
+    d = covfit._assemble(problem, start)
+    cov_fro2, f_and_cd = covfit._objective_terms(problem.cov)
+    _, cd, dd = f_and_cd(d)
+    grad = 4.0 * (dd * d - cd)
+    grad[problem.fixed_mask] = 0.0
+    gnorm2 = float(np.dot(grad, grad))
+    surely_rejected = covfit._trial_pricer(problem.cov, d, grad, cd, dd, gnorm2, cov_fro2)
+    for alpha in 2.0 ** np.arange(-66, 41, 0.5):
+        exact, _, _ = f_and_cd(d - alpha * grad)
+        if np.isfinite(exact):
+            assert not surely_rejected(float(alpha), exact)
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3])
+def test_fit_equals_plain_loop_at_max_iter(max_iter):
+    problem = _random_problem(7, k=10, num_fixed=4)
+    options = FitOptions(max_iter=max_iter)
+    want = fit_reference(problem, options)
+    assert want.stop_reason == f"max_iter reached ({max_iter})"
+    _assert_same_fit(fit(problem, options), want)
+
+
+def _rank_one_problem(seed, extra=0.0, skew=0.0):
+    rng = np.random.default_rng(300 + seed)
+    c = rng.uniform(0.5, 1.5, size=6) * rng.choice([-1.0, 1.0], size=6)
+    problem = CovFitProblem(
+        cov=np.outer(c, c) + extra * np.eye(6) + skew * np.triu(np.ones((6, 6)), 1),
+        row_means=np.zeros(6),
+        n_train=50,
+        fixed_mask=np.asarray([True, False, False, False, False, False]),
+        fixed_values=np.asarray([c[0]]),
+    )
+    return problem, rng
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fit_equals_plain_loop_through_line_search_stall(seed):
+    # From a start this far out even the smallest trial step overshoots, so
+    # every trial fails and the search stalls before the first step.
+    problem, rng = _rank_one_problem(seed, extra=0.01)
+    options = FitOptions(start_free=1e20 * rng.normal(size=5))
+    want = fit_reference(problem, options)
+    assert want.stop_reason == "line search stalled"
+    assert want.iterations == 0
+    _assert_same_fit(fit(problem, options), want)
+
+
+@pytest.mark.parametrize("skew", [0.0, 5e-9])
+@pytest.mark.parametrize("seed", range(3))
+def test_fit_equals_plain_loop_at_the_rounding_floor(seed, skew):
+    # With both tolerances off the descent keeps stepping once the objective
+    # has reached rounding noise, where the Armijo test is decided by the last
+    # bits of each exact evaluation. A covariance that is symmetric only to
+    # the tolerance of the problem check must be priced as it is.
+    problem, rng = _rank_one_problem(seed, skew=skew)
+    options = FitOptions(max_iter=3000, grad_tol=0.0, objective_tol=0.0,
+                         start_free=rng.normal(size=5))
+    want = fit_reference(problem, options)
+    assert want.stop_reason == "max_iter reached (3000)"
+    assert want.objective < 1e-15
+    _assert_same_fit(fit(problem, options), want)
+
+
+@pytest.mark.parametrize("offset", [1e6, -1e6])
+@pytest.mark.parametrize("mode", MODES)
+def test_fit_equals_plain_loop_with_large_row_means(offset, mode):
+    for seed in range(5):
+        k = 12
+        mask = np.zeros(k, dtype=bool)
+        mask[::3] = True
+        problem = _training_problem(seed, k, 30, mask, mode=mode, offset=offset)
+        _assert_same_fit(fit(problem), fit_reference(problem))
+
+
+def _oracle_cells(diff, device, fixed_counts, mode, seed, selection):
+    """The attack sweep built cell by cell: full problem validation and the
+    plain descent loop for every cell."""
+    num_pairs = diff.shape[0]
+    truth = diff[:, device]
+    train = np.delete(diff, device, axis=1)
+    cov = covariance_matrix(train)
+    mu = train.mean(axis=1)
+    cells = []
+    for count in fixed_counts:
+        mask = np.zeros(num_pairs, dtype=bool)
+        mask[choose_fixed_positions(num_pairs, count, selection, seed)] = True
+        if mode == "exact":
+            values = truth[mask]
+        else:
+            values = np.where(truth[mask] > 0.0, 1.0, -1.0)
+        if count == num_pairs:
+            residual = expanded_cov_residual(cov, mu, values, train.shape[1])
+            cells.append(AttackCell(device, mode, count, 0,
+                                    float(np.sum(residual * residual)), 0))
+            continue
+        result = fit_reference(CovFitProblem(
+            cov=cov, row_means=mu, n_train=train.shape[1], fixed_mask=mask,
+            fixed_values=values, mode=mode, truth=truth,
+        ))
+        cells.append(AttackCell(device, mode, count, result.delta_correct,
+                                result.objective, result.iterations))
+    return cells
+
+
+@pytest.mark.parametrize("selection", ["even", "random"])
+def test_attack_sweep_equals_oracle_cells(small_matrices, selection):
+    diff = small_matrices.diff
+    num_pairs = diff.shape[0]
+    counts = [0, 1, num_pairs // 4, num_pairs // 2, num_pairs - 1, num_pairs]
+    for device in (0, 7, 30, diff.shape[1] - 1):
+        cells = evaluate_attack(diff, device, counts, mode=MODES, seed=5,
+                                selection=selection)
+        want = [cell for mode in MODES
+                for cell in _oracle_cells(diff, device, counts, mode, 5, selection)]
+        assert cells == want
+        for i, mode in enumerate(MODES):
+            single = evaluate_attack(diff, device, counts, mode=mode, seed=5,
+                                     selection=selection)
+            assert single == want[i * len(counts):(i + 1) * len(counts)]
+
+
+def _count_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+def test_attack_checks_training_covariance_once_per_target(monkeypatch):
+    calls = _count_eigvalsh(monkeypatch)
+    rng = np.random.default_rng(95)
+    diff = rng.normal(size=(16, 24))
+    for target in (2, 11):
+        cells = evaluate_attack(diff, target, [0, 4, 8, 12, 16], mode=MODES, seed=1)
+        assert len(cells) == 10
+        assert all(c.error is None for c in cells)
+    assert calls == [(16, 16), (16, 16)]
+
+
+@pytest.mark.parametrize("bad_cov, message", [
+    (np.diag([1.0, -0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
+     "covariance matrix is not positive semidefinite (eigmin -0.5)"),
+    (np.eye(8) + np.triu(np.ones((8, 8)), 1), "covariance matrix is not symmetric"),
+])
+def test_failed_covariance_check_marks_every_cell(monkeypatch, bad_cov, message):
+    calls = _count_eigvalsh(monkeypatch)
+    monkeypatch.setattr(covfit, "covariance_matrix", lambda train: bad_cov)
+    rng = np.random.default_rng(96)
+    diff = rng.normal(size=(8, 12))
+    cells = evaluate_attack(diff, 3, [0, 4, 8], mode=MODES, seed=1)
+    assert [(c.mode, c.fixed_count) for c in cells] == [
+        (m, n) for m in MODES for n in (0, 4, 8)
+    ]
+    for cell in cells:
+        assert (cell.delta_correct, cell.objective, cell.iterations) == (None, None, 0)
+        assert cell.error == message
+    assert len(calls) <= 1

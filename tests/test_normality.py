@@ -27,6 +27,15 @@ def test_normal_cdf_against_quadrature_grid():
         assert abs(normal_cdf(float(x)) - phi_quadrature(float(x))) <= 1e-12
 
 
+def test_tail_functions_are_scipy_values():
+    from scipy import special
+
+    for x in (-40.0, -8.5, -1.0, -1e-3, 0.0, 0.25, 3.0, 12.0):
+        assert normal_cdf(x) == float(special.ndtr(x))
+        assert log_normal_cdf(x) == float(special.log_ndtr(x))
+        assert log_normal_sf(x) == float(special.log_ndtr(-x))
+
+
 def test_normal_cdf_known_point():
     assert abs(normal_cdf(1.0) - 0.841344746068543) < 1e-12
     assert normal_cdf(0.0) == 0.5
