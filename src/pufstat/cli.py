@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 analysis error, 2 usage error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -25,7 +24,7 @@ from .correlation import fit_line, profile
 from .covfit import evaluate_attack
 from .dataset import (DeviceMeta, LayoutSpec, ReadingsTensor, dataset_files,
                       load_metadata, load_readings, write_dataset)
-from .errors import PufStatError, UnavailableAnalysisError
+from .errors import ParseError, PufStatError, StructuralError, UnavailableAnalysisError
 from .geometry import DEFAULT_GEOMETRY, GridGeometry
 from .matrices import PufMatrices, build_matrices, pack_bits
 from .normality import REJECT_1PCT, test_rows
@@ -98,8 +97,9 @@ def _load(args) -> Inputs:
     return Inputs(readings, meta, layout, build_matrices(readings), hash_input_files(files))
 
 
-def _manifest(args, subcommand: str, params: dict, inputs: Inputs) -> RunManifest:
-    return RunManifest(
+def _writer(args, subcommand: str, params: dict, inputs: Inputs) -> ArtifactWriter:
+    """The artifact writer of one dataset subcommand, under its run manifest."""
+    manifest = RunManifest(
         version=__version__,
         subcommand=subcommand,
         params=params,
@@ -110,12 +110,12 @@ def _manifest(args, subcommand: str, params: dict, inputs: Inputs) -> RunManifes
         seed=getattr(args, "seed", None),
         input_sha256=inputs.input_sha256,
     )
+    return ArtifactWriter(_resolve_out(args), manifest)
 
 
 def cmd_ingest(args, inputs: Inputs) -> int:
     matrices = inputs.matrices
-    manifest = _manifest(args, "ingest", {}, inputs)
-    writer = ArtifactWriter(_resolve_out(args), manifest)
+    writer = _writer(args, "ingest", {}, inputs)
     for name, matrix, label, units in (
         ("freq.csv", matrices.freq, "ro", "MHz"),
         ("dev.csv", matrices.dev, "ro", "MHz"),
@@ -139,21 +139,15 @@ def cmd_ingest(args, inputs: Inputs) -> int:
 def cmd_normality(args, inputs: Inputs) -> int:
     matrices = inputs.matrices
     selected = MATRIX_CHOICES[:3] if args.matrix == "all" else (args.matrix,)
-    manifest = _manifest(args, "normality", {"matrix": args.matrix}, inputs)
-    writer = ArtifactWriter(_resolve_out(args), manifest)
+    writer = _writer(args, "normality", {"matrix": args.matrix}, inputs)
     for name in selected:
         matrix = getattr(matrices, name)
         results, summary = test_rows(matrix)
-        columns = [
-            [r.row_index for r in results],
-            [r.a2 for r in results],
-            [r.a2_star for r in results],
-            [r.reject_at_1pct for r in results],
-        ]
+        fields = ("row_index", "a2", "a2_star", "reject_at_1pct")
         writer.write_csv(
             f"normality_{name}.csv",
             ["row", "a2", "a2_star", "reject"],
-            columns,
+            [[getattr(r, f) for r in results] for f in fields],
             "dimensionless",
         )
         writer.write_json(
@@ -179,13 +173,9 @@ def cmd_similarity(args, inputs: Inputs) -> int:
             "similarity needs per-device serial numbers; pass --meta"
         )
     gv = group_variance_map(inputs.matrices.dev, min_group=args.min_group)
-    manifest = _manifest(
-        args,
-        "similarity",
-        {"min_group": args.min_group, "group_sizes": args.group_sizes},
-        inputs,
+    writer = _writer(
+        args, "similarity", {"min_group": args.min_group, "group_sizes": args.group_sizes}, inputs
     )
-    writer = ArtifactWriter(_resolve_out(args), manifest)
     # Windows a..b of at least min_group devices, a then b ascending.
     a, b = np.triu_indices(gv.num_devices, args.min_group - 1)
     writer.write_dat("group_variance.dat", "a b s2", [(None, [a, b, gv.values[a, b]])],
@@ -194,6 +184,11 @@ def cmd_similarity(args, inputs: Inputs) -> int:
     writer.write_csv(
         "serial_corr.csv", ["group_size", "corr"], [args.group_sizes, corrs], "dimensionless"
     )
+    writer.write_json(
+        "similarity.json",
+        {"serial_correlation": [{"group_size": g, "corr": c}
+                                for g, c in zip(args.group_sizes, corrs)]},
+    )
     writer.finish()
     return 0
 
@@ -201,8 +196,7 @@ def cmd_similarity(args, inputs: Inputs) -> int:
 def cmd_entropy(args, inputs: Inputs) -> int:
     matrices = inputs.matrices
     report = bias_report(matrices.diff, matrices.bits)
-    manifest = _manifest(args, "entropy", {}, inputs)
-    writer = ArtifactWriter(_resolve_out(args), manifest)
+    writer = _writer(args, "entropy", {}, inputs)
     writer.write_csv(
         "bias.csv",
         ["k", "p_binary", "p_normal"],
@@ -233,8 +227,7 @@ def cmd_entropy(args, inputs: Inputs) -> int:
 
 def cmd_correlate(args, inputs: Inputs) -> int:
     matrices = inputs.matrices
-    manifest = _manifest(args, "correlate", {}, inputs)
-    writer = ArtifactWriter(_resolve_out(args), manifest)
+    writer = _writer(args, "correlate", {}, inputs)
     summaries = {}
     for name, matrix, key in (
         ("coco_D.dat", matrices.dev, "dev"),
@@ -269,7 +262,7 @@ def cmd_attack(args, inputs: Inputs) -> int:
     else:
         fixed_counts = args.fixed_counts
     modes = ("trend", "exact") if args.mode == "both" else (args.mode,)
-    manifest = _manifest(
+    writer = _writer(
         args,
         "attack",
         {
@@ -281,7 +274,6 @@ def cmd_attack(args, inputs: Inputs) -> int:
         },
         inputs,
     )
-    writer = ArtifactWriter(_resolve_out(args), manifest)
     cells = []
     for device in devices:
         cells.extend(
@@ -309,9 +301,8 @@ def cmd_attack(args, inputs: Inputs) -> int:
         [[getattr(c, f) for c in cells] for f in fields],
         "bits (delta_correct), MHz^2 scaled (objective)",
     )
-    blocks = []
+    envelope = []  # rows of attack_envelope.dat (-6.0 prints as -6) and attack_summary.json
     for mode in modes:
-        counts, lows, highs = [], [], []
         for count in fixed_counts:
             deltas = [
                 c.delta_correct
@@ -319,13 +310,15 @@ def cmd_attack(args, inputs: Inputs) -> int:
                 if c.mode == mode and c.fixed_count == count and c.delta_correct is not None
             ]
             if deltas:
-                counts.append(count)
-                lows.append(min(deltas))
-                highs.append(max(deltas))
-        blocks.append((f"mode: {mode}", [counts, lows, highs]))
-    writer.write_dat(
-        "attack_envelope.dat", "fixed_count min_delta max_delta", blocks, "bits"
-    )
+                envelope.append({"mode": mode, "fixed_count": count,
+                                 "min_delta": float(min(deltas)), "max_delta": float(max(deltas))})
+    columns = ("fixed_count", "min_delta", "max_delta")
+    blocks = [
+        (f"mode: {mode}", [[e[k] for e in envelope if e["mode"] == mode] for k in columns])
+        for mode in modes
+    ]
+    writer.write_dat("attack_envelope.dat", " ".join(columns), blocks, "bits")
+    writer.write_json("attack_summary.json", {"envelope": envelope})
     writer.finish()
     return 0
 
@@ -335,13 +328,7 @@ def cmd_pca(args, inputs: Inputs) -> int:
     geometry = GridGeometry.parse(args.geometry)
     scaled = standardize(matrices.freq)
     result = pca(scaled, geometry)
-    manifest = _manifest(
-        args,
-        "pca",
-        {"pcs": args.pcs, "trunc_ranks": args.trunc_ranks},
-        inputs,
-    )
-    writer = ArtifactWriter(_resolve_out(args), manifest)
+    writer = _writer(args, "pca", {"pcs": args.pcs, "trunc_ranks": args.trunc_ranks}, inputs)
     writer.write_csv(
         "pca_fractions.csv",
         ["pc", "singular_value", "variance_fraction"],
@@ -372,14 +359,17 @@ def cmd_pca(args, inputs: Inputs) -> int:
     writer.write_csv(
         "trunc_agreement.csv", ["r", "agreement"], [ranks, agreements], "fraction"
     )
-    key_corr = {}
-    for pc_num in range(1, min(3, result.rank) + 1):
-        key_corr[f"pc{pc_num}"] = pc_key_correlation(result, matrices.bits, pc_num)
+    key_corr = {f"pc{pc_num}": pc_key_correlation(result, matrices.bits, pc_num)
+                for pc_num in range(1, min(3, result.rank) + 1)}
     writer.write_json(
         "pca_summary.json",
         {
             "rank": result.rank,
-            "variance_fractions_head": [float(v) for v in result.variance_fractions[:8]],
+            "variance_fractions": [
+                {"pc": pc, "variance_fraction": float(v)}
+                for pc, v in enumerate(result.variance_fractions, start=1)
+            ],
+            "truncated_agreement": [{"r": r, "agreement": a} for r, a in zip(ranks, agreements)],
             "ones_count_correlation": key_corr,
             "geometry": geometry.describe(),
         },
@@ -424,35 +414,26 @@ REPORT_REQUIRED = (
     "normality_dev_summary.json",
     "normality_diff_summary.json",
     "entropy.json",
-    "attack_envelope.dat",
-    "pca_fractions.csv",
+    "attack_summary.json",
+    "pca_summary.json",
 )
-REPORT_OPTIONAL = ("serial_corr.csv", "trunc_agreement.csv", "correlate.json")
+REPORT_OPTIONAL = ("similarity.json", "correlate.json")
 
 
-def _read_csv_artifact(path: Path) -> list[dict]:
-    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if not ln.startswith("#")]
-    reader = csv.DictReader(lines)
-    return list(reader)
-
-
-def _read_envelope(path: Path) -> list[dict]:
-    entries = []
-    mode = None
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if line.startswith("# mode:"):
-            mode = line.split(":", 1)[1].strip()
-        elif line and not line.startswith("#"):
-            count, lo, hi = line.split()
-            entries.append(
-                {
-                    "mode": mode,
-                    "fixed_count": int(count),
-                    "min_delta": float(lo),
-                    "max_delta": float(hi),
-                }
-            )
-    return entries
+def _read_summary(path: Path, keys=()) -> dict:
+    """The JSON summary a stage wrote at ``path``, without its manifest_hash.
+    With ``keys``, only those keys, each of which the summary must have."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ParseError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise StructuralError(f"{path}: expected a JSON object")
+    data.pop("manifest_hash", None)
+    for key in keys:
+        if key not in data:
+            raise StructuralError(f"{path}: missing key {key!r}")
+    return {key: data[key] for key in keys} if keys else data
 
 
 def cmd_report(args) -> int:
@@ -463,44 +444,27 @@ def cmd_report(args) -> int:
             "report inputs missing from "
             f"{out_dir}: {', '.join(sorted(missing))}"
         )
-    payload = {"normality": {}, "entropy": {}, "attack": {}, "pca": {}}
-    for name in ("freq", "dev", "diff"):
-        data = json.loads((out_dir / f"normality_{name}_summary.json").read_text())
-        data.pop("manifest_hash", None)
-        payload["normality"][name] = data
-    entropy_data = json.loads((out_dir / "entropy.json").read_text())
-    entropy_data.pop("manifest_hash", None)
-    payload["entropy"] = entropy_data
-    payload["attack"]["envelope"] = _read_envelope(out_dir / "attack_envelope.dat")
-    fractions = _read_csv_artifact(out_dir / "pca_fractions.csv")
-    payload["pca"]["variance_fractions"] = [
-        {"pc": int(row["pc"]), "variance_fraction": float(row["variance_fraction"])}
-        for row in fractions
-    ]
-    if (out_dir / "serial_corr.csv").is_file():
-        payload["similarity"] = {
-            "serial_correlation": [
-                {"group_size": int(r["group_size"]), "corr": float(r["corr"])}
-                for r in _read_csv_artifact(out_dir / "serial_corr.csv")
-            ]
-        }
-    if (out_dir / "trunc_agreement.csv").is_file():
-        payload["pca"]["truncated_agreement"] = [
-            {"r": int(r["r"]), "agreement": float(r["agreement"])}
-            for r in _read_csv_artifact(out_dir / "trunc_agreement.csv")
-        ]
-    if (out_dir / "correlate.json").is_file():
-        data = json.loads((out_dir / "correlate.json").read_text())
-        data.pop("manifest_hash", None)
-        payload["correlation_profiles"] = data
+    present = [name for name in REPORT_OPTIONAL if (out_dir / name).is_file()]
+    payload = {
+        "normality": {
+            name: _read_summary(out_dir / f"normality_{name}_summary.json")
+            for name in ("freq", "dev", "diff")
+        },
+        "entropy": _read_summary(out_dir / "entropy.json"),
+        "attack": _read_summary(out_dir / "attack_summary.json", ("envelope",)),
+        "pca": _read_summary(out_dir / "pca_summary.json",
+                             ("variance_fractions", "truncated_agreement")),
+    }
+    if "similarity.json" in present:
+        payload["similarity"] = _read_summary(out_dir / "similarity.json",
+                                              ("serial_correlation",))
+    if "correlate.json" in present:
+        payload["correlation_profiles"] = _read_summary(out_dir / "correlate.json")
     manifest = RunManifest(
         version=__version__,
         subcommand="report",
         params={},
-        input_sha256=hash_input_files(
-            [out_dir / n for n in REPORT_REQUIRED]
-            + [out_dir / n for n in REPORT_OPTIONAL if (out_dir / n).is_file()]
-        ),
+        input_sha256=hash_input_files([out_dir / n for n in REPORT_REQUIRED + tuple(present)]),
     )
     writer = ArtifactWriter(out_dir, manifest)
     writer.write_json("report.json", payload)

@@ -50,13 +50,6 @@ class GroupVarianceMap:
     def num_devices(self) -> int:
         return self.values.shape[0]
 
-    def get(self, a: int, b: int) -> float:
-        if not (0 <= a <= b < self.num_devices) or b - a + 1 < self.min_group:
-            raise ConfigurationError(
-                f"window {a}..{b} is not in the map (min group {self.min_group})"
-            )
-        return float(self.values[a, b])
-
 
 def group_variance_map(dev, min_group: int = 5) -> GroupVarianceMap:
     """Compute all windows at once via prefix sums, O(rows * devices^2)."""

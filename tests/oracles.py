@@ -11,6 +11,7 @@ paths.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from pathlib import Path
 
@@ -305,3 +306,61 @@ def write_dataset_reference(values, out_dir, kind: str = "files", rows: str = "r
             writer.writerow(("device", "serial"))
             for j, serial in enumerate(serials):
                 writer.writerow((j, int(serial)))
+
+
+def _read_json_summary(path: Path) -> dict:
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data.pop("manifest_hash", None)
+    return data
+
+
+def _read_text_table(path: Path) -> list[dict]:
+    """The rows of a CSV artifact, header-keyed, its ``#`` lines skipped."""
+    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if not ln.startswith("#")]
+    return list(csv.DictReader(lines))
+
+
+def _read_envelope_text(path: Path) -> list[dict]:
+    """The rows of ``attack_envelope.dat``, each tagged with the mode of its block."""
+    entries = []
+    mode = None
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line.startswith("# mode:"):
+            mode = line.split(":", 1)[1].strip()
+        elif line and not line.startswith("#"):
+            count, lo, hi = line.split()
+            entries.append({"mode": mode, "fixed_count": int(count),
+                            "min_delta": float(lo), "max_delta": float(hi)})
+    return entries
+
+
+def report_payload_reference(out_dir) -> dict:
+    """``report.json`` without its ``manifest_hash``, rebuilt from the text
+    tables in ``out_dir`` (``attack_envelope.dat``, ``pca_fractions.csv``,
+    ``trunc_agreement.csv``, ``serial_corr.csv``) instead of the stages' JSON
+    summaries; the normality, entropy and correlate sections are JSON only."""
+    out_dir = Path(out_dir)
+    payload = {
+        "normality": {name: _read_json_summary(out_dir / f"normality_{name}_summary.json")
+                      for name in ("freq", "dev", "diff")},
+        "entropy": _read_json_summary(out_dir / "entropy.json"),
+        "attack": {"envelope": _read_envelope_text(out_dir / "attack_envelope.dat")},
+        "pca": {
+            "variance_fractions": [
+                {"pc": int(row["pc"]), "variance_fraction": float(row["variance_fraction"])}
+                for row in _read_text_table(out_dir / "pca_fractions.csv")
+            ],
+            "truncated_agreement": [
+                {"r": int(row["r"]), "agreement": float(row["agreement"])}
+                for row in _read_text_table(out_dir / "trunc_agreement.csv")
+            ],
+        },
+    }
+    if (out_dir / "serial_corr.csv").is_file():
+        payload["similarity"] = {"serial_correlation": [
+            {"group_size": int(row["group_size"]), "corr": float(row["corr"])}
+            for row in _read_text_table(out_dir / "serial_corr.csv")
+        ]}
+    if (out_dir / "correlate.json").is_file():
+        payload["correlation_profiles"] = _read_json_summary(out_dir / "correlate.json")
+    return payload

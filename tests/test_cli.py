@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import pufstat.cli
-from pufstat.cli import main, run_chain
+from oracles import report_payload_reference
+from pufstat.cli import REPORT_REQUIRED, main, run_chain
 from pufstat.dataset import LayoutSpec, load_readings
 from pufstat.matrices import build_matrices, pack_bits, unpack_bits
 from pufstat.similarity import group_variance_map
@@ -85,6 +86,8 @@ def test_full_chain_exit_codes_and_artifacts(synth_out, dataset_args, tmp_path):
     ]
     assert corr_lines[0] == "group_size,corr"
     assert len(corr_lines) == 4
+    similarity = json.loads((out / "similarity.json").read_text())
+    assert [e["group_size"] for e in similarity["serial_correlation"]] == [5, 10, 20]
 
     assert main(["attack", "--seed", "3", "--devices", "3",
                  "--fixed-counts", "0,8,32", "--mode", "both"] + base) == 0
@@ -96,6 +99,8 @@ def test_full_chain_exit_codes_and_artifacts(synth_out, dataset_args, tmp_path):
     assert len(attack_lines) == 1 + 3 * 2 * 3
     envelope = (out / "attack_envelope.dat").read_text()
     assert "# mode: trend" in envelope and "# mode: exact" in envelope
+    summary = json.loads((out / "attack_summary.json").read_text())
+    assert {e["mode"] for e in summary["envelope"]} == {"trend", "exact"}
 
     assert main(["pca", "--geometry", "8x8:col", "--pcs", "2"] + base) == 0
     assert (out / "pca_fractions.csv").is_file()
@@ -177,7 +182,60 @@ def test_report_missing_inputs_exits_1(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "entropy.json" in err
-    assert "pca_fractions.csv" in err
+    assert "attack_summary.json" in err
+    assert "pca_summary.json" in err
+
+
+@pytest.fixture(scope="module")
+def report_inputs(dataset_args, tmp_path_factory):
+    """The outputs of every stage that report reads, from one small run."""
+    out = tmp_path_factory.mktemp("report-inputs")
+    for argv in (["normality"], ["similarity"], ["entropy"], ["correlate"],
+                 ["attack", "--seed", "3", "--devices", "2", "--fixed-counts", "0,8"],
+                 ["pca", "--geometry", "8x8:col", "--pcs", "1"]):
+        assert main(argv + dataset_args + ["--out", str(out)]) == 0
+    return out
+
+
+def _report_on_edited_copy(report_inputs, tmp_path, name, edit):
+    out = tmp_path / "out"
+    shutil.copytree(report_inputs, out)
+    path = out / name
+    path.write_text(edit(path.read_text()))
+    code = main(["report", "--out", str(out)])
+    assert not (out / "report.json").exists()
+    return code
+
+
+@pytest.mark.parametrize("edit, category", [
+    (lambda text: text[: len(text) // 2], "parse"),
+    (lambda text: "[]\n", "structural"),
+], ids=["truncated", "not-an-object"])
+@pytest.mark.parametrize("name", REPORT_REQUIRED)
+def test_report_malformed_input_exits_1(name, edit, category, report_inputs, tmp_path,
+                                        capsys):
+    assert _report_on_edited_copy(report_inputs, tmp_path, name, edit) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"pufstat: {category} error: ")
+    assert name in err
+
+
+@pytest.mark.parametrize("name, key", [
+    ("attack_summary.json", "envelope"),
+    ("pca_summary.json", "variance_fractions"),
+    ("pca_summary.json", "truncated_agreement"),
+    ("similarity.json", "serial_correlation"),
+])
+def test_report_summary_missing_key_exits_1(name, key, report_inputs, tmp_path, capsys):
+    def drop_key(text):
+        data = json.loads(text)
+        del data[key]
+        return json.dumps(data)
+
+    assert _report_on_edited_copy(report_inputs, tmp_path, name, drop_key) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pufstat: structural error: ")
+    assert f"{name}: missing key {key!r}" in err
 
 
 def test_out_dir_from_environment(synth_out, dataset_args, tmp_path, monkeypatch):
@@ -363,6 +421,22 @@ def test_chain_loads_once_and_matches_stages(layout, tmp_path, monkeypatch, caps
     _run_stages(dataset, layout, meta, "stages", "4x8:col", 1, 8)
     expected = _digests(tmp_path / "stages")
     assert CHAIN_MANIFESTS == {name for name in expected if name.endswith("_manifest.json")}
+
+    # report reads only the stages' JSON summaries; each list in them equals
+    # its text twin, and so does report.json.
+    reference = report_payload_reference(tmp_path / "stages")
+    report = json.loads((tmp_path / "stages" / "report.json").read_text())
+    del report["manifest_hash"]
+    assert report == reference
+    assert all(isinstance(e[k], float) for e in report["attack"]["envelope"]
+               for k in ("min_delta", "max_delta"))
+    summaries = {name: json.loads((tmp_path / "stages" / name).read_text())
+                 for name in ("attack_summary.json", "similarity.json", "pca_summary.json")}
+    assert summaries["attack_summary.json"]["envelope"] == reference["attack"]["envelope"]
+    assert summaries["similarity.json"]["serial_correlation"] == \
+        reference["similarity"]["serial_correlation"]
+    for key in ("variance_fractions", "truncated_agreement"):
+        assert summaries["pca_summary.json"][key] == reference["pca"][key]
 
     monkeypatch.setattr(pufstat.cli, "load_readings", counting_load)
     assert run_chain(dataset, "chain", layout=layout, meta=meta, geometry="4x8:col",

@@ -43,7 +43,6 @@ def test_map_matches_brute_force():
             if b - a + 1 >= 3:
                 want = group_variance_reference(dev, a, b)
                 assert gv.values[a, b] == pytest.approx(want, abs=1e-10)
-                assert gv.get(a, b) == pytest.approx(want, abs=1e-10)
             else:
                 assert np.isnan(gv.values[a, b])
 
@@ -53,7 +52,7 @@ def test_map_agrees_with_single_window_function():
     dev = rng.normal(size=(20, 30)) * 4.0
     gv = group_variance_map(dev, min_group=5)
     for a, b in [(0, 4), (3, 17), (25, 29), (0, 29)]:
-        assert gv.get(a, b) == pytest.approx(group_variance(dev, a, b), rel=1e-9)
+        assert gv.values[a, b] == pytest.approx(group_variance(dev, a, b), rel=1e-9)
 
 
 def test_window_variance_permutation_invariant():
@@ -72,8 +71,9 @@ def test_map_guards():
     with pytest.raises(ConfigurationError):
         group_variance_map(np.zeros((3, 4)), min_group=5)
     gv = group_variance_map(np.random.default_rng(0).normal(size=(3, 8)), min_group=4)
-    with pytest.raises(ConfigurationError):
-        gv.get(0, 2)
+    short = np.subtract.outer(np.arange(8), np.arange(8)) > -3  # b - a + 1 < 4
+    assert np.isnan(gv.values[short]).all()
+    assert not np.isnan(gv.values[~short]).any()
 
 
 def test_serial_correlation_shift_invariance():
