@@ -294,12 +294,13 @@ def cmd_attack(args, inputs: Inputs) -> int:
                 f"fixed={cell.fixed_count} failed: {cell.error}",
                 file=sys.stderr,
             )
-    fields = ["device_index", "mode", "fixed_count", "delta_correct", "objective", "iterations"]
+    fields = ["device_index", "mode", "fixed_count", "delta_correct", "objective", "iterations",
+              "stop_reason", "start_objective"]
     writer.write_csv(
         "attack.csv",
-        ["device", "mode", "fixed_count", "delta_correct", "objective", "iterations"],
+        ["device", *fields[1:]],
         [[getattr(c, f) for c in cells] for f in fields],
-        "bits (delta_correct), MHz^2 scaled (objective)",
+        "bits (delta_correct), MHz^2 scaled (objective, start_objective)",
     )
     envelope = []  # rows of attack_envelope.dat (-6.0 prints as -6) and attack_summary.json
     for mode in modes:
@@ -436,15 +437,32 @@ def _read_summary(path: Path, keys=()) -> dict:
     return {key: data[key] for key in keys} if keys else data
 
 
+def _stage_manifest(name: str) -> str:
+    """The manifest of the stage that wrote summary ``name``
+    (``normality_dev_summary.json`` -> ``normality_manifest.json``)."""
+    return name.split("_")[0].removesuffix(".json") + "_manifest.json"
+
+
 def cmd_report(args) -> int:
     out_dir = _resolve_out(args)
-    missing = [name for name in REPORT_REQUIRED if not (out_dir / name).is_file()]
+    present = [name for name in REPORT_OPTIONAL if (out_dir / name).is_file()]
+    inputs = REPORT_REQUIRED + tuple(present)
+    manifests = list(dict.fromkeys(_stage_manifest(name) for name in inputs))
+    missing = [name for name in inputs + tuple(manifests) if not (out_dir / name).is_file()]
     if missing:
         raise UnavailableAnalysisError(
             "report inputs missing from "
             f"{out_dir}: {', '.join(sorted(missing))}"
         )
-    present = [name for name in REPORT_OPTIONAL if (out_dir / name).is_file()]
+    digests = [_read_summary(out_dir / name, ("input_sha256",))["input_sha256"]
+               for name in manifests]
+    for name, digest in zip(manifests, digests):
+        if digest != digests[0]:
+            raise StructuralError(
+                f"{manifests[0]} and {name} record different input_sha256 "
+                f"({digests[0]} vs {digest}): rerun the stages with the same "
+                "--dataset/--layout/--meta"
+            )
     payload = {
         "normality": {
             name: _read_summary(out_dir / f"normality_{name}_summary.json")
@@ -464,7 +482,7 @@ def cmd_report(args) -> int:
         version=__version__,
         subcommand="report",
         params={},
-        input_sha256=hash_input_files([out_dir / n for n in REPORT_REQUIRED + tuple(present)]),
+        input_sha256=hash_input_files([out_dir / n for n in inputs]),
     )
     writer = ArtifactWriter(out_dir, manifest)
     writer.write_json("report.json", payload)

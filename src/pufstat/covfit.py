@@ -19,47 +19,27 @@ Frobenius norm to a minimum:
 Some coordinates of ``b`` may be pinned to values the attacker knows: the
 exact measured differences ("exact" mode) or just their signs scaled to
 +-1 MHz ("trend" mode). The remaining free coordinates are optimized by
-projected gradient descent with a backtracking line search, starting from
+projected gradient descent with an exact line search, starting from
 the training row means (d_free = 0).
 
 The payoff metric is ``delta_correct``: how many more response bits the
 fitted vector gets right compared to the starting point.
 
-Priced line search. With the unscaled objective
-``F(x) = |x|^4 - 2 x.Cx + ||C||_F^2``, a trial ``x = d - a g`` along the
+Exact line search. With the unscaled objective
+``F(x) = |x|^4 - 2 x.Cx + ||C||_F^2``, a step ``x = d - a g`` along the
 projected gradient ``g`` has
 
     F(d - a g) = (d.d - 2a d.g + a^2 g.g)^2
                  - 2 (d.Cd - a (d.Cg + g.Cd) + a^2 g.Cg) + ||C||_F^2,
 
-so one mat-vec ``Cg`` per iteration and five dot products beyond ``d.d``
-and ``g.g``, which the step already has, price every backtracking trial.
-``d.Cg`` and ``g.Cd`` stay apart because ``C`` need only be symmetric to
-1e-8. The price only ever rejects: a trial whose price exceeds the Armijo
-threshold by more than ``B(a)`` is dropped without a mat-vec. Every other
-trial is evaluated exactly as the plain loop evaluates it (``C @ x`` and the
-same expression), and only that exact value decides acceptance and becomes
-the next state. Iterates, iteration counts, objectives and stop reasons are
-therefore bit-for-bit those of evaluating every trial.
-
-``B(a)`` bounds the difference between the price and the exact evaluation.
-Write ``u = 2^-53``, ``k`` for the vector length, ``N = ||C||_F`` and
-``R = |d| + a|g|``. Every term either computation sums is bounded in
-absolute value by ``M = (R^2 + N)^2``, because ``|x| <= R`` and
-``|x|^T |C| |x| <= N |x|^2``. Length-``k`` dot products and mat-vecs err by
-at most ``k u`` times the sum of their absolute terms in any summation
-order, so the exact evaluation differs from ``F(d - a g)`` by at most
-``(2k + 11) u M`` (the ``C`` mat-vec and the dot products, the final sums,
-and the rounding of ``d - a g`` itself) and the price by at most
-``(2k + 15) u M`` (its six dot products and the combination). ``||C||_F^2``
-is the same float in both and cancels. ``B(a) = 8 (k + 8) u M + 1e-300``
-keeps a factor of two over their sum, which absorbs the second-order terms
-and the rounding of ``M`` and of the comparison, and its absolute floor
-covers gradual underflow. A price that is not finite, or a bound that is
-not, rejects nothing. On random problems with k from 2 to 256 the largest
-difference seen was 1.1 (k + 8) u M. On a 48-target sweep of a 193-device,
-256-pair dataset, 56 of 113,732 trials were evaluated exactly and then
-rejected; every other rejection was priced.
+a quartic in ``a`` priced by one mat-vec ``Cg`` and five dot products beyond
+``d.d`` and ``g.g`` (``d.Cg`` and ``g.Cd`` stay apart because ``C`` need only
+be symmetric to 1e-8). Its stationary points are the real roots of the cubic
+``dF/da``, found in closed form; the positive root with the lowest priced
+quartic is the exact line-search step (Nocedal & Wright 2006, ch. 3). That
+step is evaluated exactly once and accepted under the Armijo test; if it
+fails, or no finite positive root exists, the step is halved until it passes
+or falls below 1e-20, where the search stalls.
 """
 
 from __future__ import annotations
@@ -75,8 +55,10 @@ from .errors import ConfigurationError, NumericError, StructuralError
 
 MODES = ("trend", "exact")
 
-# Unit roundoff of float64: the relative error of one rounded operation.
-_UNIT_ROUNDOFF = 2.0**-53
+# Armijo sufficient-decrease constant, and the factor that shrinks a step
+# which fails the test.
+ARMIJO_C = 1e-4
+BACKTRACK = 0.5
 
 
 @dataclass(frozen=True)
@@ -90,8 +72,6 @@ class FitOptions:
     max_iter: int = 5000
     grad_tol: float = 1e-8
     objective_tol: float = 1e-12
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
     start_free: np.ndarray | None = None
 
 
@@ -219,8 +199,7 @@ def expanded_cov_residual(cov, row_means, b, n_train: int) -> np.ndarray:
 
 
 def _objective_terms(cov):
-    """``||C||_F^2`` and a function giving the unscaled objective, ``C d`` and
-    ``d.d`` at ``d``."""
+    """A function giving the unscaled objective, ``C d`` and ``d.d`` at ``d``."""
     cov_fro2 = float(np.sum(cov * cov))
 
     def f_and_cd(d):
@@ -229,7 +208,7 @@ def _objective_terms(cov):
         value = dd * dd - 2.0 * float(np.dot(d, cd)) + cov_fro2
         return value, cd, dd
 
-    return cov_fro2, f_and_cd
+    return f_and_cd
 
 
 def _assemble(problem: CovFitProblem, d_free) -> np.ndarray:
@@ -253,46 +232,64 @@ def objective_and_gradient(problem: CovFitProblem, d_free) -> tuple[float, np.nd
     """
     d = _assemble(problem, d_free)
     scale = 1.0 / (problem.n_train + 1.0) ** 2
-    f_raw, cd, dd = _objective_terms(problem.cov)[1](d)
+    f_raw, cd, dd = _objective_terms(problem.cov)(d)
     grad = 4.0 * (dd * d - cd) * scale
     grad[problem.fixed_mask] = 0.0
     return f_raw * scale, grad
 
 
-def _trial_pricer(cov, d, grad, cd, dd, gnorm2, cov_fro2):
-    """Return ``surely_rejected(alpha, threshold)`` for trials ``d - alpha*grad``:
-    true only when the priced objective (module docstring) exceeds the Armijo
-    threshold by more than its rounding bound, so the exact evaluation would
-    fail the test too."""
+def _cubic_roots(c3, c2, c1, c0) -> list[float]:
+    """Real roots of ``c3 a^3 + c2 a^2 + c1 a + c0`` (``c3 != 0``). The cubic
+    is shifted to ``t^3 + p t + q`` and solved in trigonometric or hyperbolic
+    form, which avoids the cancellation of Cardano's formula."""
+    shift = c2 / (3.0 * c3)
+    p = c1 / c3 - 3.0 * shift * shift
+    q = (2.0 * shift * shift - c1 / c3) * shift + c0 / c3
+    if p == 0.0:
+        return [math.copysign(abs(q) ** (1.0 / 3.0), -q) - shift]
+    r = math.sqrt(abs(p) / 3.0)
+    h = 0.5 * q / (r * r * r)
+    if p > 0.0:
+        return [-2.0 * r * math.sinh(math.asinh(h) / 3.0) - shift]
+    if abs(h) > 1.0:
+        return [-2.0 * math.copysign(r, h) * math.cosh(math.acosh(abs(h)) / 3.0) - shift]
+    theta = math.acos(-h)
+    return [2.0 * r * math.cos((theta - 2.0 * math.pi * k) / 3.0) - shift for k in range(3)]
+
+
+def _ray_step(cov, d, grad, cd, dd, gnorm2) -> float | None:
+    """The exact line-search step along ``-grad`` (module docstring), or None
+    when the cubic has no finite positive root."""
     cg = cov @ grad
     d_g = float(np.dot(d, grad))
     d_cd = float(np.dot(d, cd))
     cross = float(np.dot(d, cg)) + float(np.dot(grad, cd))
     g_cg = float(np.dot(grad, cg))
-    d_norm = math.sqrt(dd)
-    g_norm = math.sqrt(gnorm2)
-    cov_norm = math.sqrt(cov_fro2)
-    rounding = 8.0 * (d.size + 8) * _UNIT_ROUNDOFF
 
-    def surely_rejected(alpha, threshold):
-        sq = dd - 2.0 * alpha * d_g + alpha * alpha * gnorm2
-        quad = d_cd - alpha * cross + alpha * alpha * g_cg
-        excess = sq * sq - 2.0 * quad + cov_fro2 - threshold
-        reach = d_norm + alpha * g_norm
-        magnitude = reach * reach + cov_norm
-        return rounding * magnitude * magnitude + 1e-300 < excess < math.inf
+    def priced(a):
+        sq = dd - 2.0 * a * d_g + a * a * gnorm2
+        return sq * sq - 2.0 * (d_cd - a * cross + a * a * g_cg)
 
-    return surely_rejected
+    try:
+        roots = _cubic_roots(
+            4.0 * gnorm2 * gnorm2,
+            -12.0 * d_g * gnorm2,
+            4.0 * (dd * gnorm2 + 2.0 * d_g * d_g - g_cg),
+            2.0 * cross - 4.0 * dd * d_g,
+        )
+    except ZeroDivisionError:  # 4 g.g^2, or r^3 in the cubic, underflowed to 0
+        return None
+    steps = [a for a in roots if 0.0 < a < math.inf]
+    return min(steps, key=priced, default=None)
 
 
 def fit(problem: CovFitProblem, options: FitOptions | None = None) -> CovFitResult:
     """Minimize the residual norm over the free coordinates of ``d``.
 
     Projected gradient descent: fixed coordinates never move, free
-    coordinates follow the negative gradient with a backtracking Armijo
-    line search whose trials are priced first (module docstring). Descent
-    is monotone; the result's objective can never exceed the starting
-    objective.
+    coordinates follow the negative gradient with an exact line search
+    (module docstring). Descent is monotone; the result's objective can
+    never exceed the starting objective.
     """
     options = options or FitOptions()
     if not problem.num_free:
@@ -302,14 +299,13 @@ def fit(problem: CovFitProblem, options: FitOptions | None = None) -> CovFitResu
     d = _assemble(problem, start)
 
     cov = problem.cov
-    cov_fro2, f_and_cd = _objective_terms(cov)
+    f_and_cd = _objective_terms(cov)
     f_raw, cd, dd = f_and_cd(d)
     if not np.isfinite(f_raw):
         raise NumericError("objective is not finite at the starting point")
     start_objective = f_raw * scale
 
     iterations = 0
-    alpha = 1.0
     stop_reason = f"max_iter reached ({options.max_iter})"
     for _ in range(options.max_iter):
         grad = 4.0 * (dd * d - cd)
@@ -318,18 +314,17 @@ def fit(problem: CovFitProblem, options: FitOptions | None = None) -> CovFitResu
         if np.sqrt(gnorm2) * scale < options.grad_tol:
             stop_reason = "gradient tolerance"
             break
-        surely_rejected = _trial_pricer(cov, d, grad, cd, dd, gnorm2, cov_fro2)
-        alpha = min(alpha * 4.0, 1e12)
+        alpha = _ray_step(cov, d, grad, cd, dd, gnorm2)
+        if alpha is None:
+            alpha = 1.0
         accepted = False
         while alpha > 1e-20:
-            threshold = f_raw - options.armijo_c * alpha * gnorm2
-            if not surely_rejected(alpha, threshold):
-                d_new = d - alpha * grad
-                f_new, cd_new, dd_new = f_and_cd(d_new)
-                if np.isfinite(f_new) and f_new <= threshold:
-                    accepted = True
-                    break
-            alpha *= options.backtrack
+            d_new = d - alpha * grad
+            f_new, cd_new, dd_new = f_and_cd(d_new)
+            if np.isfinite(f_new) and f_new <= f_raw - ARMIJO_C * alpha * gnorm2:
+                accepted = True
+                break
+            alpha *= BACKTRACK
         if not accepted:
             stop_reason = "line search stalled"
             break
@@ -392,12 +387,18 @@ def choose_fixed_positions(
 
 @dataclass(frozen=True)
 class AttackCell:
+    """One (target, mode, fixed count) cell of an attack sweep. A failed cell
+    keeps only its ``error``; a cell with every position pinned stops on
+    ``"all pinned"``."""
+
     device_index: int
     mode: str
     fixed_count: int
-    delta_correct: int | None
-    objective: float | None
-    iterations: int
+    delta_correct: int | None = None
+    objective: float | None = None
+    iterations: int = 0
+    stop_reason: str | None = None
+    start_objective: float | None = None
     error: str | None = None
 
 
@@ -450,10 +451,9 @@ def evaluate_attack(
         mask[choose_fixed_positions(num_pairs, int(count), selection, seed)] = True
         masks.append((int(count), mask))
 
-    def outcome(m, count, mask):
-        """(delta_correct, objective, iterations, error) of one cell."""
+    def cell(m, count, mask):
         if cov_error is not None:
-            return None, None, 0, cov_error
+            return AttackCell(device_index, m, count, error=cov_error)
         if m == "exact":
             values = truth[mask]
         else:
@@ -461,7 +461,8 @@ def evaluate_attack(
         if count == num_pairs:
             # Everything pinned: nothing to optimize, bits match by construction.
             residual = expanded_cov_residual(cov, mu, values, n_train)
-            return 0, float(np.sum(residual * residual)), 0, None
+            value = float(np.sum(residual * residual))
+            return AttackCell(device_index, m, count, 0, value, 0, "all pinned", value)
         problem = CovFitProblem(
             cov=cov,
             row_means=mu,
@@ -476,11 +477,8 @@ def evaluate_attack(
         try:
             result = fit(problem, options)
         except (ConfigurationError, NumericError) as exc:
-            return None, None, 0, str(exc)
-        return result.delta_correct, result.objective, result.iterations, None
+            return AttackCell(device_index, m, count, error=str(exc))
+        return AttackCell(device_index, m, count, result.delta_correct, result.objective,
+                          result.iterations, result.stop_reason, result.start_objective)
 
-    return [
-        AttackCell(device_index, m, count, *outcome(m, count, mask))
-        for m in modes
-        for count, mask in masks
-    ]
+    return [cell(m, count, mask) for m in modes for count, mask in masks]

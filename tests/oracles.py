@@ -3,9 +3,9 @@
 Everything here is deliberately written along a different route than the
 library: quadrature instead of closed-form special functions, plain Python
 accumulation instead of vectorized numpy, exhaustive search instead of
-gradient descent, and every line-search trial of that descent evaluated
-exactly instead of priced. Slow is fine; these exist to certify the fast
-paths.
+gradient descent, a backtracking descent instead of the exact line search,
+and polynomial arithmetic with ``np.roots`` instead of the closed-form
+cubic. Slow is fine; these exist to certify the fast paths.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pufstat.covfit import CovFitResult, FitOptions, bits_from_values
+from pufstat.covfit import ARMIJO_C, BACKTRACK, CovFitResult, FitOptions, bits_from_values
 from pufstat.errors import ConfigurationError, NumericError
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(80)
@@ -154,10 +154,25 @@ def covfit_grid_search(cov, row_means, fixed_mask, fixed_values, n_train,
     return best
 
 
+def ray_step_reference(cov, d, g) -> float:
+    """The step ``a > 0`` that minimizes ``F(d - a g)``, with
+    ``F(x) = |x|^4 - 2 x.Cx + ||C||_F^2``: the quartic along the ray is built
+    by polynomial arithmetic, the roots of its derivative are found by
+    ``np.roots``, and the positive ones are ranked by ``F`` evaluated in full."""
+    c = np.asarray(cov, dtype=np.float64)
+    poly = np.polynomial.Polynomial
+    sq = poly([np.dot(d, d), -2.0 * np.dot(d, g), np.dot(g, g)])
+    quad = poly([np.dot(d, c @ d), -(np.dot(d, c @ g) + np.dot(g, c @ d)), np.dot(g, c @ g)])
+    slope = (sq * sq - 2.0 * quad).deriv()
+    # Real parts of complex roots add candidates, none below the true minimum.
+    steps = [float(r.real) for r in np.roots(slope.coef[::-1]) if r.real > 0.0]
+    return min(steps, key=lambda a: covfit_objective_reference(c, d - a * g, 0))
+
+
 def fit_reference(problem, options=None):
-    """The covariance-fit descent with every line-search trial evaluated
-    exactly (``cov @ d_new``): the plain loop the priced line search in
-    ``pufstat.covfit.fit`` must reproduce bit for bit."""
+    """The covariance-fit descent with a plain backtracking Armijo search:
+    every iteration tries steps from four times the last accepted one,
+    halving until one passes. ``pufstat.covfit.fit`` must do no worse."""
     options = options or FitOptions()
     k = problem.num_pairs
     free = ~problem.fixed_mask
@@ -204,10 +219,10 @@ def fit_reference(problem, options=None):
         while alpha > 1e-20:
             d_new = d - alpha * grad
             f_new, cd_new, dd_new = f_and_cd(d_new)
-            if np.isfinite(f_new) and f_new <= f_raw - options.armijo_c * alpha * gnorm2:
+            if np.isfinite(f_new) and f_new <= f_raw - ARMIJO_C * alpha * gnorm2:
                 accepted = True
                 break
-            alpha *= options.backtrack
+            alpha *= BACKTRACK
         if not accepted:
             stop_reason = "line search stalled"
             break

@@ -95,8 +95,15 @@ def test_full_chain_exit_codes_and_artifacts(synth_out, dataset_args, tmp_path):
         ln for ln in (out / "attack.csv").read_text().splitlines()
         if not ln.startswith("#")
     ]
-    assert attack_lines[0] == "device,mode,fixed_count,delta_correct,objective,iterations"
+    assert attack_lines[0] == ("device,mode,fixed_count,delta_correct,objective,iterations,"
+                               "stop_reason,start_objective")
     assert len(attack_lines) == 1 + 3 * 2 * 3
+    for row in (ln.split(",") for ln in attack_lines[1:]):
+        assert float(row[4]) <= float(row[7])  # objective <= start_objective
+        if row[2] == "0":  # d = 0 is stationary: no step, no delta
+            assert (row[3], row[5], row[6]) == ("0", "0", "gradient tolerance")
+        if row[2] == "32":
+            assert (row[5], row[6]) == ("0", "all pinned")
     envelope = (out / "attack_envelope.dat").read_text()
     assert "# mode: trend" in envelope and "# mode: exact" in envelope
     summary = json.loads((out / "attack_summary.json").read_text())
@@ -220,6 +227,31 @@ def test_report_malformed_input_exits_1(name, edit, category, report_inputs, tmp
     assert name in err
 
 
+def test_report_refuses_summaries_from_different_datasets(report_inputs, tmp_path,
+                                                         capsys):
+    other = tmp_path / "other"
+    assert main(["synth", "--seed", "2", "--devices", "30", "--ros", "64", "--samples", "3",
+                 "--geometry", "8x8:col", "--out", str(other)]) == 0
+    out = tmp_path / "out"
+    shutil.copytree(report_inputs, out)
+    assert main(["entropy", "--dataset", str(other / "dataset"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 1
+    assert not (out / "report.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("pufstat: structural error: ")
+    assert "entropy_manifest.json" in err
+    assert "--dataset/--layout/--meta" in err
+
+
+def test_report_requires_stage_manifests(report_inputs, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(report_inputs, out)
+    (out / "pca_manifest.json").unlink()
+    assert main(["report", "--out", str(out)]) == 1
+    assert "pca_manifest.json" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name, key", [
     ("attack_summary.json", "envelope"),
     ("pca_summary.json", "variance_fractions"),
@@ -284,7 +316,7 @@ def test_attack_reports_failed_covariance_check_per_cell(dataset_args, tmp_path,
     rows = [ln.split(",") for ln in (out / "attack.csv").read_text().splitlines()
             if not ln.startswith("#")][1:]
     assert len(rows) == 12
-    assert all(row[3:] == ["", "", "0"] for row in rows)
+    assert all(row[3:] == ["", "", "0", "", ""] for row in rows)
 
 
 def test_import_defers_scipy():
