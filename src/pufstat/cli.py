@@ -39,25 +39,25 @@ MATRIX_CHOICES = ("freq", "dev", "diff", "all")
 DEFAULT_FIXED_COUNTS = "auto"
 
 
-def _int_list(text: str) -> list[int]:
-    """argparse type for a comma-separated list of integers."""
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from None
+def _arg_type(convert, wanted: str, valid=lambda value: True):
+    """argparse type: ``convert(text)`` where ``valid`` holds for it, else a
+    usage error that says what was ``wanted``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if valid(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+    return parse
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse type for a count or seed: an integer >= 0."""
-    try:
-        value = int(text)
-        if value >= 0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+_int_list = _arg_type(lambda text: [int(tok) for tok in text.split(",") if tok.strip() != ""],
+                      "comma-separated integers")
+_non_negative_int = _arg_type(int, "a non-negative integer", lambda v: v >= 0)
+_positive_float = _arg_type(float, "a positive finite number",
+                            lambda v: v > 0 and np.isfinite(v))
 
 
 def _int_list_text(text: str) -> str:
@@ -547,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--mode", choices=("trend", "exact", "both"), default="both")
     p.add_argument("--select", choices=("even", "random"), default="even")
-    p.add_argument("--trend-magnitude", type=float, default=1.0)
+    p.add_argument("--trend-magnitude", type=_positive_float, default=1.0)
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("pca", parents=[dataset_parent, out_parent],

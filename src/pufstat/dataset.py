@@ -14,10 +14,12 @@ All frequencies are megahertz and must be finite and strictly positive.
 
 from __future__ import annotations
 
-import csv
 import fnmatch
+import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -30,6 +32,9 @@ from .errors import (
 from .output import format_table
 
 CSV_HEADER = ("device", "ro", "sample", "freq_mhz")
+# The CSV tables as structured dtypes: the field names are the header.
+_CSV_DTYPE = np.dtype({"names": CSV_HEADER, "formats": ["i8", "i8", "i8", "f8"]})
+_META_DTYPE = np.dtype({"names": ("device", "serial"), "formats": ["i8", "i8"]})
 
 _LAYOUT_KINDS = ("files", "csv")
 _ROW_MEANINGS = ("ros", "samples")
@@ -151,61 +156,85 @@ class ReadingsTensor:
         return self.values.shape[2]
 
 
-def _diagnose_table(path: Path, delimiter: str | None) -> None:
-    """Re-scan a per-device file to locate the first structural or parse fault."""
-    with open(path, "r", encoding="utf-8") as fh:
-        width = None
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0]
-            tokens = body.split(delimiter) if delimiter else body.split()
-            tokens = [t for t in tokens if t]
-            if not tokens:
-                continue
-            for col, token in enumerate(tokens, start=1):
-                try:
-                    float(token)
-                except ValueError:
-                    raise ParseError(
-                        f"non-numeric token {token!r} in {path.name}, "
-                        f"line {lineno}, field {col}"
-                    ) from None
-            if width is None:
-                width = len(tokens)
-            elif len(tokens) != width:
-                raise StructuralError(
-                    f"ragged row in {path.name}: line {lineno} has "
-                    f"{len(tokens)} values, expected {width}"
-                )
-
-
-def _load_device_file(path: Path, layout: LayoutSpec) -> np.ndarray:
+def _parses(token: str, integral: bool) -> bool:
+    """Whether ``np.loadtxt`` reads ``token`` as an int64 (``integral``) or a float64:
+    as ``int()``/``float()`` do, less underscores, non-ASCII digits and overflow."""
     try:
-        table = np.loadtxt(path, dtype=np.float64, delimiter=layout.delimiter, ndmin=2)
-    except OSError:
-        raise
-    except Exception:
-        # Fast path failed; re-scan to produce an error naming the location.
-        _diagnose_table(path, layout.delimiter)
-        raise ParseError(f"could not parse {path.name} as a numeric table") from None
-    if layout.rows == "samples":
-        table = table.T
-    return table
+        value = int(token) if integral else float(token)
+    except ValueError:
+        return False
+    in_range = not integral or -2**63 <= value < 2**63
+    return in_range and "_" not in token and token.strip().isascii()
+
+
+def _diagnose(path: Path, dtype: np.dtype, delimiter: str | None,
+              comments: str | None) -> NoReturn:
+    """Re-scan a table ``np.loadtxt`` rejected and raise the error that names
+    its file and the line and field of its first fault."""
+    header = dtype.names
+    width = len(header) if header else None
+    rows = 0
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            body = (line.split(comments, 1)[0] if comments else line).rstrip("\n")
+            tokens = body.split(delimiter) if delimiter else body.split()
+            # np.loadtxt skips the lines that are empty once comments are cut.
+            if (header and lineno == 1) or tokens in ([], [""]):
+                continue
+            rows += 1
+            width = width or len(tokens)
+            if len(tokens) != width:
+                raise StructuralError(
+                    f"{path.name} line {lineno} has {len(tokens)} fields, expected {width}"
+                )
+            for col, token in enumerate(tokens):
+                is_int = header is not None and dtype[col].kind == "i"
+                if not _parses(token, is_int):
+                    raise ParseError(
+                        f"could not parse {path.name} line {lineno}, field {col + 1}: "
+                        f"{token!r} is not {'an int64 integer' if is_int else 'a number'}"
+                    )
+    if not rows:
+        with_header = "a header but " if header else ""
+        raise StructuralError(f"{path.name} contains {with_header}no readings")
+    raise ParseError(f"could not parse {path.name} as a numeric table")
+
+
+def _read_table(path: Path, dtype: np.dtype, delimiter: str | None,
+                comments: str | None = None) -> np.ndarray:
+    """Read a numeric table in one ``np.loadtxt`` call: a 2-D float64 array,
+    or for a structured ``dtype`` one record per line below a header line of
+    its field names. Only when ``np.loadtxt`` fails does ``_diagnose`` re-scan."""
+    header = dtype.names
+    if header:
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
+            line = fh.readline()
+        if not line:
+            raise StructuralError(f"{path.name} is empty")
+        fields = line.rstrip("\n").split(delimiter)
+        if tuple(f.strip() for f in fields) != header:
+            raise StructuralError(f"{path.name} header is {fields!r}, expected {','.join(header)}")
+    try:
+        with warnings.catch_warnings():
+            # An input without data only warns; it is a fault here.
+            warnings.simplefilter("error")
+            # Given a path, not an open file, np.loadtxt reads in blocks.
+            return np.loadtxt(path, dtype=dtype, delimiter=delimiter, comments=comments,
+                              skiprows=int(bool(header)), encoding="utf-8",
+                              ndmin=1 if header else 2)
+    except (ValueError, TypeError, Warning):  # TypeError: a delimiter it cannot take
+        _diagnose(path, dtype, delimiter, comments)
 
 
 def load_readings(path: str | Path, layout: LayoutSpec | None = None) -> ReadingsTensor:
     """Read a dataset directory or consolidated CSV into a ReadingsTensor."""
     layout = layout or LayoutSpec()
     path = Path(path)
+    provenance = {"source": str(path), "layout": layout.describe()}
     if layout.kind == "files":
-        tensor, names = _load_files(path, layout)
-        provenance = {
-            "source": str(path),
-            "layout": layout.describe(),
-            "device_names": names,
-        }
+        tensor, provenance["device_names"] = _load_files(path, layout)
     else:
         tensor = _load_csv(path)
-        provenance = {"source": str(path), "layout": layout.describe()}
     provenance.update(
         num_devices=tensor.shape[0],
         num_ros=tensor.shape[1],
@@ -235,71 +264,56 @@ def dataset_files(path: str | Path, layout: LayoutSpec) -> list[Path]:
 def _load_files(root: Path, layout: LayoutSpec) -> tuple[np.ndarray, list[str]]:
     names = [p.name for p in dataset_files(root, layout)]
     tables = []
-    shape = None
     for name in names:
-        table = _load_device_file(root / name, layout)
-        if shape is None:
-            shape = table.shape
-        elif table.shape != shape:
-            raise StructuralError(
-                f"device file {name} has shape {table.shape[0]}x{table.shape[1]}, "
-                f"expected {shape[0]}x{shape[1]} like {names[0]}"
-            )
-        tables.append(table)
+        table = _read_table(root / name, np.dtype(np.float64), layout.delimiter, "#")
+        tables.append(table.T if layout.rows == "samples" else table)
+        if tables[-1].shape != tables[0].shape:
+            shape, first = ("{}x{}".format(*t.shape) for t in (tables[-1], tables[0]))
+            raise StructuralError(f"device file {name} has shape {shape}, "
+                                  f"expected {first} like {names[0]}")
     return np.stack(tables, axis=0), names
+
+
+def _sort_rows(keys: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """The order that sorts the rows of ``keys`` (shape (n, k)) in C order, and
+    the index of the first row that repeats an earlier one (None if none does)."""
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    # The sort is stable, so each run of equal rows keeps file order.
+    repeats = order[1:][(ranked[1:] == ranked[:-1]).all(axis=1)]
+    return order, (int(repeats.min()) if repeats.size else None)
 
 
 def _load_csv(path: Path) -> np.ndarray:
     if not path.is_file():
         raise FileNotFoundError(f"dataset file not found: {path}")
-    records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise StructuralError(f"{path.name} is empty") from None
-        if tuple(h.strip() for h in header) != CSV_HEADER:
-            raise StructuralError(
-                f"{path.name} header is {header!r}, expected {','.join(CSV_HEADER)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 4:
-                raise StructuralError(
-                    f"{path.name} line {lineno} has {len(row)} fields, expected 4"
-                )
-            try:
-                j, i, t = int(row[0]), int(row[1]), int(row[2])
-                freq = float(row[3])
-            except ValueError:
-                raise ParseError(
-                    f"could not parse {path.name} line {lineno}: {','.join(row)!r}"
-                ) from None
-            records.append((j, i, t, freq))
-    if not records:
-        raise StructuralError(f"{path.name} contains a header but no readings")
-    idx = np.asarray([(j, i, t) for j, i, t, _ in records], dtype=np.int64)
-    if idx.min() < 0:
+    table = _read_table(path, _CSV_DTYPE, ",")
+    cells = np.column_stack([table[name] for name in CSV_HEADER[:3]])
+    if cells.min() < 0:
         raise ValidationError(f"negative index in {path.name}")
-    nj, ni, nt = (int(m) + 1 for m in idx.max(axis=0))
-    values = np.full((nj, ni, nt), np.nan)
-    seen = np.zeros((nj, ni, nt), dtype=bool)
-    for j, i, t, freq in records:
-        if seen[j, i, t]:
-            raise StructuralError(
-                f"duplicate reading for device {j}, ro {i}, sample {t} in {path.name}"
-            )
-        seen[j, i, t] = True
-        values[j, i, t] = freq
-    if not seen.all():
-        j, i, t = map(int, np.argwhere(~seen)[0])
+    order, repeat = _sort_rows(cells)
+    if repeat is not None:
+        j, i, t = cells[repeat]
+        raise StructuralError(
+            f"duplicate reading for device {j}, ro {i}, sample {t} in {path.name}"
+        )
+    cells = cells[order]
+    shape = tuple(int(m) + 1 for m in cells.max(axis=0))
+    # Sorted, the cells must be the cube's positions 0, 1, ... in C order. The
+    # first hole is among positions 0..n, so the cube is never built; an axis
+    # longer than n + 1 unravels those positions as one of n + 1 does.
+    n = len(cells)
+    ni, nt = (min(m, n + 1) for m in shape[1:])
+    k = np.arange(n + 1)
+    positions = np.column_stack([k // (ni * nt), k // nt % ni, k % nt])
+    off = np.flatnonzero((cells != positions[:-1]).any(axis=1))
+    if off.size or n < math.prod(shape):
+        j, i, t = positions[off[0] if off.size else n]
         raise StructuralError(
             f"{path.name} is missing device {j}, ro {i}, sample {t} "
-            f"(expected a dense {nj}x{ni}x{nt} cube)"
+            f"(expected a dense {shape[0]}x{shape[1]}x{shape[2]} cube)"
         )
-    return values
+    return table["freq_mhz"][order].reshape(shape)
 
 
 def load_metadata(path: str | Path, num_devices: int | None = None) -> DeviceMeta:
@@ -307,40 +321,21 @@ def load_metadata(path: str | Path, num_devices: int | None = None) -> DeviceMet
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"metadata file not found: {path}")
-    pairs = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != ("device", "serial"):
-            raise StructuralError(
-                f"{path.name} header is {header!r}, expected device,serial"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise StructuralError(
-                    f"{path.name} line {lineno} has {len(row)} fields, expected 2"
-                )
-            try:
-                device, serial = int(row[0]), int(row[1])
-            except ValueError:
-                raise ParseError(
-                    f"could not parse {path.name} line {lineno}: {','.join(row)!r}"
-                ) from None
-            if device in pairs:
-                raise StructuralError(f"duplicate device {device} in {path.name}")
-            pairs[device] = serial
-    expected = num_devices if num_devices is not None else len(pairs)
-    missing = sorted(set(range(expected)) - set(pairs))
-    extra = sorted(set(pairs) - set(range(expected)))
-    if missing or extra:
+    table = _read_table(path, _META_DTYPE, ",")
+    devices = table["device"]
+    order, repeat = _sort_rows(devices[:, None])
+    if repeat is not None:
+        raise StructuralError(f"duplicate device {devices[repeat]} in {path.name}")
+    expected = num_devices if num_devices is not None else devices.size
+    inside = (devices >= 0) & (devices < expected)
+    missing = np.flatnonzero(np.bincount(devices[inside], minlength=expected) == 0)
+    extra = np.sort(devices[~inside])
+    if missing.size or extra.size:
         raise StructuralError(
             f"{path.name} must cover devices 0..{expected - 1} exactly "
-            f"(missing {missing}, unexpected {extra})"
+            f"(missing {missing.tolist()}, unexpected {extra.tolist()})"
         )
-    serials = np.asarray([pairs[j] for j in range(expected)], dtype=np.int64)
-    return DeviceMeta(serials)
+    return DeviceMeta(table["serial"][order])
 
 
 def device_file_name(index: int, num_devices: int) -> str:

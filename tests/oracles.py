@@ -4,8 +4,9 @@ Everything here is deliberately written along a different route than the
 library: quadrature instead of closed-form special functions, plain Python
 accumulation instead of vectorized numpy, exhaustive search instead of
 gradient descent, a backtracking descent instead of the exact line search,
-and polynomial arithmetic with ``np.roots`` instead of the closed-form
-cubic. Slow is fine; these exist to certify the fast paths.
+polynomial arithmetic with ``np.roots`` instead of the closed-form cubic,
+and ``csv.reader`` loops instead of one ``np.loadtxt`` call. Slow is fine;
+these exist to certify the fast paths.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from pufstat.covfit import ARMIJO_C, BACKTRACK, CovFitResult, FitOptions, bits_from_values
-from pufstat.errors import ConfigurationError, NumericError
+from pufstat.errors import (ConfigurationError, NumericError, ParseError, StructuralError,
+                             ValidationError)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(80)
 
@@ -321,6 +323,88 @@ def write_dataset_reference(values, out_dir, kind: str = "files", rows: str = "r
             writer.writerow(("device", "serial"))
             for j, serial in enumerate(serials):
                 writer.writerow((j, int(serial)))
+
+
+def load_csv_reference(path) -> np.ndarray:
+    """A consolidated ``device,ro,sample,freq_mhz`` CSV read record by record
+    through ``csv.reader`` and ``int()``/``float()``, then placed into a NaN
+    cube one cell at a time: the duplicate check stops at the first repeat in
+    file order and the missing check names the first hole in C order."""
+    path = Path(path)
+    header = ("device", "ro", "sample", "freq_mhz")
+    records = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            row = next(reader)
+        except StopIteration:
+            raise StructuralError(f"{path.name} is empty") from None
+        if tuple(h.strip() for h in row) != header:
+            raise StructuralError(f"{path.name} header is {row!r}, expected {','.join(header)}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 4:
+                raise StructuralError(f"{path.name} line {lineno} has {len(row)} fields, expected 4")
+            try:
+                records.append((int(row[0]), int(row[1]), int(row[2]), float(row[3])))
+            except ValueError:
+                raise ParseError(f"could not parse {path.name} line {lineno}: {','.join(row)!r}") from None
+    if not records:
+        raise StructuralError(f"{path.name} contains a header but no readings")
+    idx = np.asarray([(j, i, t) for j, i, t, _ in records], dtype=np.int64)
+    if idx.min() < 0:
+        raise ValidationError(f"negative index in {path.name}")
+    nj, ni, nt = (int(m) + 1 for m in idx.max(axis=0))
+    values = np.full((nj, ni, nt), np.nan)
+    seen = np.zeros((nj, ni, nt), dtype=bool)
+    for j, i, t, freq in records:
+        if seen[j, i, t]:
+            raise StructuralError(
+                f"duplicate reading for device {j}, ro {i}, sample {t} in {path.name}"
+            )
+        seen[j, i, t] = True
+        values[j, i, t] = freq
+    if not seen.all():
+        j, i, t = map(int, np.argwhere(~seen)[0])
+        raise StructuralError(
+            f"{path.name} is missing device {j}, ro {i}, sample {t} "
+            f"(expected a dense {nj}x{ni}x{nt} cube)"
+        )
+    return values
+
+
+def load_metadata_reference(path, num_devices: int | None = None) -> np.ndarray:
+    """The serials of a ``device,serial`` CSV, read line by line through
+    ``csv.reader`` into a dict keyed by device."""
+    path = Path(path)
+    pairs = {}
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(h.strip() for h in header) != ("device", "serial"):
+            raise StructuralError(f"{path.name} header is {header!r}, expected device,serial")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 2:
+                raise StructuralError(f"{path.name} line {lineno} has {len(row)} fields, expected 2")
+            try:
+                device, serial = int(row[0]), int(row[1])
+            except ValueError:
+                raise ParseError(f"could not parse {path.name} line {lineno}: {','.join(row)!r}") from None
+            if device in pairs:
+                raise StructuralError(f"duplicate device {device} in {path.name}")
+            pairs[device] = serial
+    expected = num_devices if num_devices is not None else len(pairs)
+    missing = sorted(set(range(expected)) - set(pairs))
+    extra = sorted(set(pairs) - set(range(expected)))
+    if missing or extra:
+        raise StructuralError(
+            f"{path.name} must cover devices 0..{expected - 1} exactly "
+            f"(missing {missing}, unexpected {extra})"
+        )
+    return np.asarray([pairs[j] for j in range(expected)], dtype=np.int64)
 
 
 def _read_json_summary(path: Path) -> dict:

@@ -364,6 +364,10 @@ def test_malformed_int_list_is_usage_error(argv, flag, dataset_args, tmp_path, c
     (["pca", "--pcs", "-2"], "--pcs"),
     (["synth", "--seed", "-1"], "--seed"),
     (["attack", "--seed", "x"], "--seed"),
+    (["attack", "--seed", "1", "--trend-magnitude", "-1"], "--trend-magnitude"),
+    (["attack", "--seed", "1", "--trend-magnitude", "0"], "--trend-magnitude"),
+    (["attack", "--seed", "1", "--trend-magnitude", "nan"], "--trend-magnitude"),
+    (["attack", "--seed", "1", "--trend-magnitude", "inf"], "--trend-magnitude"),
 ])
 def test_negative_count_is_usage_error(argv, flag, dataset_args, tmp_path, capsys):
     out = tmp_path / "out"
@@ -372,7 +376,9 @@ def test_negative_count_is_usage_error(argv, flag, dataset_args, tmp_path, capsy
         main(argv + extra + ["--out", str(out)])
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
-    assert f"argument {flag}: expected a non-negative integer" in err
+    wanted = ("a positive finite number" if flag == "--trend-magnitude"
+              else "a non-negative integer")
+    assert f"argument {flag}: expected {wanted}" in err
     assert "Traceback" not in err
     assert not out.exists()
 

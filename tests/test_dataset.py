@@ -1,7 +1,20 @@
+import contextlib
+import io
+import re
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from oracles import load_csv_reference, load_metadata_reference
+from pufstat.cli import main
 from pufstat.dataset import (
+    CSV_HEADER,
     DeviceMeta,
     LayoutSpec,
     ReadingsTensor,
@@ -13,9 +26,11 @@ from pufstat.dataset import (
 from pufstat.errors import (
     ConfigurationError,
     ParseError,
+    PufStatError,
     StructuralError,
     ValidationError,
 )
+from pufstat.matrices import build_matrices
 
 
 @pytest.fixture
@@ -177,3 +192,303 @@ def test_device_order_is_lexicographic(tmp_path):
     assert loaded.values[0, 0, 0] == 1.0
     assert loaded.values[1, 0, 0] == 2.0
     assert loaded.provenance["device_names"] == ["a.txt", "b.txt"]
+
+
+def test_empty_device_files_are_structural_without_warnings(tmp_path):
+    (tmp_path / "device_0000.txt").write_text("# only a comment\n\n")
+    (tmp_path / "device_0001.txt").write_text("")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(StructuralError, match="device_0000.txt contains no readings"):
+            load_readings(tmp_path)
+    assert caught == []
+
+
+@pytest.mark.parametrize("body, error, match", [
+    ("99999999999999999999,0,0,100.0\n", ParseError, "data.csv line 2, field 1"),
+    ("0,0,9223372036854775808,100.0\n", ParseError, "data.csv line 2, field 3"),
+    ("1000000000000,0,0,100.0\n", StructuralError,
+     "missing device 0, ro 0, sample 0 \\(expected a dense 1000000000001x1x1 cube\\)"),
+    ("0,0,0,100.0\n1.0,0,0,100.0\n", ParseError, "data.csv line 3, field 1: '1.0'"),
+    ("0,0,0,100.0\n0,1.5,0,100.0\n", ParseError, "data.csv line 3, field 2: '1.5'"),
+    ('"0","0","0","100.0"\n', ParseError, "data.csv line 2, field 1"),
+    ("1_0,0,0,100.0\n", ParseError, "data.csv line 2, field 1: '1_0'"),
+    ("0,0,0,100.0\n \n", StructuralError, "data.csv line 3 has 1 fields, expected 4"),
+    ("0,0,0,100.0,\n", StructuralError, "data.csv line 2 has 5 fields, expected 4"),
+    ("\n", StructuralError, "data.csv contains a header but no readings"),
+])
+def test_csv_faults_name_the_line(tmp_path, body, error, match):
+    path = tmp_path / "data.csv"
+    path.write_text("device,ro,sample,freq_mhz\n" + body)
+    with pytest.raises(error, match=match):
+        load_readings(path, LayoutSpec.parse("csv"))
+
+
+def test_invalid_utf8_is_parse_error(tmp_path):
+    (tmp_path / "device_0000.txt").write_bytes(b"1.0 2.0\n3.0 \xff\n")
+    with pytest.raises(ParseError, match="device_0000.txt line 2, field 2"):
+        load_readings(tmp_path)
+
+
+def test_csv_duplicate_is_first_repeat_in_file_order(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("device,ro,sample,freq_mhz\n1,1,0,1.0\n0,0,0,1.0\n0,0,0,1.0\n1,1,0,1.0\n")
+    with pytest.raises(StructuralError, match="device 0, ro 0, sample 0"):
+        load_readings(path, LayoutSpec.parse("csv"))
+
+
+@pytest.mark.parametrize("body, error, match", [
+    ("0,99999999999999999999\n", ParseError, "serials.csv line 2, field 2"),
+    ("0,100\n1000000000000,7\n", StructuralError, "unexpected \\[1000000000000\\]"),
+    ("0,100\n-1,7\n", StructuralError, "missing \\[1\\], unexpected \\[-1\\]"),
+    ("0,1e3\n", ParseError, "serials.csv line 2, field 2: '1e3'"),
+    ("", StructuralError, "serials.csv contains a header but no readings"),
+])
+def test_metadata_faults(tmp_path, body, error, match):
+    path = tmp_path / "serials.csv"
+    path.write_text("device,serial\n" + body)
+    with pytest.raises(error, match=match):
+        load_metadata(path, 2)
+
+
+def test_empty_csv_files(tmp_path):
+    (tmp_path / "serials.csv").write_text("")
+    with pytest.raises(StructuralError, match="serials.csv is empty"):
+        load_metadata(tmp_path / "serials.csv")
+    (tmp_path / "data.csv").write_text("")
+    with pytest.raises(StructuralError, match="data.csv is empty"):
+        load_readings(tmp_path / "data.csv", LayoutSpec.parse("csv"))
+
+
+# Property tests: the loaders against the csv.reader oracles, write/load round
+# trips, and malformed input through the command line.
+
+_FREQS = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+_SERIALS = st.integers(int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max))
+
+
+@st.composite
+def _tensors(draw):
+    shape = (draw(st.integers(1, 4)), 2 * draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    return draw(arrays(np.float64, shape, elements=_FREQS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=_tensors(), data=st.data(),
+       layout=st.sampled_from(["files", "files:rows=samples", "files:sep=,",
+                               "files:rows=samples:sep=;", "files:sep=\t", "csv"]))
+def test_write_load_round_trip_is_exact(values, data, layout):
+    spec = LayoutSpec.parse(layout)
+    serials = np.asarray(data.draw(st.lists(_SERIALS, min_size=len(values),
+                                            max_size=len(values))), dtype=np.int64)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_dataset(ReadingsTensor(values), tmp, spec, DeviceMeta(serials))
+        loaded = load_readings(Path(tmp) / "readings.csv" if spec.kind == "csv" else tmp, spec)
+        meta = load_metadata(Path(tmp) / "serials.csv", len(values))
+    assert loaded.values.tobytes() == values.tobytes()
+    assert np.array_equal(meta.serials, serials)
+
+
+@settings(max_examples=30, deadline=None)
+@given(values=_tensors())
+def test_layouts_give_equal_matrices(values):
+    tensor = ReadingsTensor(values)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_dataset(tensor, Path(tmp) / "files")
+        write_dataset(tensor, Path(tmp) / "csv", LayoutSpec.parse("csv"))
+        from_files = build_matrices(load_readings(Path(tmp) / "files"))
+        from_csv = build_matrices(load_readings(Path(tmp) / "csv" / "readings.csv",
+                                                LayoutSpec.parse("csv")))
+    for name in ("freq", "dev", "diff", "bits"):
+        assert getattr(from_files, name).tobytes() == getattr(from_csv, name).tobytes(), name
+
+
+# Tokens on which csv.reader with int()/float() and np.loadtxt agree; the ones
+# on which they differ (quotes, underscores, int64 overflow, lines of spaces)
+# have their own tests above.
+_TOKENS = ["", "x", "1.5", "1.0", "nan", "inf", "-inf", "-1", "1e3", " 2 ", "+0",
+           "0x1", "--1", "1 2", "7", "0"]
+
+
+@st.composite
+def _malformed_lines(draw, lines: list[str]) -> str:
+    """``lines`` (a header, then data lines) with at most one fault, as text."""
+    lines = list(lines)
+    body = range(1, len(lines))
+    kind = draw(st.sampled_from(["none", "crlf", "blank", "drop", "repeat", "field",
+                                 "truncate", "extra", "header", "bom", "comment"]))
+    k = draw(st.sampled_from(body))
+    if kind == "blank":
+        lines.insert(k, "")
+    elif kind == "drop":
+        del lines[k]
+    elif kind == "repeat":
+        lines.insert(draw(st.sampled_from(body)), lines[k])
+    elif kind == "field":
+        fields = lines[k].split(",")
+        fields[draw(st.sampled_from(range(len(fields))))] = draw(st.sampled_from(_TOKENS))
+        lines[k] = ",".join(fields)
+    elif kind == "truncate":
+        lines[k] = lines[k][:draw(st.integers(0, len(lines[k]) - 1))]
+    elif kind == "extra":
+        lines[k] += ",1"
+    elif kind == "header":
+        lines[0] = draw(st.sampled_from(["dev" + lines[0][6:], lines[0].rsplit(",", 1)[0]]))
+    elif kind == "bom":
+        lines[0] = "\ufeff" + lines[0]
+    elif kind == "comment":
+        lines.insert(k, "# note")
+    return ("\r\n" if kind == "crlf" else "\n").join(lines) + "\n"
+
+
+def _outcome(load):
+    try:
+        return None, load()
+    except PufStatError as exc:
+        return exc, None
+
+
+def _assert_same_outcome(new, old):
+    (new_exc, new_value), (old_exc, old_value) = new, old
+    assert type(new_exc) is type(old_exc), (new_exc, old_exc)
+    if old_exc is None:
+        assert new_value.tobytes() == old_value.tobytes()
+    elif isinstance(old_exc, ParseError):
+        # The oracle names the line; the reader adds the field.
+        assert re.search(r"line \d+", str(old_exc))[0] + "," in str(new_exc)
+    else:
+        assert str(new_exc) == str(old_exc)
+
+
+@st.composite
+def _readings_csv(draw):
+    shape = (draw(st.integers(1, 3)), 2 * draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    cells = draw(st.permutations(list(np.ndindex(shape))))
+    freqs = draw(st.lists(_FREQS, min_size=len(cells), max_size=len(cells)))
+    return draw(_malformed_lines(
+        [",".join(CSV_HEADER)] + [f"{j},{i},{t},{f!r}" for (j, i, t), f in zip(cells, freqs)]
+    ))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_readings_csv())
+def test_csv_loader_matches_oracle(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "readings.csv"
+        path.write_bytes(text.encode("utf-8"))
+        new = _outcome(lambda: load_readings(path, LayoutSpec.parse("csv")).values)
+        old = _outcome(lambda: ReadingsTensor(load_csv_reference(path)).values)
+    _assert_same_outcome(new, old)
+
+
+@st.composite
+def _metadata_csv(draw):
+    devices = draw(st.permutations(range(draw(st.integers(2, 5)))))
+    serials = draw(st.lists(_SERIALS, min_size=len(devices), max_size=len(devices)))
+    text = draw(_malformed_lines(
+        ["device,serial"] + [f"{j},{s}" for j, s in zip(devices, serials)]
+    ))
+    return text, len(devices)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_metadata_csv())
+def test_metadata_loader_matches_oracle(case):
+    text, num_devices = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "serials.csv"
+        path.write_bytes(text.encode("utf-8"))
+        new = _outcome(lambda: load_metadata(path, num_devices).serials)
+        old = _outcome(lambda: load_metadata_reference(path, num_devices))
+    _assert_same_outcome(new, old)
+
+
+def _edit_line(edit):
+    """A fault that applies ``edit(fields, draw)`` to one data line of a file,
+    never to the header of a CSV."""
+    def fault(lines, sep, draw):
+        k = draw(st.integers(int(sep == ","), len(lines) - 1))
+        fields = lines[k].split(sep)
+        edit(fields, draw)
+        lines[k] = sep.join(fields)
+        return lines
+    return fault
+
+
+def _set_field(value, columns=None):
+    def edit(fields, draw):
+        fields[draw(st.sampled_from(columns or range(len(fields))))] = value
+    return _edit_line(edit)
+
+
+def _prefix_bom(lines, sep, draw):
+    return ["\ufeff" + lines[0], *lines[1:]]
+
+
+# Malformed inputs for the command line: (file, layouts, fault, category). The
+# file is "data" (a device file or readings.csv) or "meta" (serials.csv); a
+# fault maps the file's lines, its separator and a draw to new lines; category
+# None means exit 0.
+_CLI_CASES = {
+    "truncated line": ("data", ("files", "csv"), _edit_line(lambda f, draw: f.pop()),
+                       "structural"),
+    "nan": ("data", ("files",), _set_field("nan"), "validation"),
+    "inf": ("data", ("csv",), _set_field("-inf", [3]), "validation"),
+    "bom in a device file": ("data", ("files",), _prefix_bom, "parse"),
+    "bom in a csv header": ("data", ("csv",), _prefix_bom, "structural"),
+    "crlf": ("data", ("files", "csv"), lambda lines, sep, draw: ["\r\n".join(lines)], None),
+    "blank lines": ("data", ("files", "csv"),
+                    lambda lines, sep, draw: [lines[0], "", *lines[1:], "", ""], None),
+    "empty file": ("data", ("files", "csv"), lambda lines, sep, draw: [], "structural"),
+    "duplicate cell": ("data", ("csv",), lambda lines, sep, draw: lines + lines[-1:],
+                       "structural"),
+    "missing cell": ("data", ("csv",), lambda lines, sep, draw: lines[:-1], "structural"),
+    "non-integral index": ("data", ("csv",), _set_field("1.5", range(3)), "parse"),
+    "integral float index": ("data", ("csv",), _set_field("1.0", range(3)), "parse"),
+    "overflowing index": ("data", ("csv",), _set_field("99999999999999999999", range(3)),
+                          "parse"),
+    "far device index": ("data", ("csv",), _set_field("1000000000000", [0]), "structural"),
+    "negative index": ("data", ("csv",), _set_field("-1", range(3)), "validation"),
+    "bad token": ("data", ("files",), _set_field("1.0.0"), "parse"),
+    "duplicate device": ("meta", ("files", "csv"), lambda lines, sep, draw: lines + lines[-1:],
+                         "structural"),
+    "missing device": ("meta", ("files", "csv"), lambda lines, sep, draw: lines[:-1],
+                       "structural"),
+    "overflowing serial": ("meta", ("files", "csv"), _set_field("99999999999999999999", [1]),
+                           "parse"),
+    "non-integral serial": ("meta", ("files", "csv"), _set_field("1.5", [1]), "parse"),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(sorted(_CLI_CASES)), data=st.data())
+def test_malformed_input_exits_with_its_category(name, data):
+    target, layouts, fault, category = _CLI_CASES[name]
+    layout = data.draw(st.sampled_from(layouts))
+    tensor = ReadingsTensor(np.arange(1.0, 25.0).reshape(2, 4, 3))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "dataset"
+        write_dataset(tensor, root, LayoutSpec.parse(layout), DeviceMeta(np.arange(2)))
+        dataset = root / "readings.csv" if layout == "csv" else root
+        if target == "meta":
+            path = root / "serials.csv"
+        elif layout == "csv":
+            path = dataset
+        else:
+            path = root / data.draw(st.sampled_from(["device_0000.txt", "device_0001.txt"]))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = fault(lines, "," if path.suffix == ".csv" else " ", data.draw)
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8", newline="")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["ingest", "--dataset", str(dataset), "--layout", layout,
+                         "--meta", str(root / "serials.csv"), "--out", str(Path(tmp) / "out")])
+    err = err.getvalue()
+    assert "Traceback" not in err
+    if category is None:
+        assert code == 0, err
+    else:
+        assert code == 1, err
+        assert f"pufstat: {category} error:" in err
+        if category != "validation":
+            assert path.name in err
