@@ -287,13 +287,6 @@ def cmd_attack(args, inputs: Inputs) -> int:
                 trend_magnitude=args.trend_magnitude,
             )
         )
-    for cell in cells:
-        if cell.error:
-            print(
-                f"pufstat: attack cell device={cell.device_index} mode={cell.mode} "
-                f"fixed={cell.fixed_count} failed: {cell.error}",
-                file=sys.stderr,
-            )
     fields = ["device_index", "mode", "fixed_count", "delta_correct", "objective", "iterations",
               "stop_reason", "start_objective"]
     writer.write_csv(
@@ -380,6 +373,7 @@ def cmd_pca(args, inputs: Inputs) -> int:
 
 
 def cmd_synth(args) -> int:
+    layout = LayoutSpec.parse(args.layout)
     overrides = {}
     if args.devices is not None:
         overrides["num_devices"] = args.devices
@@ -395,7 +389,6 @@ def cmd_synth(args) -> int:
     tensor, meta, truth = generate(config)
     out_dir = _resolve_out(args)
     dataset_dir = out_dir / "dataset"
-    layout = LayoutSpec.parse(args.layout)
     write_dataset(tensor, dataset_dir, layout, meta=meta)
     manifest = RunManifest(
         version=__version__,

@@ -90,5 +90,8 @@ def covariance_matrix(diff) -> np.ndarray:
         raise StructuralError(f"difference matrix must be 2-dimensional, got {d.shape}")
     if d.shape[1] < 2:
         raise InsufficientSampleError("need at least 2 devices for a covariance")
-    centered = d - d.mean(axis=1, keepdims=True)
-    return (centered @ centered.T) / d.shape[1]
+    # Finite differences too large to square overflow to inf or nan here
+    # without a warning; covfit.check_covariance rejects such a matrix.
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = d - d.mean(axis=1, keepdims=True)
+        return (centered @ centered.T) / d.shape[1]

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,9 +76,12 @@ class FitOptions:
 
 
 def check_covariance(cov) -> np.ndarray:
-    """Check that the square matrix ``cov`` is symmetric and positive
-    semidefinite, both to 1e-8 of its largest entry; return it as float64."""
+    """Check that the square matrix ``cov`` is finite, symmetric and positive
+    semidefinite, the last two to 1e-8 of its largest entry; return it as
+    float64. A covariance that overflowed is a NumericError."""
     cov = np.asarray(cov, dtype=np.float64)
+    if not np.isfinite(cov).all():
+        raise NumericError("covariance matrix is not finite")
     scale = float(np.abs(cov).max()) or 1.0
     if float(np.abs(cov - cov.T).max()) > 1e-8 * scale:
         raise ConfigurationError("covariance matrix is not symmetric")
@@ -92,53 +95,31 @@ def check_covariance(cov) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CovFitProblem:
-    """One attack instance.
+    """One attack target, checked once and shared by every fit against it.
 
     ``cov`` and ``row_means`` come from the training devices, ``n_train`` of
-    them, with ``cov`` using the population divisor. ``fixed_mask`` marks the
-    pinned coordinates and ``fixed_values`` holds their pinned values of
-    ``b`` in mask order. ``truth`` (the target's real difference vector) is
-    optional and only used for scoring. ``covariance_checked=True`` skips
-    ``check_covariance`` for a ``cov`` that has already passed it.
+    them, with ``cov`` using the population divisor; ``cov`` must pass
+    ``check_covariance``. ``truth`` (the target's real difference vector) is
+    optional and only used for scoring. ``cov_fro2`` is ``||C||_F^2``, the
+    constant term of every objective. The pinned coordinates are arguments
+    of ``fit``, not part of the target.
     """
 
     cov: np.ndarray
     row_means: np.ndarray
     n_train: int
-    fixed_mask: np.ndarray
-    fixed_values: np.ndarray
-    mode: str = "exact"
-    trend_magnitude: float = 1.0
     truth: np.ndarray | None = None
-    covariance_checked: InitVar[bool] = False
+    cov_fro2: float = field(init=False, repr=False)
 
-    def __post_init__(self, covariance_checked):
+    def __post_init__(self):
         cov = np.asarray(self.cov, dtype=np.float64)
         mu = np.asarray(self.row_means, dtype=np.float64).ravel()
-        mask = np.asarray(self.fixed_mask, dtype=bool).ravel()
-        vals = np.asarray(self.fixed_values, dtype=np.float64).ravel()
         k = mu.size
         if cov.shape != (k, k):
             raise ConfigurationError(
                 f"covariance shape {cov.shape} does not match {k} row means"
             )
-        if mask.size != k:
-            raise ConfigurationError(
-                f"fixed mask covers {mask.size} positions, expected {k}"
-            )
-        if vals.size != int(mask.sum()):
-            raise ConfigurationError(
-                f"{vals.size} fixed values for {int(mask.sum())} fixed positions"
-            )
-        if self.mode not in MODES:
-            raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "trend" and vals.size:
-            if not np.all(np.isclose(np.abs(vals), self.trend_magnitude)):
-                raise ConfigurationError(
-                    f"trend mode pins values to +-{self.trend_magnitude} MHz"
-                )
-        if not covariance_checked:
-            check_covariance(cov)
+        check_covariance(cov)
         if self.n_train < 1:
             raise ConfigurationError("n_train must be positive")
         if self.truth is not None:
@@ -150,16 +131,11 @@ class CovFitProblem:
             object.__setattr__(self, "truth", truth)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "row_means", mu)
-        object.__setattr__(self, "fixed_mask", mask)
-        object.__setattr__(self, "fixed_values", vals)
+        object.__setattr__(self, "cov_fro2", float(np.sum(cov * cov)))
 
     @property
     def num_pairs(self) -> int:
         return self.row_means.size
-
-    @property
-    def num_free(self) -> int:
-        return int((~self.fixed_mask).sum())
 
 
 @dataclass(frozen=True)
@@ -198,43 +174,55 @@ def expanded_cov_residual(cov, row_means, b, n_train: int) -> np.ndarray:
     return (np.outer(d, d) - c) / (n_train + 1.0)
 
 
-def _objective_terms(cov):
-    """A function giving the unscaled objective, ``C d`` and ``d.d`` at ``d``."""
-    cov_fro2 = float(np.sum(cov * cov))
-
-    def f_and_cd(d):
-        cd = cov @ d
-        dd = float(np.dot(d, d))
-        value = dd * dd - 2.0 * float(np.dot(d, cd)) + cov_fro2
-        return value, cd, dd
-
-    return f_and_cd
+def _objective_terms(problem: CovFitProblem, d):
+    """The unscaled objective, ``C d`` and ``d.d`` at ``d``."""
+    cd = problem.cov @ d
+    dd = float(np.dot(d, d))
+    return dd * dd - 2.0 * float(np.dot(d, cd)) + problem.cov_fro2, cd, dd
 
 
-def _assemble(problem: CovFitProblem, d_free) -> np.ndarray:
-    free = ~problem.fixed_mask
+def _pins(problem: CovFitProblem, fixed_mask, fixed_values) -> tuple[np.ndarray, np.ndarray]:
+    """The pinned coordinates as a boolean mask and their values of ``b`` in
+    mask order, checked against the target's length."""
+    mask = np.asarray(fixed_mask, dtype=bool).ravel()
+    values = np.asarray(fixed_values, dtype=np.float64).ravel()
+    if mask.size != problem.num_pairs:
+        raise ConfigurationError(
+            f"fixed mask covers {mask.size} positions, expected {problem.num_pairs}"
+        )
+    if values.size != int(mask.sum()):
+        raise ConfigurationError(
+            f"{values.size} fixed values for {int(mask.sum())} fixed positions"
+        )
+    return mask, values
+
+
+def _assemble(problem: CovFitProblem, mask, values, d_free) -> np.ndarray:
+    free = ~mask
     start = np.asarray(d_free, dtype=np.float64).ravel()
     if start.size != int(free.sum()):
         raise ConfigurationError(
             f"got {start.size} free values for {int(free.sum())} free coordinates"
         )
     d = np.zeros(problem.num_pairs)
-    d[problem.fixed_mask] = problem.fixed_values - problem.row_means[problem.fixed_mask]
+    d[mask] = values - problem.row_means[mask]
     d[free] = start
     return d
 
 
-def objective_and_gradient(problem: CovFitProblem, d_free) -> tuple[float, np.ndarray]:
+def objective_and_gradient(problem: CovFitProblem, fixed_mask, fixed_values,
+                           d_free) -> tuple[float, np.ndarray]:
     """Objective value and full-length gradient at the given free vector.
 
     Gradient entries at fixed positions are zeroed, matching the projected
     descent direction.
     """
-    d = _assemble(problem, d_free)
+    mask, values = _pins(problem, fixed_mask, fixed_values)
+    d = _assemble(problem, mask, values, d_free)
     scale = 1.0 / (problem.n_train + 1.0) ** 2
-    f_raw, cd, dd = _objective_terms(problem.cov)(d)
+    f_raw, cd, dd = _objective_terms(problem, d)
     grad = 4.0 * (dd * d - cd) * scale
-    grad[problem.fixed_mask] = 0.0
+    grad[mask] = 0.0
     return f_raw * scale, grad
 
 
@@ -283,24 +271,27 @@ def _ray_step(cov, d, grad, cd, dd, gnorm2) -> float | None:
     return min(steps, key=priced, default=None)
 
 
-def fit(problem: CovFitProblem, options: FitOptions | None = None) -> CovFitResult:
+def fit(problem: CovFitProblem, fixed_mask, fixed_values,
+        options: FitOptions | None = None) -> CovFitResult:
     """Minimize the residual norm over the free coordinates of ``d``.
 
-    Projected gradient descent: fixed coordinates never move, free
-    coordinates follow the negative gradient with an exact line search
-    (module docstring). Descent is monotone; the result's objective can
-    never exceed the starting objective.
+    ``fixed_mask`` marks the pinned coordinates and ``fixed_values`` holds
+    their values of ``b`` in mask order. Projected gradient descent: fixed
+    coordinates never move, free coordinates follow the negative gradient
+    with an exact line search (module docstring). Descent is monotone; the
+    result's objective can never exceed the starting objective.
     """
     options = options or FitOptions()
-    if not problem.num_free:
+    mask, values = _pins(problem, fixed_mask, fixed_values)
+    num_free = mask.size - int(mask.sum())
+    if not num_free:
         raise ConfigurationError("no free coordinates; nothing to optimize")
     scale = 1.0 / (problem.n_train + 1.0) ** 2
-    start = np.zeros(problem.num_free) if options.start_free is None else options.start_free
-    d = _assemble(problem, start)
+    start = np.zeros(num_free) if options.start_free is None else options.start_free
+    d = _assemble(problem, mask, values, start)
 
     cov = problem.cov
-    f_and_cd = _objective_terms(cov)
-    f_raw, cd, dd = f_and_cd(d)
+    f_raw, cd, dd = _objective_terms(problem, d)
     if not np.isfinite(f_raw):
         raise NumericError("objective is not finite at the starting point")
     start_objective = f_raw * scale
@@ -309,7 +300,7 @@ def fit(problem: CovFitProblem, options: FitOptions | None = None) -> CovFitResu
     stop_reason = f"max_iter reached ({options.max_iter})"
     for _ in range(options.max_iter):
         grad = 4.0 * (dd * d - cd)
-        grad[problem.fixed_mask] = 0.0
+        grad[mask] = 0.0
         gnorm2 = float(np.dot(grad, grad))
         if np.sqrt(gnorm2) * scale < options.grad_tol:
             stop_reason = "gradient tolerance"
@@ -320,7 +311,7 @@ def fit(problem: CovFitProblem, options: FitOptions | None = None) -> CovFitResu
         accepted = False
         while alpha > 1e-20:
             d_new = d - alpha * grad
-            f_new, cd_new, dd_new = f_and_cd(d_new)
+            f_new, cd_new, dd_new = _objective_terms(problem, d_new)
             if np.isfinite(f_new) and f_new <= f_raw - ARMIJO_C * alpha * gnorm2:
                 accepted = True
                 break
@@ -337,13 +328,13 @@ def fit(problem: CovFitProblem, options: FitOptions | None = None) -> CovFitResu
 
     b_hat = problem.row_means + d
     # Pin the fixed positions exactly; mu + (v - mu) can differ in the last ulp.
-    b_hat[problem.fixed_mask] = problem.fixed_values
+    b_hat[mask] = values
     bits_hat = bits_from_values(b_hat)
 
     delta_correct = None
     if problem.truth is not None:
         b_start = problem.row_means.copy()
-        b_start[problem.fixed_mask] = problem.fixed_values
+        b_start[mask] = values
         truth_bits = bits_from_values(problem.truth)
         correct_start = int((bits_from_values(b_start) == truth_bits).sum())
         correct_end = int((bits_hat == truth_bits).sum())
@@ -387,9 +378,9 @@ def choose_fixed_positions(
 
 @dataclass(frozen=True)
 class AttackCell:
-    """One (target, mode, fixed count) cell of an attack sweep. A failed cell
-    keeps only its ``error``; a cell with every position pinned stops on
-    ``"all pinned"``."""
+    """One (target, mode, fixed count) cell of an attack sweep. A cell with
+    every position pinned stops on ``"all pinned"``. ``evaluate_attack``
+    raises rather than record a failed cell, so it leaves ``error`` None."""
 
     device_index: int
     mode: str
@@ -410,17 +401,15 @@ def evaluate_attack(
     seed: int | None = None,
     selection: str = "even",
     trend_magnitude: float = 1.0,
-    options: FitOptions | None = None,
 ) -> list[AttackCell]:
     """Leave-one-out attack sweep against a single target device.
 
     The target column is removed, covariance and row means are trained on
-    the rest, and for each fixed count the pinned positions take either the
-    target's exact values or their +-magnitude trend. ``mode`` is one mode
-    or a sequence of them; cells come in (mode, fixed count) order. The
-    training covariance is checked once; if the check fails, every cell
-    carries its message. A failed cell is recorded with its error message
-    rather than aborting the sweep.
+    the rest into one ``CovFitProblem``, and for each fixed count the pinned
+    positions take either the target's exact values or their +-magnitude
+    trend. ``mode`` is one mode or a sequence of them; cells come in (mode,
+    fixed count) order. A training covariance that fails its check, or a
+    fit that fails, raises out of the sweep.
     """
     d = np.asarray(diff, dtype=np.float64)
     if d.ndim != 2:
@@ -434,16 +423,14 @@ def evaluate_attack(
     for m in modes:
         if m not in MODES:
             raise ConfigurationError(f"mode must be one of {MODES}, got {m!r}")
+    if not (trend_magnitude > 0.0 and math.isfinite(trend_magnitude)):
+        raise ConfigurationError(
+            f"trend magnitude must be positive and finite, got {trend_magnitude!r}"
+        )
     truth = d[:, device_index]
     train = np.delete(d, device_index, axis=1)
-    cov = covariance_matrix(train)
-    mu = train.mean(axis=1)
-    n_train = train.shape[1]
-    try:
-        cov = check_covariance(cov)
-        cov_error = None
-    except ConfigurationError as exc:
-        cov_error = str(exc)
+    problem = CovFitProblem(covariance_matrix(train), train.mean(axis=1), train.shape[1],
+                            truth)
 
     masks = []
     for count in fixed_counts:
@@ -452,32 +439,17 @@ def evaluate_attack(
         masks.append((int(count), mask))
 
     def cell(m, count, mask):
-        if cov_error is not None:
-            return AttackCell(device_index, m, count, error=cov_error)
         if m == "exact":
             values = truth[mask]
         else:
             values = np.where(truth[mask] > 0.0, trend_magnitude, -trend_magnitude)
         if count == num_pairs:
             # Everything pinned: nothing to optimize, bits match by construction.
-            residual = expanded_cov_residual(cov, mu, values, n_train)
+            residual = expanded_cov_residual(problem.cov, problem.row_means, values,
+                                             problem.n_train)
             value = float(np.sum(residual * residual))
             return AttackCell(device_index, m, count, 0, value, 0, "all pinned", value)
-        problem = CovFitProblem(
-            cov=cov,
-            row_means=mu,
-            n_train=n_train,
-            fixed_mask=mask,
-            fixed_values=values,
-            mode=m,
-            trend_magnitude=trend_magnitude,
-            truth=truth,
-            covariance_checked=True,
-        )
-        try:
-            result = fit(problem, options)
-        except (ConfigurationError, NumericError) as exc:
-            return AttackCell(device_index, m, count, error=str(exc))
+        result = fit(problem, mask, values)
         return AttackCell(device_index, m, count, result.delta_correct, result.objective,
                           result.iterations, result.stop_reason, result.start_objective)
 

@@ -38,6 +38,8 @@ _META_DTYPE = np.dtype({"names": ("device", "serial"), "formats": ["i8", "i8"]})
 
 _LAYOUT_KINDS = ("files", "csv")
 _ROW_MEANINGS = ("ros", "samples")
+# A separator np.loadtxt cannot split on, or that a written number contains.
+_BAD_SEPARATOR = "#\r\n0123456789.+-eE"
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,8 @@ class LayoutSpec:
 
     ``rows`` states what the rows of a per-device file mean; it is ignored
     for the consolidated ``csv`` kind. ``delimiter=None`` means any run of
-    whitespace.
+    whitespace; otherwise it is one character that is not the comment mark
+    ``#``, a line break, or one a number is written with (digits, ``.+-eE``).
     """
 
     kind: str = "files"
@@ -59,6 +62,12 @@ class LayoutSpec:
             raise ConfigurationError(f"unknown layout kind {self.kind!r}")
         if self.rows not in _ROW_MEANINGS:
             raise ConfigurationError(f"layout rows must be one of {_ROW_MEANINGS}")
+        sep = self.delimiter
+        if sep is not None and (len(sep) != 1 or sep in _BAD_SEPARATOR):
+            raise ConfigurationError(
+                f"layout separator {sep!r} must be one character other than '#', "
+                "a line break, a digit or one of '.+-eE'"
+            )
 
     @classmethod
     def parse(cls, text: str) -> "LayoutSpec":
@@ -174,26 +183,31 @@ def _diagnose(path: Path, dtype: np.dtype, delimiter: str | None,
     header = dtype.names
     width = len(header) if header else None
     rows = 0
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+    # A byte that is not UTF-8 reads as a lone surrogate, which fails to parse
+    # in a field and to encode anywhere else on its line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             body = (line.split(comments, 1)[0] if comments else line).rstrip("\n")
             tokens = body.split(delimiter) if delimiter else body.split()
             # np.loadtxt skips the lines that are empty once comments are cut.
-            if (header and lineno == 1) or tokens in ([], [""]):
-                continue
-            rows += 1
-            width = width or len(tokens)
-            if len(tokens) != width:
-                raise StructuralError(
-                    f"{path.name} line {lineno} has {len(tokens)} fields, expected {width}"
-                )
-            for col, token in enumerate(tokens):
-                is_int = header is not None and dtype[col].kind == "i"
-                if not _parses(token, is_int):
-                    raise ParseError(
-                        f"could not parse {path.name} line {lineno}, field {col + 1}: "
-                        f"{token!r} is not {'an int64 integer' if is_int else 'a number'}"
+            if not (header and lineno == 1) and tokens not in ([], [""]):
+                rows += 1
+                width = width or len(tokens)
+                if len(tokens) != width:
+                    raise StructuralError(
+                        f"{path.name} line {lineno} has {len(tokens)} fields, expected {width}"
                     )
+                for col, token in enumerate(tokens):
+                    is_int = header is not None and dtype[col].kind == "i"
+                    if not _parses(token, is_int):
+                        raise ParseError(
+                            f"could not parse {path.name} line {lineno}, field {col + 1}: "
+                            f"{token!r} is not {'an int64 integer' if is_int else 'a number'}"
+                        )
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError(f"{path.name} line {lineno} is not valid UTF-8") from None
     if not rows:
         with_header = "a header but " if header else ""
         raise StructuralError(f"{path.name} contains {with_header}no readings")

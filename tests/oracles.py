@@ -171,19 +171,21 @@ def ray_step_reference(cov, d, g) -> float:
     return min(steps, key=lambda a: covfit_objective_reference(c, d - a * g, 0))
 
 
-def fit_reference(problem, options=None):
+def fit_reference(problem, fixed_mask, fixed_values, options=None):
     """The covariance-fit descent with a plain backtracking Armijo search:
     every iteration tries steps from four times the last accepted one,
     halving until one passes. ``pufstat.covfit.fit`` must do no worse."""
     options = options or FitOptions()
     k = problem.num_pairs
-    free = ~problem.fixed_mask
+    mask = np.asarray(fixed_mask, dtype=bool)
+    values = np.asarray(fixed_values, dtype=np.float64)
+    free = ~mask
     if not free.any():
         raise ConfigurationError("no free coordinates; nothing to optimize")
     scale = 1.0 / (problem.n_train + 1.0) ** 2
 
     d = np.zeros(k)
-    d[problem.fixed_mask] = problem.fixed_values - problem.row_means[problem.fixed_mask]
+    d[mask] = values - problem.row_means[mask]
     if options.start_free is not None:
         start = np.asarray(options.start_free, dtype=np.float64).ravel()
         if start.size != int(free.sum()):
@@ -211,7 +213,7 @@ def fit_reference(problem, options=None):
     stop_reason = f"max_iter reached ({options.max_iter})"
     for _ in range(options.max_iter):
         grad = 4.0 * (dd * d - cd)
-        grad[problem.fixed_mask] = 0.0
+        grad[mask] = 0.0
         gnorm2 = float(np.dot(grad, grad))
         if np.sqrt(gnorm2) * scale < options.grad_tol:
             stop_reason = "gradient tolerance"
@@ -237,13 +239,13 @@ def fit_reference(problem, options=None):
 
     b_hat = problem.row_means + d
     # Pin the fixed positions exactly; mu + (v - mu) can differ in the last ulp.
-    b_hat[problem.fixed_mask] = problem.fixed_values
+    b_hat[mask] = values
     bits_hat = bits_from_values(b_hat)
 
     delta_correct = None
     if problem.truth is not None:
         b_start = problem.row_means.copy()
-        b_start[problem.fixed_mask] = problem.fixed_values
+        b_start[mask] = values
         truth_bits = bits_from_values(problem.truth)
         correct_start = int((bits_from_values(b_start) == truth_bits).sum())
         correct_end = int((bits_hat == truth_bits).sum())

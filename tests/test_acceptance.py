@@ -213,12 +213,10 @@ def test_criterion_11_covfit_oracles():
         cov = covariance_matrix(data)
         mask = np.zeros(8, dtype=bool)
         mask[rng.choice(8, size=3, replace=False)] = True
-        problem = CovFitProblem(
-            cov=cov, row_means=data.mean(axis=1), n_train=40,
-            fixed_mask=mask, fixed_values=rng.normal(size=3),
-        )
-        d_free = rng.normal(size=problem.num_free)
-        _, grad = objective_and_gradient(problem, d_free)
+        problem = CovFitProblem(cov=cov, row_means=data.mean(axis=1), n_train=40)
+        values = rng.normal(size=3)
+        d_free = rng.normal(size=5)
+        _, grad = objective_and_gradient(problem, mask, values, d_free)
         grad_free = grad[~mask]
         h = 1e-6
         fd = np.empty_like(d_free)
@@ -226,8 +224,8 @@ def test_criterion_11_covfit_oracles():
             up, down = d_free.copy(), d_free.copy()
             up[i] += h
             down[i] -= h
-            fd[i] = (objective_and_gradient(problem, up)[0]
-                     - objective_and_gradient(problem, down)[0]) / (2.0 * h)
+            fd[i] = (objective_and_gradient(problem, mask, values, up)[0]
+                     - objective_and_gradient(problem, mask, values, down)[0]) / (2.0 * h)
         gradient_worst = max(
             gradient_worst,
             float(np.linalg.norm(grad_free - fd) / np.linalg.norm(grad_free)),
@@ -245,11 +243,8 @@ def test_criterion_11_covfit_oracles():
         cov = covariance_matrix(train)
         mu = train.mean(axis=1)
         mask = np.asarray([True, False, True, False])
-        problem = CovFitProblem(
-            cov=cov, row_means=mu, n_train=29,
-            fixed_mask=mask, fixed_values=truth[mask],
-        )
-        result = fit(problem)
+        problem = CovFitProblem(cov=cov, row_means=mu, n_train=29)
+        result = fit(problem, mask, truth[mask])
         best_value, _ = covfit_grid_search(cov, mu, mask, truth[mask], 29)
         grid_worst = max(grid_worst, abs(result.objective - best_value))
     grid_ok = grid_worst <= 1e-4

@@ -4,6 +4,7 @@ import runpy
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -300,23 +301,38 @@ def test_console_entry_point_runs():
     assert proc.stdout.strip().startswith("pufstat ")
 
 
-def test_attack_reports_failed_covariance_check_per_cell(dataset_args, tmp_path,
-                                                        monkeypatch, capsys):
+def test_attack_exits_1_on_failed_covariance_check(dataset_args, tmp_path, monkeypatch,
+                                                   capsys):
+    # The check runs once per target and its failure ends the run.
     monkeypatch.setattr(pufstat.covfit, "covariance_matrix",
                         lambda train: -np.eye(train.shape[0]))
     out = tmp_path / "bad-cov"
     assert main(["attack", "--seed", "3", "--devices", "2", "--fixed-counts", "0,8,32",
-                 "--mode", "both", "--out", str(out)] + dataset_args) == 0
+                 "--mode", "both", "--out", str(out)] + dataset_args) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "pufstat: configuration error: "
+        "covariance matrix is not positive semidefinite (eigmin -1)"]
+    assert not (out / "attack.csv").exists()
+
+
+def test_attack_on_overflowing_covariance_is_numeric_error(tmp_path, capsys):
+    # Finite, positive readings whose pair differences (+-5e299) overflow the
+    # covariance: one error line, no traceback, no numpy warning.
+    rng = np.random.default_rng(12)
+    dataset = tmp_path / "huge"
+    dataset.mkdir()
+    for j in range(6):
+        ros = 1e300 + np.outer(rng.choice([0.0, -5e299, 5e299], size=8), [1.0, 1.0])
+        (dataset / f"device_{j:04d}.txt").write_text(
+            "".join(f"{a!r} {b!r}\n" for a, b in ros.tolist()))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["attack", "--dataset", str(dataset), "--seed", "1", "--devices", "2",
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2 * 2 * 3
-    for line in err:
-        assert line.startswith("pufstat: attack cell device=")
-        assert line.endswith(
-            " failed: covariance matrix is not positive semidefinite (eigmin -1)")
-    rows = [ln.split(",") for ln in (out / "attack.csv").read_text().splitlines()
-            if not ln.startswith("#")][1:]
-    assert len(rows) == 12
-    assert all(row[3:] == ["", "", "0", "", ""] for row in rows)
+    assert err == ["pufstat: numeric error: covariance matrix is not finite"]
+    assert caught == []
 
 
 def test_import_defers_scipy():

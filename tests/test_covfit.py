@@ -26,22 +26,23 @@ from pufstat.covfit import (
     fit,
     objective_and_gradient,
 )
-from pufstat.errors import ConfigurationError
+from pufstat.errors import ConfigurationError, NumericError
 
 
-def _random_problem(seed, k=8, n_train=40, num_fixed=3, mode="exact"):
+def _random_problem(seed, k=8, n_train=40, num_fixed=3):
+    """A target and its pins: the problem, the fixed mask and the values."""
     rng = np.random.default_rng(seed)
     mixing = rng.normal(size=(k, k)) / np.sqrt(k)
     data = mixing @ rng.normal(size=(k, n_train))
-    cov = covariance_matrix(data)
-    mu = data.mean(axis=1)
+    problem = CovFitProblem(cov=covariance_matrix(data), row_means=data.mean(axis=1),
+                            n_train=n_train)
     mask = np.zeros(k, dtype=bool)
     mask[rng.choice(k, size=num_fixed, replace=False)] = True
-    values = rng.normal(size=num_fixed)
-    return CovFitProblem(
-        cov=cov, row_means=mu, n_train=n_train,
-        fixed_mask=mask, fixed_values=values, mode=mode,
-    )
+    return problem, mask, rng.normal(size=num_fixed)
+
+
+def _free(mask):
+    return int((~mask).sum())
 
 
 def test_residual_at_mean_is_scaled_negative_cov():
@@ -75,14 +76,14 @@ def test_rank_one_identity_vs_direct_evaluation():
 
 
 def test_objective_matches_expanded_reference():
-    problem = _random_problem(3)
+    problem, mask, values = _random_problem(3)
     rng = np.random.default_rng(4)
-    d_free = rng.normal(size=problem.num_free)
-    value, _ = objective_and_gradient(problem, d_free)
+    d_free = rng.normal(size=_free(mask))
+    value, _ = objective_and_gradient(problem, mask, values, d_free)
 
     d = np.zeros(problem.num_pairs)
-    d[problem.fixed_mask] = problem.fixed_values - problem.row_means[problem.fixed_mask]
-    d[~problem.fixed_mask] = d_free
+    d[mask] = values - problem.row_means[mask]
+    d[~mask] = d_free
     want = covfit_objective_reference(problem.cov, d, problem.n_train)
     assert value == pytest.approx(want, rel=1e-12)
     # And the objective really is the squared Frobenius norm of the residual.
@@ -94,11 +95,11 @@ def test_objective_matches_expanded_reference():
 
 def test_gradient_matches_central_finite_differences():
     for seed in (10, 11, 12):
-        problem = _random_problem(seed, k=8)
+        problem, mask, values = _random_problem(seed, k=8)
         rng = np.random.default_rng(seed + 100)
-        d_free = rng.normal(size=problem.num_free)
-        _, grad = objective_and_gradient(problem, d_free)
-        grad_free = grad[~problem.fixed_mask]
+        d_free = rng.normal(size=_free(mask))
+        _, grad = objective_and_gradient(problem, mask, values, d_free)
+        grad_free = grad[~mask]
 
         h = 1e-6
         fd = np.empty_like(d_free)
@@ -107,8 +108,8 @@ def test_gradient_matches_central_finite_differences():
             up[i] += h
             down = d_free.copy()
             down[i] -= h
-            f_up, _ = objective_and_gradient(problem, up)
-            f_down, _ = objective_and_gradient(problem, down)
+            f_up, _ = objective_and_gradient(problem, mask, values, up)
+            f_down, _ = objective_and_gradient(problem, mask, values, down)
             fd[i] = (f_up - f_down) / (2.0 * h)
         denom = np.linalg.norm(grad_free)
         assert denom > 0
@@ -116,26 +117,20 @@ def test_gradient_matches_central_finite_differences():
 
 
 def test_gradient_zeroed_at_fixed_positions():
-    problem = _random_problem(5)
-    _, grad = objective_and_gradient(problem, np.ones(problem.num_free))
-    assert np.all(grad[problem.fixed_mask] == 0.0)
+    problem, mask, values = _random_problem(5)
+    _, grad = objective_and_gradient(problem, mask, values, np.ones(_free(mask)))
+    assert np.all(grad[mask] == 0.0)
 
 
 def test_rank_one_recovery():
     rng = np.random.default_rng(21)
     c = rng.uniform(0.5, 1.5, size=6) * rng.choice([-1.0, 1.0], size=6)
-    problem = CovFitProblem(
-        cov=np.outer(c, c),
-        row_means=np.zeros(6),
-        n_train=50,
-        fixed_mask=np.zeros(6, dtype=bool),
-        fixed_values=np.zeros(0),
-    )
+    problem = CovFitProblem(cov=np.outer(c, c), row_means=np.zeros(6), n_train=50)
     options = FitOptions(
         max_iter=50000, grad_tol=1e-12, objective_tol=0.0,
         start_free=rng.normal(size=6),
     )
-    result = fit(problem, options)
+    result = fit(problem, np.zeros(6, dtype=bool), np.zeros(0), options)
     d_hat = result.b_hat  # row means are zero
     assert np.max(np.abs(np.abs(d_hat) - np.abs(c))) < 1e-6
     assert result.objective < 1e-12
@@ -148,10 +143,8 @@ def test_rank_one_agrees_with_coarse_grid_k3():
     mu = np.zeros(3)
     mask = np.asarray([True, False, False])
     values = np.asarray([c[0]])
-    problem = CovFitProblem(
-        cov=cov, row_means=mu, n_train=30, fixed_mask=mask, fixed_values=values
-    )
-    result = fit(problem, FitOptions(start_free=rng.normal(size=2)))
+    problem = CovFitProblem(cov=cov, row_means=mu, n_train=30)
+    result = fit(problem, mask, values, FitOptions(start_free=rng.normal(size=2)))
     best_value, _ = covfit_grid_search(cov, mu, mask, values, 30)
     assert result.objective <= best_value + 1e-6
 
@@ -168,11 +161,8 @@ def test_fit_matches_grid_search_oracle():
     mu = train.mean(axis=1)
     mask = np.asarray([True, False, True, False])
     values = truth[mask]
-    problem = CovFitProblem(
-        cov=cov, row_means=mu, n_train=29,
-        fixed_mask=mask, fixed_values=values, truth=truth,
-    )
-    result = fit(problem)
+    problem = CovFitProblem(cov=cov, row_means=mu, n_train=29, truth=truth)
+    result = fit(problem, mask, values)
     best_value, best_point = covfit_grid_search(cov, mu, mask, values, 29)
     assert abs(result.objective - best_value) <= 1e-4
     d_free = (result.b_hat - mu)[~mask]
@@ -180,28 +170,22 @@ def test_fit_matches_grid_search_oracle():
 
 
 def test_fit_requires_free_coordinates():
-    problem = CovFitProblem(
-        cov=np.eye(3),
-        row_means=np.zeros(3),
-        n_train=5,
-        fixed_mask=np.ones(3, dtype=bool),
-        fixed_values=np.asarray([1.0, -1.0, 1.0]),
-    )
-    with pytest.raises(ConfigurationError, match="free"):
-        fit(problem)
+    problem = CovFitProblem(cov=np.eye(3), row_means=np.zeros(3), n_train=5)
+    with pytest.raises(ConfigurationError, match="no free coordinates"):
+        fit(problem, np.ones(3, dtype=bool), np.asarray([1.0, -1.0, 1.0]))
 
 
 def test_fixed_positions_pinned_exactly():
-    problem = _random_problem(41)
-    result = fit(problem)
-    assert np.all(result.b_hat[problem.fixed_mask] == problem.fixed_values)
+    problem, mask, values = _random_problem(41)
+    result = fit(problem, mask, values)
+    assert np.all(result.b_hat[mask] == values)
     assert result.objective <= result.start_objective
 
 
 def test_monotone_descent_across_instances():
     for seed in range(50, 60):
-        problem = _random_problem(seed, k=10, num_fixed=4)
-        result = fit(problem)
+        problem, mask, values = _random_problem(seed, k=10, num_fixed=4)
+        result = fit(problem, mask, values)
         assert result.objective <= result.start_objective
         assert result.iterations <= FitOptions().max_iter
         assert np.all(np.isin(result.bits_hat, (0, 1)))
@@ -210,16 +194,11 @@ def test_monotone_descent_across_instances():
 def test_sign_symmetry_of_returned_objective():
     rng = np.random.default_rng(60)
     data = rng.normal(size=(6, 30))
-    problem = CovFitProblem(
-        cov=covariance_matrix(data),
-        row_means=np.zeros(6),
-        n_train=30,
-        fixed_mask=np.zeros(6, dtype=bool),
-        fixed_values=np.zeros(0),
-    )
+    problem = CovFitProblem(cov=covariance_matrix(data), row_means=np.zeros(6), n_train=30)
+    pins = (np.zeros(6, dtype=bool), np.zeros(0))
     start = rng.normal(size=6)
-    plus = fit(problem, FitOptions(start_free=start))
-    minus = fit(problem, FitOptions(start_free=-start))
+    plus = fit(problem, *pins, FitOptions(start_free=start))
+    minus = fit(problem, *pins, FitOptions(start_free=-start))
     assert plus.objective == minus.objective
     assert np.all(plus.b_hat == -minus.b_hat)
 
@@ -227,33 +206,26 @@ def test_sign_symmetry_of_returned_objective():
 def test_problem_validation():
     eye = np.eye(3)
     mu = np.zeros(3)
+    with pytest.raises(ConfigurationError, match="shape"):
+        CovFitProblem(cov=np.eye(4), row_means=mu, n_train=5)
     with pytest.raises(ConfigurationError, match="symmetric"):
         CovFitProblem(cov=np.asarray([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
-                      row_means=mu, n_train=5,
-                      fixed_mask=np.zeros(3, dtype=bool), fixed_values=np.zeros(0))
+                      row_means=mu, n_train=5)
     with pytest.raises(ConfigurationError, match="semidefinite"):
-        CovFitProblem(cov=np.diag([1.0, -0.5, 1.0]), row_means=mu, n_train=5,
-                      fixed_mask=np.zeros(3, dtype=bool), fixed_values=np.zeros(0))
-    with pytest.raises(ConfigurationError, match="mode"):
-        CovFitProblem(cov=eye, row_means=mu, n_train=5,
-                      fixed_mask=np.zeros(3, dtype=bool), fixed_values=np.zeros(0),
-                      mode="guess")
-    with pytest.raises(ConfigurationError, match="trend"):
-        CovFitProblem(cov=eye, row_means=mu, n_train=5,
-                      fixed_mask=np.asarray([True, False, False]),
-                      fixed_values=np.asarray([0.7]), mode="trend")
+        CovFitProblem(cov=np.diag([1.0, -0.5, 1.0]), row_means=mu, n_train=5)
     with pytest.raises(ConfigurationError, match="n_train"):
-        CovFitProblem(cov=eye, row_means=mu, n_train=0,
-                      fixed_mask=np.zeros(3, dtype=bool), fixed_values=np.zeros(0))
-    with pytest.raises(ConfigurationError, match="fixed"):
-        CovFitProblem(cov=eye, row_means=mu, n_train=5,
-                      fixed_mask=np.asarray([True, False, False]),
-                      fixed_values=np.asarray([1.0, 2.0]))
-    # trend values at +-magnitude are accepted
-    CovFitProblem(cov=eye, row_means=mu, n_train=5,
-                  fixed_mask=np.asarray([True, True, False]),
-                  fixed_values=np.asarray([2.0, -2.0]), mode="trend",
-                  trend_magnitude=2.0)
+        CovFitProblem(cov=eye, row_means=mu, n_train=0)
+    with pytest.raises(ConfigurationError, match="truth"):
+        CovFitProblem(cov=eye, row_means=mu, n_train=5, truth=np.zeros(4))
+    problem = CovFitProblem(cov=eye, row_means=mu, n_train=5)
+    assert problem.cov_fro2 == 3.0
+    # The pins are checked by each call, against the target's length.
+    for call in (lambda m, v: fit(problem, m, v),
+                 lambda m, v: objective_and_gradient(problem, m, v, np.zeros(2))):
+        with pytest.raises(ConfigurationError, match="fixed mask covers 2 positions, expected 3"):
+            call(np.asarray([True, False]), np.asarray([1.0]))
+        with pytest.raises(ConfigurationError, match="2 fixed values for 1 fixed positions"):
+            call(np.asarray([True, False, False]), np.asarray([1.0, 2.0]))
 
 
 def test_choose_fixed_positions_even():
@@ -337,6 +309,9 @@ def test_attack_guards():
         evaluate_attack(diff, device_index=10, fixed_counts=[0])
     with pytest.raises(ConfigurationError):
         evaluate_attack(diff, device_index=0, fixed_counts=[0], mode="best")
+    for magnitude in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ConfigurationError, match="trend magnitude"):
+            evaluate_attack(diff, device_index=0, fixed_counts=[0], trend_magnitude=magnitude)
 
 
 def test_bits_from_values_strict_positive():
@@ -356,10 +331,10 @@ def _assert_same_fit(got, want):
     assert got.delta_correct == want.delta_correct
 
 
-def _start(problem, options):
+def _start(problem, mask, values, options):
     """The full ``d`` a fit with ``options`` starts from."""
-    start = np.zeros(problem.num_free) if options.start_free is None else options.start_free
-    return covfit._assemble(problem, start)
+    start = np.zeros(_free(mask)) if options.start_free is None else options.start_free
+    return covfit._assemble(problem, mask, values, start)
 
 
 def _rounding(problem, *points):
@@ -372,12 +347,14 @@ def _rounding(problem, *points):
         / (problem.n_train + 1.0) ** 2
 
 
-def _assert_one_step_no_worse(problem, options):
+def _assert_one_step_no_worse(problem, mask, values, options):
     """One exact step is no worse than one plain-loop step from the same start,
     within the rounding at the start and at both ends."""
     options = replace(options, max_iter=1)
-    got, want = fit(problem, options), fit_reference(problem, options)
-    points = [_start(problem, options)] + [r.b_hat - problem.row_means for r in (got, want)]
+    got = fit(problem, mask, values, options)
+    want = fit_reference(problem, mask, values, options)
+    points = [_start(problem, mask, values, options)] \
+        + [r.b_hat - problem.row_means for r in (got, want)]
     assert got.objective <= want.objective + _rounding(problem, *points)
 
 
@@ -391,9 +368,10 @@ def _assert_no_worse_cell(got, want):
 
 def _training_problem(seed, k, n_train, fixed_mask, mode="exact", spread=1.0,
                       offset=0.0, skew=0.0):
-    """A leave-one-out problem: train on ``n_train`` correlated devices, pin
-    the masked coordinates of one more device as the attack does. ``skew``
-    adds that much relative asymmetry, which the problem check tolerates."""
+    """A leave-one-out problem and its pins: train on ``n_train`` correlated
+    devices, pin the masked coordinates of one more device as the attack does.
+    ``skew`` adds that much relative asymmetry, which the problem check
+    tolerates."""
     rng = np.random.default_rng(seed)
     mixing = rng.normal(size=(k, k)) / np.sqrt(k)
     data = spread * (mixing @ rng.normal(size=(k, n_train + 1))) + offset
@@ -405,17 +383,16 @@ def _training_problem(seed, k, n_train, fixed_mask, mode="exact", spread=1.0,
         values = truth[mask]
     else:
         values = np.where(truth[mask] > 0.0, 1.0, -1.0)
-    return CovFitProblem(
-        cov=cov, row_means=train.mean(axis=1), n_train=n_train,
-        fixed_mask=mask, fixed_values=values, mode=mode, truth=truth,
-    )
+    problem = CovFitProblem(cov=cov, row_means=train.mean(axis=1), n_train=n_train,
+                            truth=truth)
+    return problem, mask, values
 
 
 @st.composite
 def _fit_cases(draw):
     k = draw(st.integers(2, 12))
     fixed = draw(st.lists(st.booleans(), min_size=k, max_size=k).filter(lambda m: not all(m)))
-    problem = _training_problem(
+    problem, mask, values = _training_problem(
         seed=draw(st.integers(0, 2**32 - 1)),
         k=k,
         n_train=draw(st.integers(2, 40)),
@@ -429,7 +406,7 @@ def _fit_cases(draw):
     if draw(st.booleans()):
         scale = draw(st.sampled_from([1e-6, 1.0, 1e3]))
         start_free = scale * np.asarray(draw(st.lists(
-            st.floats(-1.0, 1.0), min_size=problem.num_free, max_size=problem.num_free)))
+            st.floats(-1.0, 1.0), min_size=_free(mask), max_size=_free(mask))))
     tight = draw(st.booleans())
     options = FitOptions(
         max_iter=draw(st.sampled_from([1, 2, 3, 40, 400])),
@@ -437,7 +414,7 @@ def _fit_cases(draw):
         objective_tol=0.0 if tight else 1e-12,
         start_free=start_free,
     )
-    return problem, options
+    return problem, mask, values, options
 
 
 @settings(max_examples=150, deadline=None)
@@ -445,22 +422,23 @@ def _fit_cases(draw):
 def test_fit_equals_plain_loop(case):
     # Both start from the same objective and descend; the first exact step
     # is no worse than the plain loop's first Armijo step.
-    problem, options = case
-    got = fit(problem, options)
-    assert got.start_objective == fit_reference(problem, options).start_objective
+    problem, mask, values, options = case
+    got = fit(problem, mask, values, options)
+    want = fit_reference(problem, mask, values, options)
+    assert got.start_objective == want.start_objective
     assert got.objective <= got.start_objective
     assert got.iterations <= options.max_iter
-    _assert_one_step_no_worse(problem, options)
+    _assert_one_step_no_worse(problem, mask, values, options)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_fit_cases())
 def test_ray_step_no_worse_than_root_oracle(case):
-    problem, options = case
-    d = _start(problem, options)
-    _, cd, dd = covfit._objective_terms(problem.cov)(d)
+    problem, mask, values, options = case
+    d = _start(problem, mask, values, options)
+    _, cd, dd = covfit._objective_terms(problem, d)
     grad = 4.0 * (dd * d - cd)
-    grad[problem.fixed_mask] = 0.0
+    grad[mask] = 0.0
     gnorm2 = float(np.dot(grad, grad))
     assume(gnorm2 > 0.0)
     step = covfit._ray_step(problem.cov, d, grad, cd, dd, gnorm2)
@@ -489,38 +467,39 @@ def test_cubic_roots(coeffs, roots):
 def test_fit_equals_plain_loop_at_max_iter(max_iter):
     # From each of the first iterates, one more exact step is no worse than
     # one plain-loop step from the same point.
-    problem = _random_problem(7, k=10, num_fixed=4)
-    before = fit(problem, FitOptions(max_iter=max_iter - 1))
-    got = fit(problem, FitOptions(max_iter=max_iter))
+    problem, mask, values = _random_problem(7, k=10, num_fixed=4)
+    before = fit(problem, mask, values, FitOptions(max_iter=max_iter - 1))
+    got = fit(problem, mask, values, FitOptions(max_iter=max_iter))
     assert got.stop_reason == f"max_iter reached ({max_iter})"
     assert got.objective < before.objective
-    d_free = (before.b_hat - problem.row_means)[~problem.fixed_mask]
-    _assert_one_step_no_worse(problem, FitOptions(start_free=d_free))
+    d_free = (before.b_hat - problem.row_means)[~mask]
+    _assert_one_step_no_worse(problem, mask, values, FitOptions(start_free=d_free))
 
 
 def _rank_one_problem(seed, extra=0.0, skew=0.0):
+    """A near rank-one target with its first coordinate pinned: the problem,
+    its pins, and the generator for a start."""
     rng = np.random.default_rng(300 + seed)
     c = rng.uniform(0.5, 1.5, size=6) * rng.choice([-1.0, 1.0], size=6)
     problem = CovFitProblem(
         cov=np.outer(c, c) + extra * np.eye(6) + skew * np.triu(np.ones((6, 6)), 1),
         row_means=np.zeros(6),
         n_train=50,
-        fixed_mask=np.asarray([True, False, False, False, False, False]),
-        fixed_values=np.asarray([c[0]]),
     )
-    return problem, rng
+    pins = (np.asarray([True, False, False, False, False, False]), np.asarray([c[0]]))
+    return problem, pins, rng
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_fit_equals_plain_loop_through_line_search_stall(seed):
     # From a start this far out even the smallest trial step overshoots, so
     # every trial fails and the search stalls before the first step.
-    problem, rng = _rank_one_problem(seed, extra=0.01)
+    problem, pins, rng = _rank_one_problem(seed, extra=0.01)
     options = FitOptions(start_free=1e20 * rng.normal(size=5))
-    want = fit_reference(problem, options)
+    want = fit_reference(problem, *pins, options)
     assert want.stop_reason == "line search stalled"
     assert want.iterations == 0
-    _assert_same_fit(fit(problem, options), want)
+    _assert_same_fit(fit(problem, *pins, options), want)
 
 
 @pytest.mark.parametrize("skew", [0.0, 5e-9])
@@ -530,10 +509,10 @@ def test_fit_equals_plain_loop_at_the_rounding_floor(seed, skew):
     # is rounding noise, where the Armijo test is decided by the last bits of
     # each exact evaluation. A covariance that is symmetric only to the
     # tolerance of the problem check must get there too.
-    problem, rng = _rank_one_problem(seed, skew=skew)
+    problem, pins, rng = _rank_one_problem(seed, skew=skew)
     options = FitOptions(max_iter=3000, grad_tol=0.0, objective_tol=0.0,
                          start_free=rng.normal(size=5))
-    got = fit(problem, options)
+    got = fit(problem, *pins, options)
     assert got.stop_reason in ("max_iter reached (3000)", "line search stalled")
     assert got.objective < 1e-15
 
@@ -545,12 +524,12 @@ def test_fit_equals_plain_loop_with_large_row_means(offset, mode):
         k = 12
         mask = np.zeros(k, dtype=bool)
         mask[::3] = True
-        problem = _training_problem(seed, k, 30, mask, mode=mode, offset=offset)
-        _assert_no_worse_cell(fit(problem), fit_reference(problem))
+        case = _training_problem(seed, k, 30, mask, mode=mode, offset=offset)
+        _assert_no_worse_cell(fit(*case), fit_reference(*case))
 
 
 def _oracle_cells(diff, device, fixed_counts, mode, seed, selection, solve):
-    """The attack sweep built cell by cell: full problem validation and
+    """The attack sweep built cell by cell: a fresh, fully checked problem and
     ``solve`` (``fit`` or the plain loop) for every cell."""
     num_pairs = diff.shape[0]
     truth = diff[:, device]
@@ -570,10 +549,8 @@ def _oracle_cells(diff, device, fixed_counts, mode, seed, selection, solve):
             value = float(np.sum(residual * residual))
             cells.append(AttackCell(device, mode, count, 0, value, 0, "all pinned", value))
             continue
-        result = solve(CovFitProblem(
-            cov=cov, row_means=mu, n_train=train.shape[1], fixed_mask=mask,
-            fixed_values=values, mode=mode, truth=truth,
-        ))
+        problem = CovFitProblem(cov=cov, row_means=mu, n_train=train.shape[1], truth=truth)
+        result = solve(problem, mask, values)
         cells.append(AttackCell(device, mode, count, result.delta_correct, result.objective,
                                 result.iterations, result.stop_reason,
                                 result.start_objective))
@@ -615,44 +592,51 @@ def test_attack_sweep_no_worse_than_plain_loop(small_matrices, selection):
             _assert_no_worse_cell(got, ref)
 
 
-def _count_eigvalsh(monkeypatch):
+def _count_calls(monkeypatch, module, name):
+    """Record the argument shapes of every call to ``module.name``."""
     calls = []
-    eigvalsh = np.linalg.eigvalsh
+    wrapped = getattr(module, name)
 
     def counting(a, *args, **kwargs):
-        calls.append(a.shape)
-        return eigvalsh(a, *args, **kwargs)
+        calls.append(np.shape(a))
+        return wrapped(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
 def test_attack_checks_training_covariance_once_per_target(monkeypatch):
-    calls = _count_eigvalsh(monkeypatch)
+    # One eigvalsh (the PSD check) and one ||C||_F^2 (np.sum over a k x k
+    # matrix) per target, however many cells it has; no count here pins
+    # every position, so no residual is summed.
+    eig_calls = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+    sum_calls = _count_calls(monkeypatch, np, "sum")
     rng = np.random.default_rng(95)
     diff = rng.normal(size=(16, 24))
     for target in (2, 11):
-        cells = evaluate_attack(diff, target, [0, 4, 8, 12, 16], mode=MODES, seed=1)
+        cells = evaluate_attack(diff, target, [0, 4, 8, 12, 15], mode=MODES, seed=1)
         assert len(cells) == 10
         assert all(c.error is None for c in cells)
-    assert calls == [(16, 16), (16, 16)]
+    assert eig_calls == [(16, 16), (16, 16)]
+    assert [shape for shape in sum_calls if shape == (16, 16)] == [(16, 16), (16, 16)]
 
 
-@pytest.mark.parametrize("bad_cov, message", [
-    (np.diag([1.0, -0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
-     "covariance matrix is not positive semidefinite (eigmin -0.5)"),
-    (np.eye(8) + np.triu(np.ones((8, 8)), 1), "covariance matrix is not symmetric"),
-])
-def test_failed_covariance_check_marks_every_cell(monkeypatch, bad_cov, message):
-    calls = _count_eigvalsh(monkeypatch)
+@pytest.mark.parametrize("bad_cov, error, message, eigvalsh_calls", [
+    (np.diag([1.0, -0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]), ConfigurationError,
+     "covariance matrix is not positive semidefinite (eigmin -0.5)", 1),
+    (np.eye(8) + np.triu(np.ones((8, 8)), 1), ConfigurationError,
+     "covariance matrix is not symmetric", 0),
+    (np.diag([1.0, np.inf, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]), NumericError,
+     "covariance matrix is not finite", 0),
+], ids=["not-psd", "not-symmetric", "not-finite"])
+def test_failed_covariance_check_raises(monkeypatch, bad_cov, error, message, eigvalsh_calls):
+    # The check runs once, before any cell, and a non-finite matrix never
+    # reaches eigvalsh.
+    calls = _count_calls(monkeypatch, np.linalg, "eigvalsh")
     monkeypatch.setattr(covfit, "covariance_matrix", lambda train: bad_cov)
     rng = np.random.default_rng(96)
     diff = rng.normal(size=(8, 12))
-    cells = evaluate_attack(diff, 3, [0, 4, 8], mode=MODES, seed=1)
-    assert [(c.mode, c.fixed_count) for c in cells] == [
-        (m, n) for m in MODES for n in (0, 4, 8)
-    ]
-    for cell in cells:
-        assert (cell.delta_correct, cell.objective, cell.iterations) == (None, None, 0)
-        assert cell.error == message
-    assert len(calls) <= 1
+    with pytest.raises(error) as excinfo:
+        evaluate_attack(diff, 3, [0, 4, 8], mode=MODES, seed=1)
+    assert str(excinfo.value) == message
+    assert len(calls) == eigvalsh_calls

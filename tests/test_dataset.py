@@ -181,6 +181,9 @@ def test_layout_parse_variants():
         LayoutSpec.parse("files:rows=columns")
     with pytest.raises(ConfigurationError):
         LayoutSpec.parse("files:badopt")
+    for sep in ("xy", "#", "", "\n", ".", "5", "e", "-"):
+        with pytest.raises(ConfigurationError, match="separator"):
+            LayoutSpec.parse(f"files:sep={sep}")
     round_tripped = LayoutSpec.parse(layout.describe())
     assert round_tripped == layout
 
@@ -227,6 +230,12 @@ def test_csv_faults_name_the_line(tmp_path, body, error, match):
 def test_invalid_utf8_is_parse_error(tmp_path):
     (tmp_path / "device_0000.txt").write_bytes(b"1.0 2.0\n3.0 \xff\n")
     with pytest.raises(ParseError, match="device_0000.txt line 2, field 2"):
+        load_readings(tmp_path)
+
+
+def test_invalid_utf8_in_a_comment_names_its_line(tmp_path):
+    (tmp_path / "device_0000.txt").write_bytes(b"1.0 2.0 # caf\xe9\n3.0 4.0\n")
+    with pytest.raises(ParseError, match="^device_0000.txt line 1 is not valid UTF-8$"):
         load_readings(tmp_path)
 
 
@@ -492,3 +501,20 @@ def test_malformed_input_exits_with_its_category(name, data):
         assert f"pufstat: {category} error:" in err
         if category != "validation":
             assert path.name in err
+
+
+@pytest.mark.parametrize("sep", ["xy", "#", ""])
+def test_unreadable_separator_exits_1(tmp_path, capsys, sep):
+    # np.loadtxt cannot split on these, so neither stage may accept them, and
+    # synth must not write a dataset nothing can read back.
+    write_dataset(ReadingsTensor(np.arange(1.0, 25.0).reshape(2, 4, 3)), tmp_path / "dataset")
+    layout = f"files:sep={sep}"
+    assert main(["ingest", "--dataset", str(tmp_path / "dataset"), "--layout", layout,
+                 "--out", str(tmp_path / "ingest")]) == 1
+    assert main(["synth", "--seed", "1", "--devices", "4", "--ros", "8", "--samples", "2",
+                 "--geometry", "2x4:col", "--layout", layout,
+                 "--out", str(tmp_path / "synth")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("pufstat: configuration error: layout separator") for line in err)
+    assert not (tmp_path / "synth").exists()

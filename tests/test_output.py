@@ -119,7 +119,7 @@ def tensors(draw):
 layouts = st.one_of(
     st.just(("csv", "ros", None)),
     st.tuples(st.just("files"), st.sampled_from(["ros", "samples"]),
-              st.one_of(st.none(), separators)),
+              st.one_of(st.none(), st.sampled_from(" ,;\t%sdx"))),
 )
 
 
