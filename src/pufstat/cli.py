@@ -141,25 +141,23 @@ def cmd_normality(args, inputs: Inputs) -> int:
     selected = MATRIX_CHOICES[:3] if args.matrix == "all" else (args.matrix,)
     writer = _writer(args, "normality", {"matrix": args.matrix}, inputs)
     for name in selected:
-        matrix = getattr(matrices, name)
-        results, summary = test_rows(matrix)
-        fields = ("row_index", "a2", "a2_star", "reject_at_1pct")
+        stats, summary = test_rows(getattr(matrices, name))
         writer.write_csv(
             f"normality_{name}.csv",
             ["row", "a2", "a2_star", "reject"],
-            [[getattr(r, f) for r in results] for f in fields],
+            [np.arange(len(stats)), stats.a2, stats.a2_star, stats.reject_at_1pct],
             "dimensionless",
         )
         writer.write_json(
             f"normality_{name}_summary.json",
             {
                 "matrix": name,
-                "rows": len(results),
+                "rows": len(stats),
                 "quantile_50": summary.quantile_50,
                 "quantile_90": summary.quantile_90,
                 "quantile_99": summary.quantile_99,
                 "max": summary.max,
-                "reject_fraction": sum(r.reject_at_1pct for r in results) / len(results),
+                "reject_fraction": float(stats.reject_at_1pct.mean()),
                 "threshold_1pct": REJECT_1PCT,
             },
         )
@@ -298,11 +296,7 @@ def cmd_attack(args, inputs: Inputs) -> int:
     envelope = []  # rows of attack_envelope.dat (-6.0 prints as -6) and attack_summary.json
     for mode in modes:
         for count in fixed_counts:
-            deltas = [
-                c.delta_correct
-                for c in cells
-                if c.mode == mode and c.fixed_count == count and c.delta_correct is not None
-            ]
+            deltas = [c.delta_correct for c in cells if c.mode == mode and c.fixed_count == count]
             if deltas:
                 envelope.append({"mode": mode, "fixed_count": count,
                                  "min_delta": float(min(deltas)), "max_delta": float(max(deltas))})
@@ -573,17 +567,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args, loaded: dict) -> int:
     """Run one parsed subcommand and map its errors to exit codes. ``loaded``
-    keeps the Inputs of the last (dataset, layout, meta) for the next call."""
+    keeps the Inputs of the last (dataset, layout, meta) for the next call.
+    Overflow, an invalid operation or a division by zero anywhere in numpy
+    is a numeric error; underflow is not."""
     try:
-        if not hasattr(args, "dataset"):
-            return args.func(args)
-        key = (args.dataset, args.layout, args.meta)
-        if key not in loaded:
-            loaded.clear()
-            loaded[key] = _load(args)
-        return args.func(args, loaded[key])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if not hasattr(args, "dataset"):
+                return args.func(args)
+            key = (args.dataset, args.layout, args.meta)
+            if key not in loaded:
+                loaded.clear()
+                loaded[key] = _load(args)
+            return args.func(args, loaded[key])
     except PufStatError as exc:
         print(f"pufstat: {exc.category} error: {exc}", file=sys.stderr)
+        return 1
+    except FloatingPointError as exc:
+        print(f"pufstat: numeric error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"pufstat: i/o error: {exc}", file=sys.stderr)

@@ -385,11 +385,11 @@ class AttackCell:
     device_index: int
     mode: str
     fixed_count: int
-    delta_correct: int | None = None
-    objective: float | None = None
-    iterations: int = 0
-    stop_reason: str | None = None
-    start_objective: float | None = None
+    delta_correct: int
+    objective: float
+    iterations: int
+    stop_reason: str
+    start_objective: float
     error: str | None = None
 
 

@@ -14,16 +14,15 @@ through ``numpy.asarray``, and its dtype picks the conversion:
 
 * integer and bool columns use ``%d``;
 * float columns use ``%.17g``, which round-trips doubles exactly;
-* any other column (``str``, or ``None`` mixed with numbers, which numpy
-  stores as ``object``) uses ``%s`` over ``fmt_num``.
+* ``str`` columns use ``%s``.
 
-``'%.17g' % x`` and ``format(x, '.17g')`` are the same string for every
-double: CPython formats both with ``PyOS_double_to_string(x, 'g', 17, 0)``.
-``'%d' % n`` is ``str(n)``. So a table holds exactly the bytes that
-``fmt_num`` gives for each value as a Python scalar. A Python list that
-mixes ints and floats becomes a float column, so pass such a column as an
-array of the dtype it should print as. Identical manifests always produce
-byte-identical artifacts.
+Any other dtype, ``object`` included (``None`` among numbers makes one), is
+a ``ValueError``. ``'%.17g' % x`` and ``format(x, '.17g')`` are the same
+string for every double: CPython formats both with
+``PyOS_double_to_string(x, 'g', 17, 0)``. ``'%d' % n`` is ``str(n)``. A
+Python list that mixes ints and floats becomes a float column, so pass such
+a column as an array of the dtype it should print as. Identical manifests
+always produce byte-identical artifacts.
 
 ``ArtifactWriter`` appends each chunk's UTF-8 bytes to one buffer as soon as
 it is formatted, so a large table (``group_variance.dat`` is 57 MB at 2000
@@ -42,23 +41,10 @@ from pathlib import Path
 
 import numpy as np
 
-# The ``%`` conversion of each numeric dtype kind; other kinds use "%s".
-_CONVERSIONS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}
+# The ``%`` conversion of each column dtype kind format_table accepts.
+_CONVERSIONS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
 # Rows per formatting chunk: bounds the Python objects alive at once.
 _CHUNK_ROWS = 4096
-
-
-def fmt_num(value) -> str:
-    """One table cell: ``None`` is empty, text stays, bools are 0/1."""
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int,)):
-        return str(value)
-    return format(float(value), ".17g")
 
 
 def format_table(columns, sep: str = " ", newline: str = "\n") -> str:
@@ -76,16 +62,16 @@ def _table_chunks(columns, sep: str, newline: str):
     num_rows = len(columns[0])
     if any(len(col) != num_rows for col in columns):
         raise ValueError("format_table columns differ in length")
-    kinds = [col.dtype.kind for col in columns]
-    template = sep.replace("%", "%%").join(_CONVERSIONS.get(k, "%s") for k in kinds)
+    if any(col.dtype.kind not in _CONVERSIONS for col in columns):
+        raise ValueError("format_table columns must be numeric or str")
+    template = sep.replace("%", "%%").join(_CONVERSIONS[col.dtype.kind] for col in columns)
     row = template + newline.replace("%", "%%")
     width = len(columns)
     for start in range(0, num_rows, _CHUNK_ROWS):
         # One % per chunk: the row template repeated, over the cells row-major.
         cells = [None] * (width * min(_CHUNK_ROWS, num_rows - start))
-        for index, (col, kind) in enumerate(zip(columns, kinds)):
-            values = col[start:start + _CHUNK_ROWS].tolist()
-            cells[index::width] = values if kind in _CONVERSIONS else [fmt_num(v) for v in values]
+        for index, col in enumerate(columns):
+            cells[index::width] = col[start:start + _CHUNK_ROWS].tolist()
         yield row * (len(cells) // width) % tuple(cells)
 
 

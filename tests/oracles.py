@@ -5,8 +5,9 @@ library: quadrature instead of closed-form special functions, plain Python
 accumulation instead of vectorized numpy, exhaustive search instead of
 gradient descent, a backtracking descent instead of the exact line search,
 polynomial arithmetic with ``np.roots`` instead of the closed-form cubic,
-and ``csv.reader`` loops instead of one ``np.loadtxt`` call. Slow is fine;
-these exist to certify the fast paths.
+``csv.reader`` loops instead of one ``np.loadtxt`` call, and one row at a
+time instead of the one-pass normality kernel. Slow is fine; these exist
+to certify the fast paths.
 """
 
 from __future__ import annotations
@@ -70,6 +71,39 @@ def ad_statistic_reference(sample, min_n: int = 8) -> float:
             + 1.0
         )
     return -math.fsum(terms)
+
+
+def test_rows_reference(matrix, min_samples: int = 8):
+    """``normality.test_rows`` the way it was first written: one row at a
+    time, each row's statistic from its own 1-D reductions, and the summary
+    by nearest rank. Returns one ``(a2, a2_star, reject_at_1pct)`` tuple per
+    row and the ``(quantile_50, quantile_90, quantile_99, max)`` tuple."""
+    from scipy.special import log_ndtr
+
+    m = np.asarray(matrix, dtype=np.float64)
+    rows = []
+    for i in range(m.shape[0]):
+        x = m[i]
+        n = x.size
+        if n < min_samples:
+            raise ValueError(f"need at least {min_samples} observations")
+        y = np.sort((x - x.mean()) / x.std(ddof=1))
+        weights = 2.0 * np.arange(n) + 1.0
+        a2 = float(-np.sum(weights * (log_ndtr(y) + log_ndtr(-y)[::-1])) / n - n)
+        a2_star = a2 * (1.0 + 4.0 / n + 25.0 / (n * n))
+        rows.append((a2, a2_star, a2_star > 1.047))
+    ranked = sorted(star for _, star, _ in rows)
+    summary = tuple(nearest_rank_reference(ranked, q) for q in (0.50, 0.90, 0.99))
+    return rows, summary + (ranked[-1],)
+
+
+# Not a test case despite the name; keeps pytest from collecting it on import.
+test_rows_reference.__test__ = False
+
+
+def nearest_rank_reference(ranked, q: float) -> float:
+    """The ceil(q*n)-th smallest of the ascending list ``ranked`` (1-based)."""
+    return ranked[max(1, math.ceil(q * len(ranked))) - 1]
 
 
 def covariance_reference(matrix) -> np.ndarray:

@@ -315,9 +315,9 @@ def test_attack_exits_1_on_failed_covariance_check(dataset_args, tmp_path, monke
     assert not (out / "attack.csv").exists()
 
 
-def test_attack_on_overflowing_covariance_is_numeric_error(tmp_path, capsys):
-    # Finite, positive readings whose pair differences (+-5e299) overflow the
-    # covariance: one error line, no traceback, no numpy warning.
+def _overflowing_dataset(tmp_path) -> Path:
+    """6 devices x 8 ROs of finite, positive readings near 1e300 MHz whose
+    pair differences (+-5e299) overflow when squared."""
     rng = np.random.default_rng(12)
     dataset = tmp_path / "huge"
     dataset.mkdir()
@@ -325,6 +325,12 @@ def test_attack_on_overflowing_covariance_is_numeric_error(tmp_path, capsys):
         ros = 1e300 + np.outer(rng.choice([0.0, -5e299, 5e299], size=8), [1.0, 1.0])
         (dataset / f"device_{j:04d}.txt").write_text(
             "".join(f"{a!r} {b!r}\n" for a, b in ros.tolist()))
+    return dataset
+
+
+def test_attack_on_overflowing_covariance_is_numeric_error(tmp_path, capsys):
+    # The covariance overflows: one error line, no traceback, no numpy warning.
+    dataset = _overflowing_dataset(tmp_path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(["attack", "--dataset", str(dataset), "--seed", "1", "--devices", "2",
@@ -333,6 +339,23 @@ def test_attack_on_overflowing_covariance_is_numeric_error(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == ["pufstat: numeric error: covariance matrix is not finite"]
     assert caught == []
+
+
+@pytest.mark.parametrize("stage", [["entropy"], ["correlate"], ["pca", "--geometry", "2x4:col"]],
+                         ids=["entropy", "correlate", "pca"])
+def test_overflow_in_a_stage_is_numeric_error(tmp_path, capsys, stage):
+    # Every stage runs with numpy overflow raised, so these exit 1 instead of
+    # writing inf or NaN numbers, with no warning and no summary written.
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(stage + ["--dataset", str(_overflowing_dataset(tmp_path)),
+                             "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("pufstat: numeric error: overflow encountered")
+    assert caught == []
+    assert list(out.glob("*.json")) == []
 
 
 def test_import_defers_scipy():

@@ -2,6 +2,7 @@ import contextlib
 import io
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -296,6 +297,22 @@ def test_write_load_round_trip_is_exact(values, data, layout):
         meta = load_metadata(Path(tmp) / "serials.csv", len(values))
     assert loaded.values.tobytes() == values.tobytes()
     assert np.array_equal(meta.serials, serials)
+
+
+def test_million_row_csv_loads_in_bounded_memory(tmp_path):
+    # 1000 devices x 100 ROs x 10 samples: 1M CSV rows, a 27 MB file and a
+    # 7.6 MiB tensor. The loader held about 120 bytes per row at its peak.
+    values = np.random.default_rng(5).normal(200.0, 2.0, size=(1000, 100, 10))
+    spec = LayoutSpec.parse("csv")
+    write_dataset(ReadingsTensor(values), tmp_path, spec)
+    tracemalloc.start()
+    try:
+        loaded = load_readings(tmp_path / "readings.csv", spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 192 * values.size, f"{peak / values.size:.0f} bytes per row"
+    assert loaded.values.tobytes() == values.tobytes()
 
 
 @settings(max_examples=30, deadline=None)

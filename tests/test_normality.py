@@ -11,15 +11,13 @@ from pufstat.normality import (
     MIN_SAMPLES,
     REJECT_1PCT,
     anderson_darling,
-    log_normal_cdf,
-    log_normal_sf,
-    nearest_rank,
     normal_cdf,
     sample_size_correction,
     test_rows,
 )
 
-from oracles import ad_statistic_reference, log_phi_quadrature, phi_quadrature
+from oracles import (ad_statistic_reference, log_phi_quadrature, nearest_rank_reference,
+                     phi_quadrature, test_rows_reference)
 
 
 def test_normal_cdf_against_quadrature_grid():
@@ -32,8 +30,6 @@ def test_tail_functions_are_scipy_values():
 
     for x in (-40.0, -8.5, -1.0, -1e-3, 0.0, 0.25, 3.0, 12.0):
         assert normal_cdf(x) == float(special.ndtr(x))
-        assert log_normal_cdf(x) == float(special.log_ndtr(x))
-        assert log_normal_sf(x) == float(special.log_ndtr(-x))
 
 
 def test_normal_cdf_known_point():
@@ -47,18 +43,24 @@ def test_normal_cdf_monotone_and_open_interval():
     assert (np.diff(vals) >= 0.0).all()
     # Strictly inside (0, 1) wherever a double away from the endpoint exists:
     # below about -37 the lower tail underflows, above about +8.2 the nearest
-    # representable double is exactly 1. The log variants carry those tails.
+    # representable double is exactly 1. log_ndtr, which the statistic
+    # uses for both tails, carries them.
+    from scipy.special import log_ndtr
+
     inside = (xs >= -37.0) & (xs <= 8.0)
     assert (vals[inside] > 0.0).all()
     assert (vals[inside] < 1.0).all()
-    assert math.isfinite(log_normal_sf(30.0)) and log_normal_sf(30.0) < -400.0
-    assert math.isfinite(log_normal_cdf(-37.0))
+    assert math.isfinite(log_ndtr(-30.0)) and log_ndtr(-30.0) < -400.0
+    assert math.isfinite(log_ndtr(-37.0))
 
 
 def test_log_tails_match_quadrature():
+    # The statistic's tail weights: log Phi(x) and log(1 - Phi(x)) = log Phi(-x).
+    from scipy.special import log_ndtr
+
     for x in [-12.0, -8.5, -5.0, -1.0, 0.0, 1.0, 5.0, 8.5, 12.0]:
-        assert log_normal_cdf(x) == pytest.approx(log_phi_quadrature(x), rel=1e-10)
-        assert log_normal_sf(x) == pytest.approx(log_phi_quadrature(-x), rel=1e-10)
+        assert log_ndtr(x) == pytest.approx(log_phi_quadrature(x), rel=1e-10)
+        assert log_ndtr(-x) == pytest.approx(log_phi_quadrature(-x), rel=1e-10)
 
 
 def _seeded_samples():
@@ -148,40 +150,75 @@ def test_degenerate_sample_errors():
 
 
 def test_nearest_rank_quantiles():
-    vals = np.asarray([1.0, 2.0, 3.0, 4.0])
-    assert nearest_rank(vals, 0.50) == 2.0
-    assert nearest_rank(vals, 0.90) == 4.0
-    assert nearest_rank(vals, 0.99) == 4.0
-    assert nearest_rank(vals, 0.25) == 1.0
+    vals = [1.0, 2.0, 3.0, 4.0]
+    assert nearest_rank_reference(vals, 0.50) == 2.0
+    assert nearest_rank_reference(vals, 0.90) == 4.0
+    assert nearest_rank_reference(vals, 0.99) == 4.0
+    assert nearest_rank_reference(vals, 0.25) == 1.0
+    # The summary's numpy quantile is the same rank at every size it can meet.
+    rng = np.random.default_rng(8)
+    for n in range(1, 1001):
+        vals = np.sort(rng.normal(size=n))
+        got = np.quantile(vals, (0.50, 0.90, 0.99), method="inverted_cdf")
+        assert got.tolist() == [nearest_rank_reference(vals, q) for q in (0.50, 0.90, 0.99)]
 
 
 def test_rows_summary_is_nearest_rank_of_row_stats():
     rng = np.random.default_rng(42)
     matrix = rng.normal(size=(20, 64))
-    results, summary = test_rows(matrix)
-    assert [r.row_index for r in results] == list(range(20))
-    stars = np.sort([r.a2_star for r in results])
+    stats, summary = test_rows(matrix)
+    assert len(stats) == 20
+    stars = np.sort(stats.a2_star)
     assert summary == ADSummary(
-        quantile_50=nearest_rank(stars, 0.50),
-        quantile_90=nearest_rank(stars, 0.90),
-        quantile_99=nearest_rank(stars, 0.99),
+        quantile_50=nearest_rank_reference(stars, 0.50),
+        quantile_90=nearest_rank_reference(stars, 0.90),
+        quantile_99=nearest_rank_reference(stars, 0.99),
         max=float(stars[-1]),
     )
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    num_rows=st.integers(1, 12),
+    num_cols=st.integers(MIN_SAMPLES, 80),
+    scale=st.floats(min_value=1e-3, max_value=1e4),
+    offset=st.floats(min_value=-1e4, max_value=1e4),
+    order=st.sampled_from(["C", "F", "transposed view"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rows_equal_row_by_row_reference(num_rows, num_cols, scale, offset, order, seed):
+    rng = np.random.default_rng(seed)
+    if order == "transposed view":  # how build_matrices returns freq
+        matrix = (offset + scale * rng.normal(size=(num_cols, num_rows))).T
+    else:
+        matrix = np.asarray(offset + scale * rng.normal(size=(num_rows, num_cols)), order=order)
+    stats, summary = test_rows(matrix)
+    rows, expected_summary = test_rows_reference(matrix)
+    assert stats.tolist() == rows
+    assert (summary.quantile_50, summary.quantile_90, summary.quantile_99,
+            summary.max) == expected_summary
+
+
 def test_rows_error_names_row():
-    matrix = np.random.default_rng(1).normal(size=(4, 30))
+    # The first failing row, found without a numpy warning (which the test
+    # configuration makes an error) from dividing the flat rows by zero.
+    matrix = np.random.default_rng(1).normal(size=(5, 30))
+    matrix[3, :] = 4.0
     matrix[2, :] = 1.25
-    with pytest.raises(DegenerateDataError, match="row 2"):
+    with pytest.raises(DegenerateDataError,
+                       match="^row 2: sample has zero standard deviation$"):
         test_rows(matrix)
+    with pytest.raises(InsufficientSampleError,
+                       match="^row 0: need at least 8 observations, got 5$"):
+        test_rows(matrix[:, :5])
 
 
 def test_rejection_rate_calibrated_on_normal_rows():
     rng = np.random.default_rng(20140512)
     matrix = rng.normal(size=(512, 193))
-    results, _ = test_rows(matrix)
-    rate = sum(r.reject_at_1pct for r in results) / len(results)
-    assert rate <= 0.03
+    stats, _ = test_rows(matrix)
+    assert len(stats) == 512
+    assert stats.reject_at_1pct.mean() <= 0.03
 
 
 def test_min_samples_gate_respected():

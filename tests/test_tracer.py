@@ -30,6 +30,9 @@ def test_tracer_times_the_reference_chain(tmp_path):
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert proc.returncode == 0, proc.stderr
-    calls = json.loads(trace.read_text())["calls"]
-    for span in ("covfit.fit", "covfit.evaluate", "similarity.map"):
+    spans = json.loads(trace.read_text())
+    calls = spans["calls"]
+    for span in ("covfit.fit", "covfit.evaluate", "similarity.map", "normality.test_rows"):
         assert calls.get(span, 0) > 0, span
+    # len(result[0]) of each test_rows call: 16 freq + 16 dev + 8 diff rows.
+    assert spans["counts"]["normality.rows"] == 40
