@@ -178,7 +178,7 @@ def cmd_similarity(args, inputs: Inputs) -> int:
     a, b = np.triu_indices(gv.num_devices, args.min_group - 1)
     writer.write_dat("group_variance.dat", "a b s2", [(None, [a, b, gv.values[a, b]])],
                      "MHz^2")
-    corrs = [serial_correlation(gv, inputs.meta, g) for g in args.group_sizes]
+    corrs = [serial_correlation(inputs.matrices.dev, inputs.meta, g) for g in args.group_sizes]
     writer.write_csv(
         "serial_corr.csv", ["group_size", "corr"], [args.group_sizes, corrs], "dimensionless"
     )

@@ -379,13 +379,15 @@ def write_dataset(
         # One reading per line in (device, ro, sample) order. CSV files end
         # lines with "\r\n", as csv.writer does.
         columns = [*np.indices(values.shape).reshape(3, -1), values.ravel()]
+        text = ",".join(CSV_HEADER) + "\r\n" + format_table(columns, ",", "\r\n")
         with open(out_dir / "readings.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(CSV_HEADER) + "\r\n" + format_table(columns, ",", "\r\n"))
+            fh.write(text)
     if meta is not None:
         write_metadata(meta, out_dir / "serials.csv")
 
 
 def write_metadata(meta: DeviceMeta, path: str | Path) -> None:
     columns = [np.arange(meta.num_devices), meta.serials]
+    text = "device,serial\r\n" + format_table(columns, ",", "\r\n")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("device,serial\r\n" + format_table(columns, ",", "\r\n"))
+        fh.write(text)

@@ -29,6 +29,15 @@ it is formatted, so a large table (``group_variance.dat`` is 57 MB at 2000
 devices) is held once, as that buffer. Joining the chunks and then encoding
 the text held three copies at once, and the peak RSS then depended on
 whether malloc had handed the freed chunks back to the system.
+
+A table of at least ``2 * _PART_CELLS`` cells is formatted on every CPU in
+the process's affinity mask: it is cut at chunk boundaries into
+``min(CPUs, cells // _PART_CELLS)`` parts, and each part after the first
+is formatted by a forked child and streamed back through a pipe in blocks
+of at most 1 MiB. The parts are appended in row order, so the bytes are the
+same for any part count. A child that fails or is killed makes the parent
+raise ``ChildProcessError`` before anything is written. Where ``os.fork``
+does not exist, tables are formatted serially.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,17 +55,31 @@ import numpy as np
 _CONVERSIONS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
 # Rows per formatting chunk: bounds the Python objects alive at once.
 _CHUNK_ROWS = 4096
+# Cells each formatting part holds at least: a fork costs about 4 ms at
+# 150 MB RSS, under a tenth of the time 65,536 cells take to format.
+_PART_CELLS = 2**16
+# Largest read from a part's pipe, so the parent never holds a second copy
+# of a part beside its buffer.
+_PIPE_BLOCK = 1 << 20
 
 
 def format_table(columns, sep: str = " ", newline: str = "\n") -> str:
     """Rows of equal-length ``columns`` joined by ``sep``, each row ended by
     ``newline``. No rows give the empty string."""
-    return "".join(_table_chunks(columns, sep, newline))
+    data = bytearray()
+    _append_table(data, columns, sep, newline)
+    return data.decode("utf-8")
 
 
-def _table_chunks(columns, sep: str, newline: str):
-    """``format_table``'s text as consecutive strings of up to
-    ``_CHUNK_ROWS`` rows each."""
+def _append_table(data: bytearray, columns, sep: str, newline: str = "\n") -> None:
+    """Append ``format_table(columns, sep, newline)`` to ``data`` as UTF-8.
+
+    A table of many cells is cut into parts at multiples of ``_CHUNK_ROWS``,
+    one part per CPU the process may run on, each of at least
+    ``_PART_CELLS`` cells. This process formats the first part; each other
+    part is formatted by a forked child and read back through a pipe, in
+    order, so the bytes never depend on the part count.
+    """
     columns = [np.asarray(col) for col in columns]
     if not columns or any(col.ndim != 1 for col in columns):
         raise ValueError("format_table needs one or more 1-dimensional columns")
@@ -66,20 +90,88 @@ def _table_chunks(columns, sep: str, newline: str):
         raise ValueError("format_table columns must be numeric or str")
     template = sep.replace("%", "%%").join(_CONVERSIONS[col.dtype.kind] for col in columns)
     row = template + newline.replace("%", "%%")
-    width = len(columns)
-    for start in range(0, num_rows, _CHUNK_ROWS):
-        # One % per chunk: the row template repeated, over the cells row-major.
-        cells = [None] * (width * min(_CHUNK_ROWS, num_rows - start))
-        for index, col in enumerate(columns):
-            cells[index::width] = col[start:start + _CHUNK_ROWS].tolist()
-        yield row * (len(cells) // width) % tuple(cells)
+    parts = _part_count(num_rows * len(columns))
+    step = _CHUNK_ROWS * max(1, -(-num_rows // (parts * _CHUNK_ROWS)))  # whole chunks
+    bounds = [(lo, min(lo + step, num_rows)) for lo in range(0, num_rows, step)]
+    children = []  # (pid, read end of its pipe)
+    try:
+        for lo, hi in bounds[1:]:
+            children.append(_fork_part(columns, row, lo, hi))
+        if bounds:
+            _format_rows(data, columns, row, *bounds[0])
+        for pid, fd in children:
+            while block := os.read(fd, _PIPE_BLOCK):
+                data += block
+    finally:
+        # Closing a pipe first ends a child still writing to it (EPIPE).
+        failed = []
+        for pid, fd in children:
+            os.close(fd)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code > 0:
+                failed.append(f"process {pid} exited with status {code}")
+            elif code < 0:
+                failed.append(f"process {pid} was killed by signal {-code}")
+    if failed:
+        raise ChildProcessError("table formatting failed: " + "; ".join(failed))
 
 
-def _append_table(data: bytearray, columns, sep: str) -> None:
-    """Append ``format_table(columns, sep)`` to ``data`` as UTF-8, a chunk
+def _part_count(cells: int) -> int:
+    """How many processes format a table of ``cells`` cells."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), cells // _PART_CELLS))
+
+
+def _fork_part(columns, row: str, start: int, stop: int) -> tuple[int, int]:
+    """Fork a child that formats rows ``start..stop`` into its own buffer and
+    writes it to a pipe; return the child's pid and the pipe's read end.
+
+    The child leaves by ``os._exit``: no atexit handler, no stdio flush and
+    no ``finally`` of the caller runs in it, so it can neither repeat
+    buffered output nor write anything but its part. It only formats arrays
+    the parent already holds, so it needs no lock that another thread of the
+    parent (a BLAS worker) could have held at the fork.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    code = 1
+    try:
+        os.close(read_fd)
+        part = bytearray()
+        _format_rows(part, columns, row, start, stop)
+        with memoryview(part) as view:
+            written = 0
+            while written < len(view):
+                written += os.write(write_fd, view[written:written + _PIPE_BLOCK])
+        code = 0
+    except BaseException:
+        # Nothing may propagate into the caller's frames. The traceback goes
+        # straight to the descriptor: sys.stderr may hold the parent's text.
+        os.write(2, traceback.format_exc().encode("utf-8", "replace"))
+    finally:
+        os._exit(code)
+
+
+def _format_rows(data: bytearray, columns, row: str, start: int, stop: int) -> None:
+    """Append rows ``start..stop`` to ``data`` as UTF-8, ``_CHUNK_ROWS`` rows
     at a time."""
-    for chunk in _table_chunks(columns, sep, "\n"):
-        data += chunk.encode("utf-8")
+    width = len(columns)
+    for lo in range(start, stop, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, stop)
+        # One % per chunk: the row template repeated, over the cells row-major.
+        cells = [None] * (width * (hi - lo))
+        for index, col in enumerate(columns):
+            cells[index::width] = col[lo:hi].tolist()
+        data += (row * (hi - lo) % tuple(cells)).encode("utf-8")
 
 
 def sha256_bytes(data: bytes) -> str:

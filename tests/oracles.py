@@ -193,15 +193,19 @@ def covfit_grid_search(cov, row_means, fixed_mask, fixed_values, n_train,
 def ray_step_reference(cov, d, g) -> float:
     """The step ``a > 0`` that minimizes ``F(d - a g)``, with
     ``F(x) = |x|^4 - 2 x.Cx + ||C||_F^2``: the quartic along the ray is built
-    by polynomial arithmetic, the roots of its derivative are found by
-    ``np.roots``, and the positive ones are ranked by ``F`` evaluated in full."""
+    by polynomial arithmetic in the distance ``t = a |g|`` along the unit
+    direction ``u = g / |g|``, so its leading coefficient is 1 however small
+    ``g`` is. The roots of its derivative are found by ``np.roots``, and the
+    positive ones are ranked by ``F`` evaluated in full."""
     c = np.asarray(cov, dtype=np.float64)
+    norm = float(np.linalg.norm(g))
+    u = np.asarray(g, dtype=np.float64) / norm
     poly = np.polynomial.Polynomial
-    sq = poly([np.dot(d, d), -2.0 * np.dot(d, g), np.dot(g, g)])
-    quad = poly([np.dot(d, c @ d), -(np.dot(d, c @ g) + np.dot(g, c @ d)), np.dot(g, c @ g)])
+    sq = poly([np.dot(d, d), -2.0 * np.dot(d, u), 1.0])
+    quad = poly([np.dot(d, c @ d), -(np.dot(d, c @ u) + np.dot(u, c @ d)), np.dot(u, c @ u)])
     slope = (sq * sq - 2.0 * quad).deriv()
     # Real parts of complex roots add candidates, none below the true minimum.
-    steps = [float(r.real) for r in np.roots(slope.coef[::-1]) if r.real > 0.0]
+    steps = [float(r.real) / norm for r in np.roots(slope.coef[::-1]) if r.real > 0.0]
     return min(steps, key=lambda a: covfit_objective_reference(c, d - a * g, 0))
 
 

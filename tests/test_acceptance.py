@@ -31,7 +31,7 @@ from pufstat.geometry import GridGeometry
 from pufstat.matrices import build_matrices, pack_bits, unpack_bits
 from pufstat.normality import anderson_darling, normal_cdf, test_rows
 from pufstat.pca import pc_key_correlation, pca, standardize, truncated_bits
-from pufstat.similarity import group_variance_map, serial_correlation
+from pufstat.similarity import serial_correlation
 from pufstat.syngen import SynthConfig, generate, preset
 
 ATTACK_DEVICE_SEED = 1
@@ -83,8 +83,7 @@ def test_criterion_02_entropy(reference_matrices):
 
 def test_criterion_03_serial_correlation(reference_dataset, reference_matrices):
     meta = _require_meta(reference_dataset)
-    gv = group_variance_map(reference_matrices.dev, min_group=5)
-    r = {g: abs(serial_correlation(gv, meta, g)) for g in (5, 10, 20)}
+    r = {g: abs(serial_correlation(reference_matrices.dev, meta, g)) for g in (5, 10, 20)}
     ok = abs(r[10] - 0.21) <= 0.04 and r[10] > r[5] and r[10] > r[20]
     _criterion(3, "group variance vs serials", ok,
                f"|r| at 5/10/20 = {r[5]:.3f}/{r[10]:.3f}/{r[20]:.3f}")

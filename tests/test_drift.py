@@ -27,7 +27,7 @@ from pufstat.covfit import evaluate_attack
 from pufstat.geometry import GridGeometry
 from pufstat.matrices import build_matrices, pack_bits
 from pufstat.pca import pc_key_correlation, pca, standardize, truncated_bits
-from pufstat.similarity import group_variance_map, serial_correlation
+from pufstat.similarity import serial_correlation
 from pufstat.syngen import generate, preset
 
 SNAPSHOT = Path(__file__).with_name("drift_snapshot.json")
@@ -54,8 +54,8 @@ def drift_values() -> dict:
         quantiles[name] = [summary.quantile_50, summary.quantile_90,
                            summary.quantile_99, summary.max]
     report = bias_report(matrices.diff, matrices.bits)  # criterion 2
-    gv = group_variance_map(matrices.dev, min_group=5)  # criterion 3
-    serial = {str(g): abs(serial_correlation(gv, meta, g)) for g in (5, 10, 20)}
+    serial = {str(g): abs(serial_correlation(matrices.dev, meta, g))  # criterion 3
+              for g in (5, 10, 20)}
     scaled = standardize(matrices.freq)  # criteria 4-6
     result = pca(scaled, GEOMETRY)
     _, agreement = truncated_bits(result, scaled, 102)

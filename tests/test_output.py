@@ -1,3 +1,7 @@
+import os
+import signal
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -7,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import format_rows_reference, write_dataset_reference
 
+from pufstat import output
 from pufstat.dataset import DeviceMeta, LayoutSpec, ReadingsTensor, write_dataset
 from pufstat.output import ArtifactWriter, RunManifest, format_table
 
@@ -136,3 +141,87 @@ def test_write_dataset_matches_oracle(values, layout, data):
         assert sorted(p.name for p in fast.iterdir()) == names
         for name in names:
             assert (fast / name).read_bytes() == (slow / name).read_bytes(), name
+
+
+# Rows that split into exactly 2, 3 and 4 parts at multiples of the
+# 4096-row chunk, with a short last chunk.
+PARALLEL_ROWS = 12 * 4096 + 5
+
+
+def _parallel_table():
+    rng = np.random.default_rng(4)
+    return [np.arange(PARALLEL_ROWS), rng.normal(size=PARALLEL_ROWS) * 1e3,
+            rng.integers(0, 2, PARALLEL_ROWS).astype(bool)]
+
+
+def _force_parts(monkeypatch, parts):
+    """Make every table of ``parts`` cells or more format in ``parts`` parts;
+    return the list that records each fork."""
+    monkeypatch.setattr(output, "_PART_CELLS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 4])
+def test_parallel_format_matches_oracle(parts, monkeypatch, tmp_path):
+    columns = _parallel_table()
+    want = format_rows_reference(zip(*columns), " ")
+    forks = _force_parts(monkeypatch, parts)
+    assert format_table(columns, " ") == want
+    assert len(forks) == parts - 1
+    writer = ArtifactWriter(tmp_path, RunManifest(version="0", subcommand="t", params={}))
+    writer.write_dat("t.dat", "i x b", [(None, columns)], "u")
+    assert (tmp_path / "t.dat").read_text().split("\n", 3)[3] == want
+    assert len(forks) == 2 * (parts - 1)
+
+
+@pytest.mark.parametrize("how", ["raises", "killed"])
+def test_failed_format_child_writes_nothing(how, monkeypatch, tmp_path):
+    _force_parts(monkeypatch, 3)
+    parent = os.getpid()
+    real_format_rows = output._format_rows
+
+    def format_rows(data, columns, row, start, stop):
+        if os.getpid() != parent:
+            if how == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("formatting failed in a child")
+        real_format_rows(data, columns, row, start, stop)
+
+    monkeypatch.setattr(output, "_format_rows", format_rows)
+    writer = ArtifactWriter(tmp_path, RunManifest(version="0", subcommand="t", params={}))
+    with pytest.raises(ChildProcessError, match="killed" if how == "killed" else "status 1"):
+        writer.write_dat("t.dat", "i x b", [(None, _parallel_table())], "u")
+    assert list(tmp_path.iterdir()) == []
+    assert writer.manifest.artifacts == {}
+
+
+def test_format_child_does_not_flush_parent_stdout(tmp_path):
+    # stdout to a pipe is block-buffered: text printed before the fork is
+    # still in the parent's buffer, and a child that flushed its copy of
+    # that buffer would print it twice.
+    script = (
+        "import os\n"
+        "import numpy as np\n"
+        "from pufstat import output\n"
+        "output._PART_CELLS = 1\n"
+        "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+        "print('before', end=' ')\n"
+        f"text = output.format_table([np.arange({PARALLEL_ROWS})])\n"
+        "print(len(text.splitlines()), 'after')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(output.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"before {PARALLEL_ROWS} after\n"

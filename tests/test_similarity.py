@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import group_variance_reference
+from pufstat.correlation import pearson
 from pufstat.dataset import DeviceMeta
 from pufstat.errors import (
     ConfigurationError,
@@ -79,13 +80,26 @@ def test_map_guards():
 def test_serial_correlation_shift_invariance():
     rng = np.random.default_rng(11)
     dev = rng.normal(size=(10, 25))
-    gv = group_variance_map(dev, min_group=5)
     serials = np.sort(rng.integers(1000, 9000, size=25)).astype(np.int64)
     serials += np.arange(25, dtype=np.int64)  # break ties so spans vary
-    r1 = serial_correlation(gv, DeviceMeta(serials=serials), group_size=5)
-    r2 = serial_correlation(gv, DeviceMeta(serials=serials + 100000), group_size=5)
+    r1 = serial_correlation(dev, DeviceMeta(serials=serials), group_size=5)
+    r2 = serial_correlation(dev, DeviceMeta(serials=serials + 100000), group_size=5)
     assert r1 == pytest.approx(r2, abs=1e-12)
     assert -1.0 <= r1 <= 1.0
+
+
+def test_serial_correlation_reads_the_map_diagonal():
+    # The windows serial_correlation computes are the map's diagonal b = a + g - 1.
+    rng = np.random.default_rng(15)
+    dev = rng.normal(size=(9, 40)) + rng.normal(scale=30.0, size=(9, 1))
+    serials = np.cumsum(rng.integers(1, 500, size=40)).astype(np.int64)
+    gv = group_variance_map(dev, min_group=3)
+    for g in (3, 7, 20):
+        starts = np.arange(40 - g + 1)
+        want = pearson(gv.values[starts, starts + g - 1],
+                       (serials[starts + g - 1] - serials[starts]).astype(np.float64))
+        got = serial_correlation(dev, DeviceMeta(serials=serials), group_size=g)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_serial_correlation_detects_planted_link():
@@ -98,35 +112,34 @@ def test_serial_correlation_detects_planted_link():
     dev = rng.normal(size=(40, num_devices)) + 8.0 * scale * rng.normal(
         size=(40, num_devices)
     )
-    gv = group_variance_map(dev, min_group=5)
-    r = serial_correlation(gv, DeviceMeta(serials=serials), group_size=10)
+    r = serial_correlation(dev, DeviceMeta(serials=serials), group_size=10)
     assert r > 0.3
 
 
 def test_serial_correlation_null_is_small():
     rng = np.random.default_rng(13)
     dev = rng.normal(size=(64, 120))
-    gv = group_variance_map(dev, min_group=5)
     jitter = np.cumsum(rng.integers(1, 50, size=120)).astype(np.int64)
-    r = serial_correlation(gv, DeviceMeta(serials=jitter), group_size=10)
+    r = serial_correlation(dev, DeviceMeta(serials=jitter), group_size=10)
     assert abs(r) < 0.35
 
 
 def test_serial_correlation_guards():
     rng = np.random.default_rng(14)
     dev = rng.normal(size=(6, 12))
-    gv = group_variance_map(dev, min_group=5)
     serials = np.arange(12, dtype=np.int64) * 7
     with pytest.raises(UnavailableAnalysisError):
-        serial_correlation(gv, None, group_size=5)
+        serial_correlation(dev, None, group_size=5)
     with pytest.raises(ConfigurationError):
-        serial_correlation(gv, DeviceMeta(serials=serials), group_size=4)
+        serial_correlation(dev, DeviceMeta(serials=serials), group_size=1)
     with pytest.raises(ConfigurationError):
-        serial_correlation(gv, DeviceMeta(serials=np.arange(9, dtype=np.int64)), 5)
+        serial_correlation(dev[0], DeviceMeta(serials=serials), group_size=5)
+    with pytest.raises(ConfigurationError):
+        serial_correlation(dev, DeviceMeta(serials=np.arange(9, dtype=np.int64)), 5)
     with pytest.raises(DegenerateDataError, match="windows"):
-        serial_correlation(gv, DeviceMeta(serials=serials), group_size=11)
+        serial_correlation(dev, DeviceMeta(serials=serials), group_size=11)
     with pytest.raises(DegenerateDataError, match="constant"):
-        serial_correlation(gv, DeviceMeta(serials=serials), group_size=5)
+        serial_correlation(dev, DeviceMeta(serials=serials), group_size=5)
 
 
 def test_map_is_write_protected():
@@ -134,3 +147,22 @@ def test_map_is_write_protected():
     assert isinstance(gv, GroupVarianceMap)
     with pytest.raises(ValueError):
         gv.values[0, 4] = 0.0
+
+
+@pytest.mark.parametrize("offset", [0.0, 3.0, 30.0, 300.0])
+def test_map_accurate_under_per_ro_offset(offset):
+    # A per-row offset (the spatial trend of a real dev matrix) must not cost
+    # digits: random windows plus every window of min_group devices.
+    rng = np.random.default_rng(16)
+    num_rows, num_devices, min_group = 32, 2000, 5
+    dev = rng.normal(size=(num_rows, num_devices)) \
+        + rng.normal(scale=offset, size=(num_rows, 1))
+    gv = group_variance_map(dev, min_group=min_group)
+    starts = rng.integers(0, num_devices - min_group + 1, size=40)
+    windows = [(int(a), int(rng.integers(a + min_group - 1, num_devices))) for a in starts]
+    for a, b in windows:
+        assert gv.values[a, b] == pytest.approx(group_variance_reference(dev, a, b), rel=1e-12)
+    a = np.arange(num_devices - min_group + 1)
+    direct = np.array([group_variance_reference(dev, int(s), int(s) + min_group - 1)
+                       for s in a])
+    np.testing.assert_allclose(gv.values[a, a + min_group - 1], direct, rtol=1e-12, atol=0)
