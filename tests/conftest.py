@@ -14,6 +14,23 @@ from pufstat.matrices import build_matrices
 from pufstat.syngen import SynthConfig, generate
 
 
+def force_parts(monkeypatch, module, constant: str, parts: int) -> list:
+    """Make ``module.constant``, the least work a part takes, 1 and the
+    affinity mask ``parts`` CPUs, so a job runs in ``parts`` parts where its
+    input can be cut that far; return the list that records each fork."""
+    monkeypatch.setattr(module, constant, 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
 @pytest.fixture(scope="session")
 def small_synthetic():
     """A modest spatially structured dataset shared across tests."""

@@ -120,6 +120,24 @@ def covariance_reference(matrix) -> np.ndarray:
     return out
 
 
+def check_covariance_reference(cov) -> np.ndarray:
+    """``covfit.check_covariance`` by the full spectrum: finite, symmetric to
+    1e-8 of the largest entry, and smallest eigenvalue of the symmetric part
+    at least -1e-8 of it."""
+    cov = np.asarray(cov, dtype=np.float64)
+    if not np.isfinite(cov).all():
+        raise NumericError("covariance matrix is not finite")
+    scale = float(np.abs(cov).max()) or 1.0
+    if float(np.abs(cov - cov.T).max()) > 1e-8 * scale:
+        raise ConfigurationError("covariance matrix is not symmetric")
+    eigmin = float(np.linalg.eigvalsh((cov + cov.T) / 2.0).min())
+    if eigmin < -1e-8 * scale:
+        raise ConfigurationError(
+            f"covariance matrix is not positive semidefinite (eigmin {eigmin:g})"
+        )
+    return cov
+
+
 def expanded_covariance_reference(extended, n_train: int) -> np.ndarray:
     """Covariance over n_train + 1 device columns computed with the row
     means of the first n_train columns (the negligible-mean-shift reading)."""

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import pufstat.covfit as covfit
 from oracles import (
+    check_covariance_reference,
     covfit_grid_search,
     covfit_objective_reference,
     expanded_covariance_reference,
@@ -20,6 +21,7 @@ from pufstat.covfit import (
     CovFitProblem,
     FitOptions,
     bits_from_values,
+    check_covariance,
     choose_fixed_positions,
     evaluate_attack,
     expanded_cov_residual,
@@ -620,9 +622,11 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_attack_checks_training_covariance_once_per_target(monkeypatch):
-    # One eigvalsh (the PSD check) and one ||C||_F^2 (np.sum over a k x k
-    # matrix) per target, however many cells it has; no count here pins
-    # every position, so no residual is summed.
+    # One Cholesky (the PSD check; these targets pass it, so no eigvalsh)
+    # and one ||C||_F^2 (np.sum over a k x k matrix) per target, however
+    # many cells it has; no count here pins every position, so no residual
+    # is summed.
+    chol_calls = _count_calls(monkeypatch, np.linalg, "cholesky")
     eig_calls = _count_calls(monkeypatch, np.linalg, "eigvalsh")
     sum_calls = _count_calls(monkeypatch, np, "sum")
     rng = np.random.default_rng(95)
@@ -631,8 +635,79 @@ def test_attack_checks_training_covariance_once_per_target(monkeypatch):
         cells = evaluate_attack(diff, target, [0, 4, 8, 12, 15], mode=MODES, seed=1)
         assert len(cells) == 10
         assert all(c.error is None for c in cells)
-    assert eig_calls == [(16, 16), (16, 16)]
+    assert chol_calls == [(16, 16), (16, 16)]
+    assert eig_calls == []
     assert [shape for shape in sum_calls if shape == (16, 16)] == [(16, 16), (16, 16)]
+
+
+# Where the smallest eigenvalue of a test covariance sits, in units of the
+# 1e-8 * scale tolerance: either side of the Cholesky shift (0.5) and of the
+# boundary (1).
+_EIGMIN_EDGES = [s * t for s in (1, -1) for t in (0.4, 0.6, 0.99, 1.01)]
+
+
+@st.composite
+def _covariances(draw):
+    """Square matrices around the check's boundaries: sample covariances
+    (rank-deficient when the devices are fewer than the pairs), matrices with
+    a set smallest eigenvalue, and ones with a set asymmetry."""
+    k = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    magnitude = 10.0 ** draw(st.integers(-12, 12))
+    kind = draw(st.sampled_from(["sample", "eigmin", "asymmetric"]))
+    if kind == "sample":
+        return covariance_matrix(rng.normal(size=(k, draw(st.integers(2, 2 * k + 1)))) * magnitude)
+    basis, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    eigvals = rng.uniform(0.1, 1.0, size=k) * magnitude
+    eigvals[0] = 0.0
+    cov = (basis * eigvals) @ basis.T
+    if kind == "eigmin":
+        eigvals[0] = draw(st.sampled_from(_EIGMIN_EDGES)) * 1e-8 * np.abs(cov).max()
+        cov = (basis * eigvals) @ basis.T
+        return (cov + cov.T) / 2.0
+    cov = (cov + cov.T) / 2.0
+    i, j = rng.integers(0, k, size=2)
+    cov[i, j] += draw(st.sampled_from([0.5, 0.99, 1.01, 2.0])) * 1e-8 * np.abs(cov).max()
+    return cov
+
+
+def _check_outcome(check, cov):
+    try:
+        return check(cov).tobytes()
+    except (ConfigurationError, NumericError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cov=_covariances())
+def test_check_covariance_matches_spectrum_oracle(cov):
+    assert _check_outcome(check_covariance, cov) == _check_outcome(check_covariance_reference, cov)
+
+
+@pytest.mark.parametrize("edge", _EIGMIN_EDGES)
+def test_check_covariance_decides_each_edge_as_the_spectrum(edge):
+    # Each edge on its own at the attack's size, k = 256 pairs.
+    rng = np.random.default_rng(97)
+    basis, _ = np.linalg.qr(rng.normal(size=(256, 256)))
+    eigvals = rng.uniform(0.1, 1.0, size=256)
+    eigvals[0] = edge * 1e-8 * np.abs((basis * eigvals) @ basis.T).max()
+    cov = (basis * eigvals) @ basis.T
+    cov = (cov + cov.T) / 2.0
+    outcome = _check_outcome(check_covariance, cov)
+    assert outcome == _check_outcome(check_covariance_reference, cov)
+    assert isinstance(outcome, bytes) == (edge > -1)
+
+
+def test_large_covariance_skips_cholesky(monkeypatch):
+    # Past _CHOLESKY_MAX the factorization's error bound no longer fits the
+    # margin, so only the spectrum decides.
+    monkeypatch.setattr(covfit, "_CHOLESKY_MAX", 4)
+    chol_calls = _count_calls(monkeypatch, np.linalg, "cholesky")
+    eig_calls = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+    check_covariance(np.eye(4))
+    check_covariance(np.eye(5))
+    assert chol_calls == [(4, 4)]
+    assert eig_calls == [(5, 5)]
 
 
 @pytest.mark.parametrize("bad_cov, error, message, eigvalsh_calls", [

@@ -1,6 +1,8 @@
 import contextlib
 import io
+import os
 import re
+import signal
 import tempfile
 import tracemalloc
 import warnings
@@ -12,13 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import force_parts
 from oracles import load_csv_reference, load_metadata_reference
+from pufstat import dataset
 from pufstat.cli import main
 from pufstat.dataset import (
     CSV_HEADER,
     DeviceMeta,
     LayoutSpec,
     ReadingsTensor,
+    device_file_name,
     load_metadata,
     load_readings,
     write_dataset,
@@ -535,3 +540,201 @@ def test_unreadable_separator_exits_1(tmp_path, capsys, sep):
     assert len(err) == 2
     assert all(line.startswith("pufstat: configuration error: layout separator") for line in err)
     assert not (tmp_path / "synth").exists()
+
+
+# The parallel files loader: shares of device files parsed by forked children
+# must give the serial tensor, or the serial error, for any part count.
+
+
+def _force_shares(monkeypatch, parts):
+    """Make every files load run in ``parts`` shares, or one per file if
+    fewer; return the list that records each fork."""
+    return force_parts(monkeypatch, dataset, "_PART_BYTES", parts)
+
+
+def _ingest(root, layout, out):
+    """Exit code and stderr of one ingest of ``root``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["ingest", "--dataset", str(root), "--layout", layout,
+                     "--meta", str(root / "serials.csv"), "--out", str(out)])
+    return code, err.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(n for n, case in _CLI_CASES.items() if "files" in case[1])),
+       parts=st.integers(1, 4), data=st.data())
+def test_parallel_load_fails_as_serial(name, parts, data):
+    # Every malformed-files case of the command line, on a dataset of six
+    # device files: the exit code, the message and the artifacts match the
+    # serial load's.
+    target, _, fault, _ = _CLI_CASES[name]
+    tensor = ReadingsTensor(np.arange(1.0, 73.0).reshape(6, 4, 3))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        root = tmp / "dataset"
+        write_dataset(tensor, root, LayoutSpec(), DeviceMeta(np.arange(6)))
+        if target == "meta":
+            path = root / "serials.csv"
+        else:
+            path = root / device_file_name(data.draw(st.integers(0, 5)), 6)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = fault(lines, "," if path.suffix == ".csv" else " ", data.draw)
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8", newline="")
+        serial = _ingest(root, "files", tmp / "serial")
+        with pytest.MonkeyPatch.context() as patch:
+            _force_shares(patch, parts)
+            assert _ingest(root, "files", tmp / "parallel") == serial
+        if serial[0] == 0:
+            names = sorted(p.name for p in (tmp / "serial").iterdir())
+            assert sorted(p.name for p in (tmp / "parallel").iterdir()) == names
+            for name in names:
+                assert (tmp / "parallel" / name).read_bytes() == (tmp / "serial" / name).read_bytes()
+
+
+def _equal_width_values(rng):
+    """Readings of twelve devices whose files all have the same size, so
+    that three shares hold four files each."""
+    return ReadingsTensor(rng.integers(100, 1000, size=(12, 4, 3)).astype(float))
+
+
+def _load_outcome(root, layout):
+    try:
+        values = load_readings(root, layout).values
+    except PufStatError as exc:
+        return type(exc), str(exc)
+    return values.shape, values.tobytes()
+
+
+def _rewrite(path, edit):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("".join(line + "\n" for line in edit(lines)), encoding="utf-8")
+
+
+def _drop_line(lines):
+    return lines[:-1]
+
+
+def _bad_token(lines):
+    return [lines[0].replace(" ", " 1.0.0 ", 1), *lines[1:]]
+
+
+# Faults in twelve device files that load in three shares, files 0-3, 4-7
+# and 8-11: (layout, [(file, edit)], the error a serial load raises).
+_SHARE_FAULTS = {
+    "parse fault in the last part": ("files", [(11, _bad_token)], ParseError),
+    "shape fault on the first file of part 2": ("files", [(4, _drop_line)], StructuralError),
+    "shape fault on the first file of part 3": ("files", [(8, _drop_line)], StructuralError),
+    "parse fault after a shape fault in one child's share":
+        ("files", [(4, _drop_line), (5, _bad_token)], StructuralError),
+    "shape faults in two children's shares":
+        ("files", [(9, _drop_line), (5, _drop_line)], StructuralError),
+    "rows=samples and sep=;": ("files:rows=samples:sep=;", [], None),
+    "rows=samples and sep=; with a parse fault":
+        ("files:rows=samples:sep=;", [(5, lambda lines: [lines[0] + ";x", *lines[1:]])],
+         ParseError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SHARE_FAULTS))
+def test_parallel_load_matches_serial_at_share_edges(case, tmp_path, monkeypatch):
+    layout_text, faults, error = _SHARE_FAULTS[case]
+    layout = LayoutSpec.parse(layout_text)
+    write_dataset(_equal_width_values(np.random.default_rng(98)), tmp_path, layout)
+    paths = sorted(tmp_path.iterdir())
+    with monkeypatch.context() as patch:
+        _force_shares(patch, 3)
+        assert dataset._share_bounds([p.stat().st_size for p in paths]) == [0, 4, 8, 12]
+    for index, edit in faults:
+        _rewrite(paths[index], edit)
+    serial = _load_outcome(tmp_path, layout)
+    forks = _force_shares(monkeypatch, 3)
+    assert _load_outcome(tmp_path, layout) == serial
+    assert len(forks) == 2
+    if error is None:
+        assert serial[0] == (12, 4, 3)
+    else:
+        assert serial[0] is error
+        assert paths[min(index for index, _ in faults)].name in serial[1]
+
+
+@pytest.mark.parametrize("parts", [2, 3, 4])
+def test_parallel_load_forks_and_parses_only_its_own_share(parts, tmp_path, monkeypatch):
+    # The fallback would hide a child path that always fails, so count the
+    # forks and the files this process parses.
+    rng = np.random.default_rng(99)
+    write_dataset(_equal_width_values(rng), tmp_path)
+    serial = load_readings(tmp_path).values
+    forks = _force_shares(monkeypatch, parts)
+    parsed = _record_parent_reads(monkeypatch)
+    assert load_readings(tmp_path).values.tobytes() == serial.tobytes()
+    assert len(forks) == parts - 1
+    share = 12 // parts
+    assert parsed == [device_file_name(j, 12) for j in range(share)]
+
+
+def _record_parent_reads(monkeypatch, child=None):
+    """Record the files this process parses; ``child(os.getpid())`` runs
+    first in a forked child."""
+    parent = os.getpid()
+    real_read_table = dataset._read_table
+    parsed = []
+
+    def read_table(path, *args):
+        if os.getpid() == parent:
+            parsed.append(path.name)
+        elif child is not None:
+            child(os.getpid())
+        return real_read_table(path, *args)
+
+    monkeypatch.setattr(dataset, "_read_table", read_table)
+    return parsed
+
+
+@pytest.mark.parametrize("how", ["raises", "killed", "killed mid-stream"])
+def test_failed_load_child_is_redone(how, tmp_path, monkeypatch):
+    parent = os.getpid()
+    real_write = os.write
+
+    def fail(pid):
+        if how == "killed":
+            os.kill(pid, signal.SIGKILL)
+        raise RuntimeError("parsing failed in a child")
+
+    def write(fd, data):
+        # Half the share reaches the pipe before the child dies.
+        if os.getpid() != parent:
+            real_write(fd, data[:len(data) // 2])
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_write(fd, data)
+
+    write_dataset(_equal_width_values(np.random.default_rng(100)), tmp_path)
+    serial = load_readings(tmp_path).values
+    forks = _force_shares(monkeypatch, 3)
+    if how == "killed mid-stream":
+        monkeypatch.setattr(os, "write", write)
+    parsed = _record_parent_reads(monkeypatch, None if how == "killed mid-stream" else fail)
+    assert load_readings(tmp_path).values.tobytes() == serial.tobytes()
+    assert len(forks) == 2
+    # Each share is parsed here, in order, the children's after their failure.
+    assert parsed == [device_file_name(j, 12) for j in range(12)]
+
+
+def test_failed_fork_runs_its_share_here(tmp_path, monkeypatch):
+    # The second fork fails: the first child's share still comes from it,
+    # and the third share is parsed here after it.
+    write_dataset(_equal_width_values(np.random.default_rng(101)), tmp_path)
+    serial = load_readings(tmp_path).values
+    forks = _force_shares(monkeypatch, 3)
+    counting_fork = os.fork
+
+    def fork():
+        if forks:
+            raise BlockingIOError("Resource temporarily unavailable")
+        return counting_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    parsed = _record_parent_reads(monkeypatch)
+    assert load_readings(tmp_path).values.tobytes() == serial.tobytes()
+    assert len(forks) == 1
+    assert parsed == [device_file_name(j, 12) for j in (*range(4), *range(8, 12))]

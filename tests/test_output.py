@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import force_parts
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import format_rows_reference, write_dataset_reference
@@ -157,17 +158,25 @@ def _parallel_table():
 def _force_parts(monkeypatch, parts):
     """Make every table of ``parts`` cells or more format in ``parts`` parts;
     return the list that records each fork."""
-    monkeypatch.setattr(output, "_PART_CELLS", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
-    forks = []
-    real_fork = os.fork
+    return force_parts(monkeypatch, output, "_PART_CELLS", parts)
 
-    def fork():
-        forks.append(1)
-        return real_fork()
 
-    monkeypatch.setattr(os, "fork", fork)
-    return forks
+def _record_parent_rows(monkeypatch, child=None):
+    """Record the row ranges this process formats; ``child(os.getpid())``
+    runs first in each forked child."""
+    parent = os.getpid()
+    real_format_rows = output._format_rows
+    rows = []
+
+    def format_rows(data, columns, row, start, stop):
+        if os.getpid() == parent:
+            rows.append((start, stop))
+        elif child is not None:
+            child(os.getpid())
+        real_format_rows(data, columns, row, start, stop)
+
+    monkeypatch.setattr(output, "_format_rows", format_rows)
+    return rows
 
 
 @pytest.mark.parametrize("parts", [1, 2, 3, 4])
@@ -175,8 +184,12 @@ def test_parallel_format_matches_oracle(parts, monkeypatch, tmp_path):
     columns = _parallel_table()
     want = format_rows_reference(zip(*columns), " ")
     forks = _force_parts(monkeypatch, parts)
+    rows = _record_parent_rows(monkeypatch)
     assert format_table(columns, " ") == want
     assert len(forks) == parts - 1
+    # This process formats only the first part, whole chunks of it.
+    step = 4096 * -(-PARALLEL_ROWS // (parts * 4096))
+    assert rows == [(0, min(step, PARALLEL_ROWS))]
     writer = ArtifactWriter(tmp_path, RunManifest(version="0", subcommand="t", params={}))
     writer.write_dat("t.dat", "i x b", [(None, columns)], "u")
     assert (tmp_path / "t.dat").read_text().split("\n", 3)[3] == want
@@ -184,24 +197,25 @@ def test_parallel_format_matches_oracle(parts, monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("how", ["raises", "killed"])
-def test_failed_format_child_writes_nothing(how, monkeypatch, tmp_path):
-    _force_parts(monkeypatch, 3)
-    parent = os.getpid()
-    real_format_rows = output._format_rows
+def test_failed_format_child_is_redone(how, monkeypatch, tmp_path):
+    # A part whose child fails is formatted again here; the artifact is the
+    # serial one and no .tmp file is left.
+    def fail(pid):
+        if how == "killed":
+            os.kill(pid, signal.SIGKILL)
+        raise RuntimeError("formatting failed in a child")
 
-    def format_rows(data, columns, row, start, stop):
-        if os.getpid() != parent:
-            if how == "killed":
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise RuntimeError("formatting failed in a child")
-        real_format_rows(data, columns, row, start, stop)
-
-    monkeypatch.setattr(output, "_format_rows", format_rows)
+    forks = _force_parts(monkeypatch, 3)
+    rows = _record_parent_rows(monkeypatch, fail)
+    columns = _parallel_table()
     writer = ArtifactWriter(tmp_path, RunManifest(version="0", subcommand="t", params={}))
-    with pytest.raises(ChildProcessError, match="killed" if how == "killed" else "status 1"):
-        writer.write_dat("t.dat", "i x b", [(None, _parallel_table())], "u")
-    assert list(tmp_path.iterdir()) == []
-    assert writer.manifest.artifacts == {}
+    writer.write_dat("t.dat", "i x b", [(None, columns)], "u")
+    assert len(forks) == 2
+    assert rows == [(0, 20480), (20480, 40960), (40960, PARALLEL_ROWS)]
+    assert [p.name for p in tmp_path.iterdir()] == ["t.dat"]
+    text = (tmp_path / "t.dat").read_text()
+    assert text.split("\n", 3)[3] == format_rows_reference(zip(*columns), " ")
+    assert writer.manifest.artifacts == {"t.dat": output.sha256_bytes(text.encode("utf-8"))}
 
 
 def test_format_child_does_not_flush_parent_stdout(tmp_path):

@@ -36,3 +36,53 @@ def test_tracer_times_the_reference_chain(tmp_path):
         assert calls.get(span, 0) > 0, span
     # len(result[0]) of each test_rows call: 16 freq + 16 dev + 8 diff rows.
     assert spans["counts"]["normality.rows"] == 40
+
+
+def test_forked_parts_leave_no_trace(tmp_path):
+    # The reference chain under the tracer with its device files parsed in
+    # three shares. A child that flushed stdio, ran the tracer's dump or
+    # returned into the chain would show here.
+    assert main(["synth", "--seed", "3", "--devices", "24", "--ros", "16", "--samples", "2",
+                 "--geometry", "4x4:col", "--out", str(tmp_path / "synth")]) == 0
+    dataset = tmp_path / "synth" / "dataset"
+    trace, writes, forks = tmp_path / "spans.json", tmp_path / "writes.log", tmp_path / "forks.log"
+    chain = [str(ROOT / "scripts" / "run_reference_analysis.py"), "--dataset", str(dataset),
+             "--meta", str(dataset / "serials.csv"), "--geometry", "4x4:col"]
+    tracer = str(ROOT / "perfbench" / "tracer.py")
+    script = (
+        "import os, pathlib, runpy, sys\n"
+        "from pufstat import dataset\n"
+        "dataset._PART_BYTES = 1\n"
+        "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+        "real_fork, real_write_text = os.fork, pathlib.Path.write_text\n"
+        "def log(path):\n"
+        "    with open(path, 'a') as fh:\n"
+        "        fh.write(f'{os.getpid()}\\n')\n"
+        "def fork():\n"
+        f"    log({str(forks)!r})\n"
+        "    return real_fork()\n"
+        "def write_text(self, *args, **kwargs):\n"
+        f"    if self == pathlib.Path({str(trace)!r}):\n"
+        f"        log({str(writes)!r})\n"
+        "    return real_write_text(self, *args, **kwargs)\n"
+        "os.fork, pathlib.Path.write_text = fork, write_text\n"
+        "print('before', end=' ')\n"
+        f"sys.argv = {[tracer, '--trace-out', str(trace), *chain, '--out', str(tmp_path / 'traced')]!r}\n"
+        f"runpy.run_path({tracer!r}, run_name='__main__')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    traced = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, cwd=tmp_path, timeout=120)
+    assert traced.returncode == 0, traced.stderr
+    assert traced.stdout.startswith("before ") and traced.stdout.count("before") == 1
+    assert len(forks.read_text().splitlines()) == 2
+    assert len(writes.read_text().splitlines()) == 1
+    assert json.loads(trace.read_text())["calls"]["dataset.load"] == 1
+    untraced = subprocess.run([sys.executable, *chain, "--out", str(tmp_path / "serial")],
+                              capture_output=True, text=True, env=env, timeout=120)
+    assert untraced.returncode == 0, untraced.stderr
+    names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+    assert sorted(p.name for p in (tmp_path / "traced").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "traced" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
