@@ -22,8 +22,8 @@ from . import __version__
 from .bias import bias_histogram, bias_report
 from .correlation import fit_line, profile
 from .covfit import evaluate_attack
-from .dataset import (DeviceMeta, LayoutSpec, ReadingsTensor, dataset_files,
-                      load_metadata, load_readings, write_dataset)
+from .dataset import (DeviceMeta, LayoutSpec, dataset_files, load_metadata, load_readings,
+                      write_dataset)
 from .errors import ParseError, PufStatError, StructuralError, UnavailableAnalysisError
 from .geometry import DEFAULT_GEOMETRY, GridGeometry
 from .matrices import PufMatrices, build_matrices, pack_bits
@@ -79,7 +79,6 @@ def _resolve_out(args) -> Path:
 class Inputs:
     """What a dataset subcommand reads, parsed, derived and hashed once."""
 
-    readings: ReadingsTensor
     meta: DeviceMeta | None
     layout: LayoutSpec
     matrices: PufMatrices
@@ -87,14 +86,15 @@ class Inputs:
 
 
 def _load(args) -> Inputs:
+    # Derive before reading --meta, so a bad RO count is reported first.
     layout = LayoutSpec.parse(args.layout)
-    readings = load_readings(args.dataset, layout)
+    matrices = build_matrices(load_readings(args.dataset, layout))
     meta = None
     files = dataset_files(args.dataset, layout)
     if args.meta:
-        meta = load_metadata(args.meta, readings.num_devices)
+        meta = load_metadata(args.meta, matrices.num_devices)
         files.append(Path(args.meta))
-    return Inputs(readings, meta, layout, build_matrices(readings), hash_input_files(files))
+    return Inputs(meta, layout, matrices, hash_input_files(files))
 
 
 def _writer(args, subcommand: str, params: dict, inputs: Inputs) -> ArtifactWriter:
@@ -139,9 +139,9 @@ def cmd_ingest(args, inputs: Inputs) -> int:
 def cmd_normality(args, inputs: Inputs) -> int:
     matrices = inputs.matrices
     selected = MATRIX_CHOICES[:3] if args.matrix == "all" else (args.matrix,)
+    results = [(name, *test_rows(getattr(matrices, name))) for name in selected]
     writer = _writer(args, "normality", {"matrix": args.matrix}, inputs)
-    for name in selected:
-        stats, summary = test_rows(getattr(matrices, name))
+    for name, stats, summary in results:
         writer.write_csv(
             f"normality_{name}.csv",
             ["row", "a2", "a2_star", "reject"],
@@ -171,6 +171,7 @@ def cmd_similarity(args, inputs: Inputs) -> int:
             "similarity needs per-device serial numbers; pass --meta"
         )
     gv = group_variance_map(inputs.matrices.dev, min_group=args.min_group)
+    corrs = [serial_correlation(inputs.matrices.dev, inputs.meta, g) for g in args.group_sizes]
     writer = _writer(
         args, "similarity", {"min_group": args.min_group, "group_sizes": args.group_sizes}, inputs
     )
@@ -178,7 +179,6 @@ def cmd_similarity(args, inputs: Inputs) -> int:
     a, b = np.triu_indices(gv.num_devices, args.min_group - 1)
     writer.write_dat("group_variance.dat", "a b s2", [(None, [a, b, gv.values[a, b]])],
                      "MHz^2")
-    corrs = [serial_correlation(inputs.matrices.dev, inputs.meta, g) for g in args.group_sizes]
     writer.write_csv(
         "serial_corr.csv", ["group_size", "corr"], [args.group_sizes, corrs], "dimensionless"
     )
@@ -194,6 +194,8 @@ def cmd_similarity(args, inputs: Inputs) -> int:
 def cmd_entropy(args, inputs: Inputs) -> int:
     matrices = inputs.matrices
     report = bias_report(matrices.diff, matrices.bits)
+    edges, counts_bin, counts_norm = bias_histogram(report)
+    centers = (edges[:-1] + edges[1:]) / 2.0
     writer = _writer(args, "entropy", {}, inputs)
     writer.write_csv(
         "bias.csv",
@@ -201,8 +203,6 @@ def cmd_entropy(args, inputs: Inputs) -> int:
         [np.arange(report.p_binary.size), report.p_binary, report.p_normal],
         "probability",
     )
-    edges, counts_bin, counts_norm = bias_histogram(report)
-    centers = (edges[:-1] + edges[1:]) / 2.0
     writer.write_dat(
         "bias_hist.dat",
         "bin_left bin_center count_binary count_normal",
@@ -225,21 +225,16 @@ def cmd_entropy(args, inputs: Inputs) -> int:
 
 def cmd_correlate(args, inputs: Inputs) -> int:
     matrices = inputs.matrices
-    writer = _writer(args, "correlate", {}, inputs)
+    profiles = {"dev": profile(matrices.dev), "diff": profile(matrices.diff)}
     summaries = {}
-    for name, matrix, key in (
-        ("coco_D.dat", matrices.dev, "dev"),
-        ("coco_B.dat", matrices.diff, "diff"),
-    ):
-        prof = profile(matrix)
+    for key, prof in profiles.items():
+        slope, intercept = fit_line(prof.coefficients)
+        summaries[key] = {"reference_index": prof.reference_index, "slope": slope,
+                          "intercept": intercept}
+    writer = _writer(args, "correlate", {}, inputs)
+    for name, prof in zip(("coco_D.dat", "coco_B.dat"), profiles.values()):
         index = np.arange(prof.coefficients.size)
         writer.write_dat(name, "index r", [(None, [index, prof.coefficients])], "dimensionless")
-        slope, intercept = fit_line(prof.coefficients)
-        summaries[key] = {
-            "reference_index": prof.reference_index,
-            "slope": slope,
-            "intercept": intercept,
-        }
     writer.write_json("correlate.json", summaries)
     writer.finish()
     return 0
@@ -260,18 +255,6 @@ def cmd_attack(args, inputs: Inputs) -> int:
     else:
         fixed_counts = args.fixed_counts
     modes = ("trend", "exact") if args.mode == "both" else (args.mode,)
-    writer = _writer(
-        args,
-        "attack",
-        {
-            "devices": devices,
-            "fixed_counts": fixed_counts,
-            "mode": args.mode,
-            "select": args.select,
-            "trend_magnitude": args.trend_magnitude,
-        },
-        inputs,
-    )
     cells = []
     for device in devices:
         cells.extend(
@@ -285,14 +268,6 @@ def cmd_attack(args, inputs: Inputs) -> int:
                 trend_magnitude=args.trend_magnitude,
             )
         )
-    fields = ["device_index", "mode", "fixed_count", "delta_correct", "objective", "iterations",
-              "stop_reason", "start_objective"]
-    writer.write_csv(
-        "attack.csv",
-        ["device", *fields[1:]],
-        [[getattr(c, f) for c in cells] for f in fields],
-        "bits (delta_correct), MHz^2 scaled (objective, start_objective)",
-    )
     envelope = []  # rows of attack_envelope.dat (-6.0 prints as -6) and attack_summary.json
     for mode in modes:
         for count in fixed_counts:
@@ -305,6 +280,26 @@ def cmd_attack(args, inputs: Inputs) -> int:
         (f"mode: {mode}", [[e[k] for e in envelope if e["mode"] == mode] for k in columns])
         for mode in modes
     ]
+    writer = _writer(
+        args,
+        "attack",
+        {
+            "devices": devices,
+            "fixed_counts": fixed_counts,
+            "mode": args.mode,
+            "select": args.select,
+            "trend_magnitude": args.trend_magnitude,
+        },
+        inputs,
+    )
+    fields = ["device_index", "mode", "fixed_count", "delta_correct", "objective", "iterations",
+              "stop_reason", "start_objective"]
+    writer.write_csv(
+        "attack.csv",
+        ["device", *fields[1:]],
+        [[getattr(c, f) for c in cells] for f in fields],
+        "bits (delta_correct), MHz^2 scaled (objective, start_objective)",
+    )
     writer.write_dat("attack_envelope.dat", " ".join(columns), blocks, "bits")
     writer.write_json("attack_summary.json", {"envelope": envelope})
     writer.finish()
@@ -316,27 +311,9 @@ def cmd_pca(args, inputs: Inputs) -> int:
     geometry = GridGeometry.parse(args.geometry)
     scaled = standardize(matrices.freq)
     result = pca(scaled, geometry)
-    writer = _writer(args, "pca", {"pcs": args.pcs, "trunc_ranks": args.trunc_ranks}, inputs)
-    writer.write_csv(
-        "pca_fractions.csv",
-        ["pc", "singular_value", "variance_fraction"],
-        [np.arange(1, result.rank + 1), result.singular_values, result.variance_fractions],
-        "dimensionless",
-    )
     num_pcs = min(args.pcs, result.rank)
-    for pc_num in range(1, num_pcs + 1):
-        grid = loading_map(result, pc_num, geometry)
-        y = np.arange(geometry.rows)
-        blocks = [(None, [np.full_like(y, x), y, grid[:, x]]) for x in range(geometry.cols)]
-        writer.write_dat(
-            f"loading_pc{pc_num}.dat", "x y loading", blocks, "dimensionless"
-        )
-        scores = result.scores[:, pc_num - 1]
-        counts, edges = np.histogram(scores, bins=40)
-        writer.write_dat(
-            f"scores_hist_pc{pc_num}.dat", "score count",
-            [(None, [(edges[:-1] + edges[1:]) / 2.0, counts])], "score (dimensionless)",
-        )
+    grids = [loading_map(result, pc_num, geometry) for pc_num in range(1, num_pcs + 1)]
+    histograms = [np.histogram(result.scores[:, col], bins=40) for col in range(num_pcs)]
     if args.trunc_ranks:
         ranks = [r for r in _int_list(args.trunc_ranks) if 1 <= r <= result.rank]
     else:
@@ -344,11 +321,28 @@ def cmd_pca(args, inputs: Inputs) -> int:
             {1, 2, 4, 8, 16, 32, 64, 102, 128, result.rank} & set(range(1, result.rank + 1))
         )
     agreements = [truncated_bits(result, scaled, r)[1] for r in ranks]
+    key_corr = {f"pc{pc_num}": pc_key_correlation(result, matrices.bits, pc_num)
+                for pc_num in range(1, min(3, result.rank) + 1)}
+    writer = _writer(args, "pca", {"pcs": args.pcs, "trunc_ranks": args.trunc_ranks}, inputs)
+    writer.write_csv(
+        "pca_fractions.csv",
+        ["pc", "singular_value", "variance_fraction"],
+        [np.arange(1, result.rank + 1), result.singular_values, result.variance_fractions],
+        "dimensionless",
+    )
+    y = np.arange(geometry.rows)
+    for pc_num, grid, (counts, edges) in zip(range(1, num_pcs + 1), grids, histograms):
+        blocks = [(None, [np.full_like(y, x), y, grid[:, x]]) for x in range(geometry.cols)]
+        writer.write_dat(
+            f"loading_pc{pc_num}.dat", "x y loading", blocks, "dimensionless"
+        )
+        writer.write_dat(
+            f"scores_hist_pc{pc_num}.dat", "score count",
+            [(None, [(edges[:-1] + edges[1:]) / 2.0, counts])], "score (dimensionless)",
+        )
     writer.write_csv(
         "trunc_agreement.csv", ["r", "agreement"], [ranks, agreements], "fraction"
     )
-    key_corr = {f"pc{pc_num}": pc_key_correlation(result, matrices.bits, pc_num)
-                for pc_num in range(1, min(3, result.rank) + 1)}
     writer.write_json(
         "pca_summary.json",
         {

@@ -52,6 +52,7 @@ import numpy as np
 
 from .correlation import covariance_matrix
 from .errors import ConfigurationError, NumericError, StructuralError
+from .matrices import response_bits
 
 MODES = ("trend", "exact")
 
@@ -179,11 +180,6 @@ class CovFitResult:
     stop_reason: str
 
 
-def bits_from_values(values) -> np.ndarray:
-    """Response bits: 1 where the difference is strictly positive."""
-    return (np.asarray(values, dtype=np.float64) > 0.0).astype(np.uint8)
-
-
 def expanded_cov_residual(cov, row_means, b, n_train: int) -> np.ndarray:
     """Residual C_new - C after appending difference vector ``b``.
 
@@ -209,6 +205,13 @@ def _objective_terms(problem: CovFitProblem, d):
     cd = problem.cov @ d
     dd = float(np.dot(d, d))
     return dd * dd - 2.0 * float(np.dot(d, cd)) + problem.cov_fro2, cd, dd
+
+
+def _gradient(d, cd, dd, mask) -> np.ndarray:
+    """The unscaled gradient ``4 (d.d d - C d)``, zero at the pinned coordinates."""
+    grad = 4.0 * (dd * d - cd)
+    grad[mask] = 0.0
+    return grad
 
 
 def _pins(problem: CovFitProblem, fixed_mask, fixed_values) -> tuple[np.ndarray, np.ndarray]:
@@ -251,9 +254,7 @@ def objective_and_gradient(problem: CovFitProblem, fixed_mask, fixed_values,
     d = _assemble(problem, mask, values, d_free)
     scale = 1.0 / (problem.n_train + 1.0) ** 2
     f_raw, cd, dd = _objective_terms(problem, d)
-    grad = 4.0 * (dd * d - cd) * scale
-    grad[mask] = 0.0
-    return f_raw * scale, grad
+    return f_raw * scale, _gradient(d, cd, dd, mask) * scale
 
 
 def _cubic_roots(c3, c2, c1, c0) -> list[float]:
@@ -329,8 +330,7 @@ def fit(problem: CovFitProblem, fixed_mask, fixed_values,
     iterations = 0
     stop_reason = f"max_iter reached ({options.max_iter})"
     for _ in range(options.max_iter):
-        grad = 4.0 * (dd * d - cd)
-        grad[mask] = 0.0
+        grad = _gradient(d, cd, dd, mask)
         gnorm2 = float(np.dot(grad, grad))
         if np.sqrt(gnorm2) * scale < options.grad_tol:
             stop_reason = "gradient tolerance"
@@ -359,14 +359,14 @@ def fit(problem: CovFitProblem, fixed_mask, fixed_values,
     b_hat = problem.row_means + d
     # Pin the fixed positions exactly; mu + (v - mu) can differ in the last ulp.
     b_hat[mask] = values
-    bits_hat = bits_from_values(b_hat)
+    bits_hat = response_bits(b_hat)
 
     delta_correct = None
     if problem.truth is not None:
         b_start = problem.row_means.copy()
         b_start[mask] = values
-        truth_bits = bits_from_values(problem.truth)
-        correct_start = int((bits_from_values(b_start) == truth_bits).sum())
+        truth_bits = response_bits(problem.truth)
+        correct_start = int((response_bits(b_start) == truth_bits).sum())
         correct_end = int((bits_hat == truth_bits).sum())
         delta_correct = correct_end - correct_start
 

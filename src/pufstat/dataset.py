@@ -123,8 +123,7 @@ class DeviceMeta:
 class ReadingsTensor:
     """Raw readings, shape (num_devices, num_ros, num_samples), MHz.
 
-    Immutable after construction. The RO count must be even so that ROs can
-    later be grouped into adjacent pairs.
+    Immutable after construction. Any RO count is valid; the pairing checks it.
     """
 
     values: np.ndarray
@@ -135,10 +134,6 @@ class ReadingsTensor:
         if values.ndim != 3:
             raise StructuralError(
                 f"readings tensor must be 3-dimensional, got shape {values.shape}"
-            )
-        if values.shape[1] % 2 != 0:
-            raise ConfigurationError(
-                f"RO count must be even for pairwise grouping, got {values.shape[1]}"
             )
         bad = ~np.isfinite(values)
         if bad.any():

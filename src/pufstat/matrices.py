@@ -47,23 +47,35 @@ class PufMatrices:
         return self.diff.shape[0]
 
 
-def build_matrices(readings: ReadingsTensor) -> PufMatrices:
-    """Compute all four derived matrices from raw readings."""
-    values = readings.values
-    num_devices, num_ros, num_samples = values.shape
+def pair_differences(freq) -> np.ndarray:
+    """The response pairing: row k is ``freq[2k+1] - freq[2k]``, one column
+    per device. The RO count (rows of ``freq``) must be even."""
+    num_ros = freq.shape[0]
     if num_ros % 2 != 0:
         raise ConfigurationError(
             f"RO count must be even for pairwise grouping, got {num_ros}"
         )
+    return freq[1::2] - freq[0::2]
+
+
+def response_bits(values) -> np.ndarray:
+    """The response rule: 1 where the value is strictly positive, 0 otherwise."""
+    return (np.asarray(values, dtype=np.float64) > 0.0).astype(np.uint8)
+
+
+def build_matrices(readings: ReadingsTensor) -> PufMatrices:
+    """Compute all four derived matrices from raw readings."""
+    values = readings.values
+    num_devices, num_ros, num_samples = values.shape
     # Accumulate sample means left to right so results are bit-reproducible
     # regardless of how the loop is scheduled.
     acc = np.zeros((num_devices, num_ros))
     for t in range(num_samples):
         acc += values[:, :, t]
     freq = (acc / num_samples).T
+    diff = pair_differences(freq)
     dev = freq - freq.mean(axis=0, keepdims=True)
-    diff = freq[1::2, :] - freq[0::2, :]
-    bits = (diff > 0.0).astype(np.uint8)
+    bits = response_bits(diff)
     return PufMatrices(freq=freq, dev=dev, diff=diff, bits=bits)
 
 

@@ -21,6 +21,7 @@ import numpy as np
 from .correlation import pearson
 from .errors import ConfigurationError, DegenerateDataError, NumericError, StructuralError
 from .geometry import DEFAULT_GEOMETRY, GridGeometry
+from .matrices import pair_differences, response_bits
 
 
 @dataclass(frozen=True)
@@ -140,18 +141,14 @@ def truncated_bits(result: PCAResult, scaled: ScaledData, r: int) -> tuple[np.nd
     """Reconstruct from the top ``r`` components and re-derive response bits.
 
     Returns the reconstructed bit matrix and the fraction of entries that
-    agree with the bits derived from the unreduced data. Sign ties are
-    resolved the same way in both derivations (strictly positive means 1).
+    agree with the bits derived from the unreduced data. Both derivations
+    use the pairing and bit rule of :mod:`pufstat.matrices`.
     """
     if not (1 <= r <= result.rank):
         raise ConfigurationError(f"rank {r} out of range 1..{result.rank}")
     y_r = result.scores[:, :r] @ result.loadings[:, :r].T
-    freq_hat = scaled.unscale(y_r)
-    freq_full = scaled.unscale()
-    if freq_hat.shape[0] % 2 != 0:
-        raise ConfigurationError("RO count must be even to derive pair bits")
-    bits_hat = (freq_hat[1::2] - freq_hat[0::2] > 0.0).astype(np.uint8)
-    bits_full = (freq_full[1::2] - freq_full[0::2] > 0.0).astype(np.uint8)
+    bits_hat = response_bits(pair_differences(scaled.unscale(y_r)))
+    bits_full = response_bits(pair_differences(scaled.unscale()))
     agreement = float((bits_hat == bits_full).mean())
     return bits_hat, agreement
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pufstat.covfit import ARMIJO_C, BACKTRACK, CovFitResult, FitOptions, bits_from_values
+from pufstat.covfit import ARMIJO_C, BACKTRACK, CovFitResult, FitOptions
 from pufstat.errors import (ConfigurationError, NumericError, ParseError, StructuralError,
                              ValidationError)
 
@@ -227,6 +227,12 @@ def ray_step_reference(cov, d, g) -> float:
     return min(steps, key=lambda a: covfit_objective_reference(c, d - a * g, 0))
 
 
+def _bits(values) -> np.ndarray:
+    """The response rule written out here, not taken from the library: 1
+    where a value is strictly positive."""
+    return np.asarray([1 if x > 0.0 else 0 for x in np.ravel(values).tolist()], dtype=np.uint8)
+
+
 def fit_reference(problem, fixed_mask, fixed_values, options=None):
     """The covariance-fit descent with a plain backtracking Armijo search:
     every iteration tries steps from four times the last accepted one,
@@ -296,14 +302,14 @@ def fit_reference(problem, fixed_mask, fixed_values, options=None):
     b_hat = problem.row_means + d
     # Pin the fixed positions exactly; mu + (v - mu) can differ in the last ulp.
     b_hat[mask] = values
-    bits_hat = bits_from_values(b_hat)
+    bits_hat = _bits(b_hat)
 
     delta_correct = None
     if problem.truth is not None:
         b_start = problem.row_means.copy()
         b_start[mask] = values
-        truth_bits = bits_from_values(problem.truth)
-        correct_start = int((bits_from_values(b_start) == truth_bits).sum())
+        truth_bits = _bits(problem.truth)
+        correct_start = int((_bits(b_start) == truth_bits).sum())
         correct_end = int((bits_hat == truth_bits).sum())
         delta_correct = correct_end - correct_start
 

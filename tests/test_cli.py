@@ -13,7 +13,7 @@ import pytest
 import pufstat.cli
 from oracles import report_payload_reference
 from pufstat.cli import REPORT_REQUIRED, main, run_chain
-from pufstat.dataset import LayoutSpec, load_readings
+from pufstat.dataset import DeviceMeta, LayoutSpec, ReadingsTensor, load_readings, write_dataset
 from pufstat.matrices import build_matrices, pack_bits, unpack_bits
 from pufstat.similarity import group_variance_map
 
@@ -355,7 +355,74 @@ def test_overflow_in_a_stage_is_numeric_error(tmp_path, capsys, stage):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("pufstat: numeric error: overflow encountered")
     assert caught == []
-    assert list(out.glob("*.json")) == []
+    assert list(out.rglob("*")) == []
+
+
+def _write_set(root: Path, values, layout="files", meta_lines=None) -> Path:
+    """Write ``values`` (devices x ROs x samples) as a dataset with serials
+    1, 3, 6, 10, ..., or with ``meta_lines`` as its serials.csv; return --dataset."""
+    values = np.asarray(values, dtype=np.float64)
+    write_dataset(ReadingsTensor(values), root, LayoutSpec.parse(layout),
+                  DeviceMeta(np.cumsum(np.arange(1, values.shape[0] + 1))))
+    if meta_lines is not None:
+        (root / "serials.csv").write_text("".join(line + "\n" for line in meta_lines))
+    return root / "readings.csv" if layout == "csv" else root
+
+
+@pytest.fixture(scope="module")
+def failing_stage_sets(tmp_path_factory):
+    """A 24-device x 32-RO set, and one whose pair 0 differs by exactly 1 MHz
+    on every device, plus an --out that holds a successful run of
+    similarity, normality and pca on the first."""
+    root = tmp_path_factory.mktemp("failing-stages")
+    rng = np.random.default_rng(31)
+    good = _write_set(root / "good", rng.normal(200.0, 2.0, size=(24, 32, 2)))
+    flat_values = rng.normal(200.0, 2.0, size=(24, 32, 2))
+    flat_values[:, 0, :] = 190.0 + np.arange(24)[:, None]
+    flat_values[:, 1, :] = flat_values[:, 0, :] + 1.0
+    flat = _write_set(root / "flat", flat_values)
+    out = root / "out"
+    base = ["--dataset", str(good), "--meta", str(good / "serials.csv"), "--out", str(out)]
+    for stage in (["similarity"], ["normality"], ["pca", "--geometry", "4x8:col"]):
+        assert main(stage + base) == 0
+    return {"good": good, "flat": flat}, out
+
+
+@pytest.mark.parametrize("dataset, stage, message", [
+    ("good", ["similarity", "--group-sizes", "5,23"],
+     "degenerate-data error: only 2 windows of size 23; need at least 3"),
+    ("flat", ["normality"], "row 0: sample has zero standard deviation"),
+    ("good", ["pca", "--geometry", "2x4:col"], "configuration error: geometry 2x4"),
+], ids=["similarity", "normality", "pca"])
+def test_failed_stage_leaves_out_unchanged(dataset, stage, message, failing_stage_sets,
+                                           tmp_path, capsys):
+    # A stage computes every result before it writes its first artifact.
+    sets, previous = failing_stage_sets
+    out = tmp_path / "out"
+    shutil.copytree(previous, out)
+    before = _digests(out)
+    root = sets[dataset]
+    assert main(stage + ["--dataset", str(root), "--meta", str(root / "serials.csv"),
+                         "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert _digests(out) == before
+
+
+@pytest.mark.parametrize("bad_meta", [False, True], ids=["meta", "malformed-meta"])
+@pytest.mark.parametrize("layout", ["files", "csv"])
+def test_odd_ro_count_exits_1_before_any_file(layout, bad_meta, tmp_path, capsys):
+    # Raw readings load whatever the RO count; deriving the pairs refuses it,
+    # before --meta is read and before anything is written.
+    meta_lines = ["device,serial", "0,7", "0,8"] if bad_meta else None
+    values = np.random.default_rng(2).normal(200.0, 2.0, size=(2, 3, 2))
+    dataset = _write_set(tmp_path / "odd", values, layout, meta_lines)
+    out = tmp_path / "out"
+    assert main(["ingest", "--dataset", str(dataset), "--layout", layout,
+                 "--meta", str(tmp_path / "odd" / "serials.csv"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "pufstat: configuration error: RO count must be even for pairwise grouping, got 3"]
+    assert not out.exists()
 
 
 def test_import_defers_scipy():

@@ -20,7 +20,6 @@ from pufstat.covfit import (
     AttackCell,
     CovFitProblem,
     FitOptions,
-    bits_from_values,
     check_covariance,
     choose_fixed_positions,
     evaluate_attack,
@@ -314,10 +313,6 @@ def test_attack_guards():
     for magnitude in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ConfigurationError, match="trend magnitude"):
             evaluate_attack(diff, device_index=0, fixed_counts=[0], trend_magnitude=magnitude)
-
-
-def test_bits_from_values_strict_positive():
-    assert bits_from_values([-1.0, 0.0, 2.0]).tolist() == [0, 0, 1]
 
 
 # --- the exact line search against the plain loop and the root oracle -----

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pufstat.covfit import bits_from_values
 from pufstat.dataset import ReadingsTensor
 from pufstat.errors import ConfigurationError, StructuralError
-from pufstat.matrices import build_matrices, pack_bits, unpack_bits
+from pufstat.matrices import build_matrices, pack_bits, response_bits, unpack_bits
 
 
 def tensor_from(values):
@@ -34,12 +33,27 @@ def test_zero_difference_maps_to_zero_bit():
 
 def test_bit_rule_sign_flip():
     values = np.asarray([3.0, -2.0, 0.0, 1e-300, -1e-300])
-    flipped = bits_from_values(-values)
-    straight = bits_from_values(values)
+    flipped = response_bits(-values)
+    straight = response_bits(values)
     nonzero = values != 0.0
     assert (flipped[nonzero] == 1 - straight[nonzero]).all()
     assert straight[values == 0.0].item() == 0
     assert flipped[values == 0.0].item() == 0
+
+
+def test_response_bits_matches_inline_rule():
+    tiny = np.nextafter(0.0, 1.0)
+    rng = np.random.default_rng(5)
+    values = np.concatenate([
+        [-1.0, 0.0, 2.0, -0.0, tiny, -tiny, 1e-310, -1e-310, np.inf, -np.inf],
+        rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, size=200),
+    ])
+    expected = [1 if x > 0.0 else 0 for x in values.tolist()]
+    bits = response_bits(values)
+    assert bits.dtype == np.uint8
+    assert bits.tolist() == expected
+    grid = response_bits(values.reshape(10, 21))
+    assert grid.tolist() == [expected[k:k + 21] for k in range(0, 210, 21)]
 
 
 def test_deviation_columns_sum_to_zero(small_matrices):
@@ -68,8 +82,9 @@ def test_matrix_shapes(small_matrices):
 
 
 def test_odd_ro_count_rejected():
-    with pytest.raises(ConfigurationError):
-        tensor_from(np.ones((2, 3, 4)))
+    with pytest.raises(ConfigurationError,
+                       match="^RO count must be even for pairwise grouping, got 3$"):
+        build_matrices(tensor_from(np.ones((2, 3, 4))))
 
 
 def test_matrices_are_immutable(small_matrices):

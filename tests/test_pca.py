@@ -123,6 +123,15 @@ def test_truncated_bits_rank_guards(small_matrices):
             truncated_bits(result, scaled, bad)
 
 
+def test_truncated_bits_odd_ro_count_is_the_pairing_error():
+    # Five ROs cannot be paired; the sweep fails as build_matrices does.
+    scaled = _scaled_from(np.random.default_rng(3).normal(size=(6, 5)))
+    result = pca(scaled, GridGeometry(1, 5, "row"))
+    with pytest.raises(ConfigurationError,
+                       match="^RO count must be even for pairwise grouping, got 5$"):
+        truncated_bits(result, scaled, 2)
+
+
 def test_loading_map_reshape():
     y = np.asarray([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
     result = pca(_scaled_from(y), geometry=GridGeometry(2, 2, "row"))
