@@ -13,6 +13,7 @@ attack samples 4 target devices, not 8. Usage:
 """
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -46,8 +47,10 @@ def main() -> int:
     if not args.analyze:
         print(f"dataset in {dataset}")
         return 0
+    # The geometry synth drew the dataset on: --geometry or the preset's.
+    manifest = json.loads((Path(args.out) / "synth_manifest.json").read_text(encoding="utf-8"))
     return run_chain(str(dataset), args.out, meta=str(dataset / "serials.csv"),
-                     geometry=args.geometry or "8x16:col", seed=args.seed,
+                     geometry=manifest["params"]["config"]["geometry"], seed=args.seed,
                      attack_devices=4)
 
 

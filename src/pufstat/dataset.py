@@ -10,6 +10,13 @@ Two on-disk layouts are supported:
   ``device,ro,sample,freq_mhz`` and one reading per line.
 
 All frequencies are megahertz and must be finite and strictly positive.
+
+Device files are read and written on every CPU the process may use: the
+files are cut, in device order, into shares run by ``parallel.run_parts``,
+this process taking the first share and a forked child each other one. A
+share a child could not finish is done again here, so the tensor, the
+files and any error are those of a one-process run. A ``files`` dataset is
+never written over a directory that holds other files its pattern matches.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from .errors import (
     StructuralError,
     ValidationError,
 )
-from .output import format_table
+from .output import _append_table, format_table
 from .parallel import part_count, run_parts
 
 CSV_HEADER = ("device", "ro", "sample", "freq_mhz")
@@ -44,6 +51,9 @@ _BAD_SEPARATOR = "#\r\n0123456789.+-eE"
 # Bytes of device files each parsing share holds at least: a fork costs
 # about 2 ms at 32 MB RSS, a tenth of the ~17 ms 1 MiB of them takes to parse.
 _PART_BYTES = 1 << 20
+# Cells of device files each writing share holds at least: formatting them
+# takes about 40 ms, ten times what a fork takes at 100 MB RSS.
+_WRITE_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -288,7 +298,7 @@ def _load_files(root: Path, layout: LayoutSpec) -> tuple[np.ndarray, list[str]]:
     files = dataset_files(root, layout)
     names = [p.name for p in files]
     first = _read_device(files[0], layout)
-    bounds = _share_bounds([p.stat().st_size for p in files])
+    bounds = _share_bounds([p.stat().st_size for p in files], _PART_BYTES)
 
     def parse(buffer: bytearray, index: int) -> None:
         for path in files[max(1, bounds[index]):bounds[index + 1]]:
@@ -310,11 +320,12 @@ def _read_device(path: Path, layout: LayoutSpec) -> np.ndarray:
     return table.T if layout.rows == "samples" else table
 
 
-def _share_bounds(sizes: list[int]) -> list[int]:
-    """Where files of ``sizes`` bytes are cut into ``part_count`` shares of
-    about equal size: share ``i`` is files ``bounds[i]..bounds[i + 1]``."""
+def _share_bounds(sizes: list[int], unit: int) -> list[int]:
+    """Where files of ``sizes`` (bytes or cells) are cut into ``part_count``
+    shares of about equal size, each of at least ``unit``: share ``i`` is
+    files ``bounds[i]..bounds[i + 1]``."""
     total = np.cumsum(sizes)
-    parts = min(part_count(int(total[-1]), _PART_BYTES), len(sizes))
+    parts = min(part_count(int(total[-1]), unit), len(sizes))
     # Share i ends at the first file whose running total reaches i/parts of the bytes.
     cuts = np.searchsorted(total, total[-1] * np.arange(1, parts) / parts) + 1
     return sorted({0, len(sizes), *cuts.tolist()})
@@ -395,31 +406,74 @@ def write_dataset(
     layout: LayoutSpec | None = None,
     meta: DeviceMeta | None = None,
 ) -> None:
-    """Write a dataset in one of the layouts ``load_readings`` accepts."""
+    """Write a dataset in one of the layouts ``load_readings`` accepts.
+
+    A ``files`` dataset is refused, before anything is written, if
+    ``out_dir`` holds a file that matches the layout's pattern and that
+    this call would not write: loading the directory would mix it in.
+    """
     layout = layout or LayoutSpec()
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     values = readings.values
     if layout.kind == "files":
-        sep = layout.delimiter if layout.delimiter is not None else " "
-        for j in range(readings.num_devices):
-            # A file's columns are samples (rows=ros) or ROs (rows=samples).
-            columns = values[j] if layout.rows == "samples" else values[j].T
-            name = device_file_name(j, readings.num_devices)
-            (out_dir / name).write_text(format_table(columns, sep), encoding="utf-8")
+        _write_files(values, out_dir, layout)
     else:
+        out_dir.mkdir(parents=True, exist_ok=True)
         # One reading per line in (device, ro, sample) order. CSV files end
         # lines with "\r\n", as csv.writer does.
         columns = [*np.indices(values.shape).reshape(3, -1), values.ravel()]
-        text = ",".join(CSV_HEADER) + "\r\n" + format_table(columns, ",", "\r\n")
-        with open(out_dir / "readings.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write_csv(out_dir / "readings.csv", CSV_HEADER, columns)
     if meta is not None:
         write_metadata(meta, out_dir / "serials.csv")
 
 
+def _refuse_strays(out_dir: Path, pattern: str, names: list[str]) -> None:
+    """Raise if ``out_dir`` holds a file matching ``pattern`` not in ``names``."""
+    if not out_dir.is_dir():
+        return
+    keep = set(names)
+    strays = sorted(p.name for p in out_dir.iterdir()
+                    if p.name not in keep and p.is_file() and fnmatch.fnmatch(p.name, pattern))
+    if strays:
+        raise ConfigurationError(
+            f"{out_dir} holds {strays[0]}, which is not one of the {len(names)} device "
+            "files of this dataset and would be read with them; remove it or write "
+            "to another directory"
+        )
+
+
+def _write_files(values: np.ndarray, out_dir: Path, layout: LayoutSpec) -> None:
+    """Write one text file per device, each by ``format_table``.
+
+    The devices are cut, in device order, into ``part_count(total cells,
+    _WRITE_CELLS)`` shares of about equal size, run by ``parallel.run_parts``:
+    this process writes the first share and a forked child each other one.
+    The parts append nothing to the buffer. A part whose child fails is
+    written again here, over whatever the child left, so an error reaches
+    the caller as a serial write raises it, at the first faulty file.
+    """
+    names = [device_file_name(j, len(values)) for j in range(len(values))]
+    _refuse_strays(out_dir, layout.pattern, names)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    sep = layout.delimiter if layout.delimiter is not None else " "
+    bounds = _share_bounds([values[0].size] * len(names), _WRITE_CELLS) if names else [0]
+
+    def write(_buffer: bytearray, index: int) -> None:
+        for j in range(bounds[index], bounds[index + 1]):
+            # A file's columns are samples (rows=ros) or ROs (rows=samples).
+            columns = values[j] if layout.rows == "samples" else values[j].T
+            (out_dir / names[j]).write_text(format_table(columns, sep), encoding="utf-8")
+
+    run_parts(bytearray(), len(bounds) - 1, write)
+
+
+def _write_csv(path: Path, header, columns) -> None:
+    """A CSV table below its header line, lines ended by "\r\n"."""
+    data = bytearray((",".join(header) + "\r\n").encode("utf-8"))
+    _append_table(data, columns, ",", "\r\n")
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
 def write_metadata(meta: DeviceMeta, path: str | Path) -> None:
-    columns = [np.arange(meta.num_devices), meta.serials]
-    text = "device,serial\r\n" + format_table(columns, ",", "\r\n")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    _write_csv(Path(path), _META_DTYPE.names, [np.arange(meta.num_devices), meta.serials])

@@ -6,7 +6,12 @@ this process, straight into the destination buffer, and every other part
 in a forked child that appends into a buffer of its own and streams it back
 through a pipe. The parent reads each pipe in part order, in blocks of at
 most ``_PIPE_BLOCK`` bytes, so the result is the bytes the parts give one
-after another, whatever the part count.
+after another, whatever the part count. A part may instead, or as well,
+write files that only it writes; a redone part overwrites them.
+
+Jobs do not nest: while a job of more than one part runs, ``part_count``
+is 1 in this process and in its children, so a part's own job runs where
+the part runs and the processes never outnumber the affinity mask.
 
 One failure rule: a part whose child exits non-zero or is killed is redone
 in this process by the same ``part`` call, after the bytes it had streamed
@@ -27,13 +32,16 @@ from collections.abc import Callable
 # Largest read from a part's pipe, so the parent never holds a second copy
 # of a part beside its buffer.
 _PIPE_BLOCK = 1 << 20
+# Whether this process runs, or is a child of, a job of more than one part.
+# Module state, as what it bounds, the number of processes, is the process's.
+_in_job = False
 
 
 def part_count(size: int, unit: int) -> int:
     """How many parts a job of ``size`` runs in: one per CPU in the
-    affinity mask, each of at least ``unit``, and one where this platform
-    cannot fork or report the mask."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+    affinity mask, each of at least ``unit``; one inside a part of another
+    job, and where this platform cannot fork or report the mask."""
+    if _in_job or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), size // unit))
 
@@ -44,6 +52,11 @@ def run_parts(data: bytearray, count: int, part: Callable[[bytearray, int], None
     forked children. Parts left without a child because a fork failed run
     here after the others. An error ``part`` raises in this process
     propagates once every child has been ended and reaped."""
+    global _in_job
+    outer = _in_job
+    if outer and count > 1:
+        raise RuntimeError("run_parts entered from inside a part of another job")
+    _in_job = outer or count > 1
     children = []  # (index, pid, read end of its pipe), in index order
     try:
         for index in range(1, count):
@@ -67,6 +80,7 @@ def run_parts(data: bytearray, count: int, part: Callable[[bytearray, int], None
         for index in unforked:
             part(data, index)
     finally:
+        _in_job = outer
         # Only on an error: end the children still running and reap them.
         for _, pid, fd in children:
             os.close(fd)

@@ -545,6 +545,19 @@ def _run_script(name, argv, monkeypatch):
     return excinfo.value.code
 
 
+def test_synthetic_script_analyzes_on_the_preset_geometry(tmp_path, monkeypatch):
+    # Without --geometry, pca runs on the geometry the preset drew: 16x32
+    # for the 512 ROs of "null".
+    monkeypatch.chdir(tmp_path)
+    assert _run_script("make_synthetic_dataset.py",
+                       ["--seed", "3", "--preset", "null", "--devices", "24", "--out", "syn",
+                        "--analyze"], monkeypatch) == 0
+    summary = json.loads((tmp_path / "syn" / "pca_summary.json").read_text())
+    manifest = json.loads((tmp_path / "syn" / "pca_manifest.json").read_text())
+    assert manifest["geometry"] == "16x32:col"
+    assert len(summary["variance_fractions"]) == 24
+
+
 @pytest.mark.parametrize("layout", ["files", "csv"])
 def test_chain_loads_once_and_matches_stages(layout, tmp_path, monkeypatch, capsys):
     loads = []

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import force_parts
-from oracles import load_csv_reference, load_metadata_reference
+from oracles import load_csv_reference, load_metadata_reference, write_dataset_reference
 from pufstat import dataset
 from pufstat.cli import main
 from pufstat.dataset import (
@@ -644,7 +644,7 @@ def test_parallel_load_matches_serial_at_share_edges(case, tmp_path, monkeypatch
     paths = sorted(tmp_path.iterdir())
     with monkeypatch.context() as patch:
         _force_shares(patch, 3)
-        assert dataset._share_bounds([p.stat().st_size for p in paths]) == [0, 4, 8, 12]
+        assert dataset._share_bounds([p.stat().st_size for p in paths], dataset._PART_BYTES) == [0, 4, 8, 12]
     for index, edit in faults:
         _rewrite(paths[index], edit)
     serial = _load_outcome(tmp_path, layout)
@@ -738,3 +738,164 @@ def test_failed_fork_runs_its_share_here(tmp_path, monkeypatch):
     assert load_readings(tmp_path).values.tobytes() == serial.tobytes()
     assert len(forks) == 1
     assert parsed == [device_file_name(j, 12) for j in (*range(4), *range(8, 12))]
+
+
+# The parallel files writer: shares of devices written by forked children
+# must leave the serial files, or raise the serial error, for any part count.
+
+
+def _force_write_shares(monkeypatch, parts):
+    """Make every files write run in ``parts`` shares, or one per device if
+    fewer; return the list that records each fork."""
+    return force_parts(monkeypatch, dataset, "_WRITE_CELLS", parts)
+
+
+def _assert_tree(root, want):
+    """The files under ``root`` are those under ``want``, byte for byte."""
+    names = sorted(p.name for p in want.iterdir())
+    assert sorted(p.name for p in root.iterdir()) == names
+    for name in names:
+        assert (root / name).read_bytes() == (want / name).read_bytes(), name
+
+
+def _log_writes(monkeypatch, log, child=None):
+    """Log ``pid name`` to ``log`` for every file written; in a forked child,
+    ``child(path, text)`` writes instead, when given."""
+    parent = os.getpid()
+    real_write_text = Path.write_text
+
+    def write_text(self, text, *args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {self.name}\n")
+        if child is not None and os.getpid() != parent:
+            return child(self, text)
+        return real_write_text(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+    return parent
+
+
+def _writers(log):
+    """The files each process wrote, by pid, in the order it wrote them."""
+    writers = {}
+    for line in log.read_text().splitlines():
+        pid, name = line.split()
+        writers.setdefault(int(pid), []).append(name)
+    return writers
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 4])
+@pytest.mark.parametrize("layout,devices", [
+    ("files", 7), ("files:rows=samples", 7), ("files:sep=;", 7), ("files", 1), ("files", 2),
+])
+def test_parallel_write_matches_oracle(layout, devices, parts, tmp_path, monkeypatch):
+    spec = LayoutSpec.parse(layout)
+    values = np.random.default_rng(devices).uniform(90.0, 110.0, size=(devices, 6, 3))
+    serials = np.arange(devices) * 7 + 3
+    write_dataset_reference(values, tmp_path / "slow", "files", spec.rows, spec.delimiter,
+                            serials)
+    forks = _force_write_shares(monkeypatch, parts)
+    write_dataset(ReadingsTensor(values), tmp_path / "fast", spec, DeviceMeta(serials))
+    assert len(forks) == min(parts, devices) - 1
+    _assert_tree(tmp_path / "fast", tmp_path / "slow")
+
+
+@pytest.mark.parametrize("parts", [2, 3, 4])
+def test_parallel_write_forks_and_writes_only_its_own_share(parts, tmp_path, monkeypatch):
+    # The fallback would hide a child path that always fails, so count the
+    # forks and the files each process writes.
+    values = _equal_width_values(np.random.default_rng(102))
+    write_dataset(values, tmp_path / "serial")
+    forks = _force_write_shares(monkeypatch, parts)
+    parent = _log_writes(monkeypatch, tmp_path / "writes.log")
+    write_dataset(values, tmp_path / "parallel")
+    assert len(forks) == parts - 1
+    _assert_tree(tmp_path / "parallel", tmp_path / "serial")
+    writers = _writers(tmp_path / "writes.log")
+    assert len(writers) == parts
+    share = 12 // parts
+    assert writers.pop(parent) == [device_file_name(j, 12) for j in range(share)]
+    assert sorted(writers.values()) == [[device_file_name(j, 12) for j in range(lo, lo + share)]
+                                        for lo in range(share, 12, share)]
+
+
+@pytest.mark.parametrize("how", ["raises", "killed", "killed mid-file"])
+def test_failed_write_child_is_redone(how, tmp_path, monkeypatch):
+    # Each child fails at its first file; its share is written again here,
+    # over the half file a child killed mid-file left.
+    values = _equal_width_values(np.random.default_rng(103))
+    write_dataset(values, tmp_path / "serial")
+
+    def fail(path, text):
+        if how == "killed mid-file":
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text[:len(text) // 2])
+        if how != "raises":
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise OSError("writing failed in a child")
+
+    forks = _force_write_shares(monkeypatch, 3)
+    parent = _log_writes(monkeypatch, tmp_path / "writes.log", fail)
+    write_dataset(values, tmp_path / "parallel")
+    assert len(forks) == 2
+    _assert_tree(tmp_path / "parallel", tmp_path / "serial")
+    writers = _writers(tmp_path / "writes.log")
+    assert writers.pop(parent) == [device_file_name(j, 12) for j in range(12)]
+    assert sorted(writers.values()) == [[device_file_name(4, 12)], [device_file_name(8, 12)]]
+
+
+def test_parallel_write_raises_the_serial_error(tmp_path, monkeypatch):
+    # Two device files in two children's shares cannot be written: the
+    # first in device order is the error, as in a serial write.
+    values = _equal_width_values(np.random.default_rng(104))
+
+    def outcome(root):
+        for j in (9, 5):
+            (root / device_file_name(j, 12)).mkdir(parents=True)
+        with pytest.raises(OSError) as excinfo:
+            write_dataset(values, root)
+        return type(excinfo.value), str(excinfo.value).replace(str(root), "ROOT")
+
+    serial = outcome(tmp_path / "serial")
+    assert device_file_name(5, 12) in serial[1]
+    forks = _force_write_shares(monkeypatch, 3)
+    assert outcome(tmp_path / "parallel") == serial
+    assert len(forks) == 2
+
+
+def test_parallel_write_does_not_nest(tmp_path, monkeypatch):
+    # Files of 8200 rows and 2**17 cells or more format in two parts on
+    # their own, but not inside a share of a two-part write: one fork in
+    # all, as on two CPUs.
+    values = np.random.default_rng(105).uniform(90.0, 110.0, size=(3, 16, 8200))
+    layout = LayoutSpec(rows="samples")
+    write_dataset_reference(values, tmp_path / "slow", rows="samples")
+    forks = _force_write_shares(monkeypatch, 2)
+    write_dataset(ReadingsTensor(values), tmp_path / "fast", layout)
+    assert len(forks) == 1
+    _assert_tree(tmp_path / "fast", tmp_path / "slow")
+    # Written alone, one such file is formatted in two parts again.
+    write_dataset(ReadingsTensor(values[:1]), tmp_path / "one", layout)
+    assert len(forks) == 2
+    assert (tmp_path / "one" / "device_0000.txt").read_bytes() == \
+        (tmp_path / "slow" / "device_0000.txt").read_bytes()
+
+
+def test_synth_refuses_to_mix_datasets(tmp_path, capsys):
+    # A second synth of fewer devices into the same --out would leave the
+    # first one's last device files to be read with its own.
+    out = tmp_path / "synth"
+    base = ["synth", "--seed", "1", "--ros", "16", "--samples", "2", "--geometry", "4x4:col", "--out", str(out)]
+    assert main(base + ["--devices", "12"]) == 0
+    (out / "dataset" / "notes.md").write_text("not a device file\n")
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main(base + ["--devices", "8", "--seed", "8"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pufstat: configuration error: ")
+    assert "holds device_0008.txt, which is not one of the 8 device files" in err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    # The same shape again, from another seed, replaces the dataset.
+    assert main(base + ["--devices", "12", "--seed", "8"]) == 0
+    assert load_readings(out / "dataset").num_devices == 12
+    assert (out / "dataset" / "notes.md").exists()

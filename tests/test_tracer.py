@@ -86,3 +86,51 @@ def test_forked_parts_leave_no_trace(tmp_path):
     assert sorted(p.name for p in (tmp_path / "traced").iterdir()) == names
     for name in names:
         assert (tmp_path / "traced" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
+def test_traced_synth_writes_in_shares_and_traces_once(tmp_path):
+    # synth under the tracer with its device files written in three shares:
+    # the trace is written once, by this process, and the dataset is that
+    # of an untraced one-process synth.
+    synth = ["-m", "pufstat.cli", "synth", "--seed", "3", "--devices", "24", "--ros", "16",
+             "--samples", "2", "--geometry", "4x4:col"]
+    trace, writes, forks = tmp_path / "spans.json", tmp_path / "writes.log", tmp_path / "forks.log"
+    tracer = str(ROOT / "perfbench" / "tracer.py")
+    script = (
+        "import os, pathlib, runpy, sys\n"
+        "from pufstat import dataset\n"
+        "dataset._WRITE_CELLS = 1\n"
+        "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+        "real_fork, real_write_text = os.fork, pathlib.Path.write_text\n"
+        "def log(path):\n"
+        "    with open(path, 'a') as fh:\n"
+        "        fh.write(f'{os.getpid()}\\n')\n"
+        "def fork():\n"
+        f"    log({str(forks)!r})\n"
+        "    return real_fork()\n"
+        "def write_text(self, *args, **kwargs):\n"
+        f"    if self == pathlib.Path({str(trace)!r}):\n"
+        f"        log({str(writes)!r})\n"
+        "    return real_write_text(self, *args, **kwargs)\n"
+        "os.fork, pathlib.Path.write_text = fork, write_text\n"
+        "print('before', end=' ')\n"
+        f"sys.argv = {[tracer, '--trace-out', str(trace), *synth, '--out', 'traced']!r}\n"
+        f"runpy.run_path({tracer!r}, run_name='__main__')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    traced = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, cwd=tmp_path, timeout=120)
+    assert traced.returncode == 0, traced.stderr
+    assert traced.stdout.startswith("before ") and traced.stdout.count("before") == 1
+    assert len(forks.read_text().splitlines()) == 2
+    assert len(writes.read_text().splitlines()) == 1
+    assert json.loads(trace.read_text())["calls"]["dataset.write"] == 1
+    assert main([*synth[2:], "--out", str(tmp_path / "serial")]) == 0
+    files = sorted(p.relative_to(tmp_path / "serial")
+                   for p in (tmp_path / "serial").rglob("*") if p.is_file())
+    assert len(files) == 24 + 3
+    assert sorted(p.relative_to(tmp_path / "traced")
+                  for p in (tmp_path / "traced").rglob("*") if p.is_file()) == files
+    for rel in files:
+        assert (tmp_path / "traced" / rel).read_bytes() == (tmp_path / "serial" / rel).read_bytes()
