@@ -175,8 +175,7 @@ def cmd_similarity(args, inputs: Inputs) -> int:
     writer = _writer(
         args, "similarity", {"min_group": args.min_group, "group_sizes": args.group_sizes}, inputs
     )
-    # Windows a..b of at least min_group devices, a then b ascending.
-    a, b = np.triu_indices(gv.num_devices, args.min_group - 1)
+    a, b = gv.windows()
     writer.write_dat("group_variance.dat", "a b s2", [(None, [a, b, gv.values[a, b]])],
                      "MHz^2")
     writer.write_csv(

@@ -36,7 +36,7 @@ from .errors import (
     StructuralError,
     ValidationError,
 )
-from .output import _append_table, format_table
+from .output import _append_table
 from .parallel import part_count, run_parts
 
 CSV_HEADER = ("device", "ro", "sample", "freq_mhz")
@@ -408,9 +408,11 @@ def write_dataset(
 ) -> None:
     """Write a dataset in one of the layouts ``load_readings`` accepts.
 
-    A ``files`` dataset is refused, before anything is written, if
-    ``out_dir`` holds a file that matches the layout's pattern and that
-    this call would not write: loading the directory would mix it in.
+    A ``files`` dataset is refused, before anything is written, if the
+    layout's pattern does not match its file names, which loading it would
+    then not find, or if ``out_dir`` holds a file that matches the pattern
+    and that this call would not write: loading the directory would mix it
+    in.
     """
     layout = layout or LayoutSpec()
     out_dir = Path(out_dir)
@@ -443,7 +445,7 @@ def _refuse_strays(out_dir: Path, pattern: str, names: list[str]) -> None:
 
 
 def _write_files(values: np.ndarray, out_dir: Path, layout: LayoutSpec) -> None:
-    """Write one text file per device, each by ``format_table``.
+    """Write one text file per device, each formatted by ``_append_table``.
 
     The devices are cut, in device order, into ``part_count(total cells,
     _WRITE_CELLS)`` shares of about equal size, run by ``parallel.run_parts``:
@@ -453,6 +455,13 @@ def _write_files(values: np.ndarray, out_dir: Path, layout: LayoutSpec) -> None:
     the caller as a serial write raises it, at the first faulty file.
     """
     names = [device_file_name(j, len(values)) for j in range(len(values))]
+    unmatched = [name for name in names if not fnmatch.fnmatch(name, layout.pattern)]
+    if unmatched:
+        raise ConfigurationError(
+            f"the layout's pattern {layout.pattern!r} does not match the device file "
+            f"{unmatched[0]}, so the dataset could not be read back; use a pattern that "
+            "matches device_*.txt"
+        )
     _refuse_strays(out_dir, layout.pattern, names)
     out_dir.mkdir(parents=True, exist_ok=True)
     sep = layout.delimiter if layout.delimiter is not None else " "
@@ -462,7 +471,9 @@ def _write_files(values: np.ndarray, out_dir: Path, layout: LayoutSpec) -> None:
         for j in range(bounds[index], bounds[index + 1]):
             # A file's columns are samples (rows=ros) or ROs (rows=samples).
             columns = values[j] if layout.rows == "samples" else values[j].T
-            (out_dir / names[j]).write_text(format_table(columns, sep), encoding="utf-8")
+            data = bytearray()
+            _append_table(data, columns, sep)
+            (out_dir / names[j]).write_bytes(data)
 
     run_parts(bytearray(), len(bounds) - 1, write)
 

@@ -7,28 +7,44 @@ the end lists each artifact with its content digest. Raw binary artifacts
 (the packed bit stream has no room for a header) are linked from the
 manifest side only.
 
-Tables are formatted a table at a time by ``format_table``. It builds one
-``%`` row template from the dtypes of equal-length columns and repeats it
-over a chunk of rows, so that one ``%`` formats 4096 rows. Each column goes
-through ``numpy.asarray``, and its dtype picks the conversion:
+Tables are formatted a table at a time by ``format_table``, as UTF-8 bytes
+made by numpy, never one Python ``%`` per cell. Each column goes through
+``numpy.asarray``, and its dtype picks the text of a cell:
 
-* integer and bool columns use ``%d``;
-* float columns use ``%.17g``, which round-trips doubles exactly;
-* ``str`` columns use ``%s``.
+* integer and bool columns give ``'%d' % n``;
+* float columns give ``'%.17g' % x``, which round-trips doubles exactly
+  (float32 and other widths are widened to float64 first);
+* ``str`` columns give their UTF-8 bytes.
 
 Any other dtype, ``object`` included (``None`` among numbers makes one), is
-a ``ValueError``. ``'%.17g' % x`` and ``format(x, '.17g')`` are the same
-string for every double: CPython formats both with
-``PyOS_double_to_string(x, 'g', 17, 0)``. ``'%d' % n`` is ``str(n)``. A
-Python list that mixes ints and floats becomes a float column, so pass such
-a column as an array of the dtype it should print as. Identical manifests
-always produce byte-identical artifacts.
+a ``ValueError``. A Python list that mixes ints and floats becomes a float
+column, so pass such a column as an array of the dtype it should print as.
+Identical manifests always produce byte-identical artifacts.
 
-``ArtifactWriter`` appends each chunk's UTF-8 bytes to one buffer as soon as
+The table is formatted a chunk of rows at a time, at most ``_CHUNK_CELLS``
+cells, so the temporaries stay small. Adjacent columns of one kind are
+stacked and formatted by one kernel call. A kernel returns a uint8 matrix,
+one row of bytes per cell, padded with 0xFF, which no UTF-8 text holds; the
+chunk's rows are laid out with their separators and newline in one such
+matrix, and dropping every 0xFF byte leaves the text.
+
+* Integers (``_int_cells``) are split into groups of four digits and read
+  from tables of "0000" to "9999", with and without leading zeros.
+* Floats (``_float_cells``) take their 17 significant digits, correctly
+  rounded half-even, from the exact 128-bit product of the 53-bit mantissa
+  and a power of five, shifted right (``_decimal_digits``; Adams 2019,
+  "Ryu revisited: printf floating point conversion"). The digits are laid
+  out as ``%g`` does: fixed notation from 1e-4 up to 1e17, exponent notation
+  outside it, without trailing zeros or a bare ".". Zero, inf, NaN,
+  subnormals and every value outside the product's range (below about
+  1e-11 or from about 2e15) take ``'%.17g' % x`` itself, in the same call.
+
+``tests/oracles.format_rows_reference`` formats the same tables one Python
+scalar at a time, and the tests compare the two cell by cell.
+
+``ArtifactWriter`` appends each chunk's bytes to one buffer as soon as
 it is formatted, so a large table (``group_variance.dat`` is 57 MB at 2000
-devices) is held once, as that buffer. Joining the chunks and then encoding
-the text held three copies at once, and the peak RSS then depended on
-whether malloc had handed the freed chunks back to the system.
+devices) is held once, as that buffer.
 
 A table of at least ``2 * _PART_CELLS`` cells is formatted on every CPU in
 the process's affinity mask: it is cut at chunk boundaries into
@@ -53,13 +69,65 @@ import numpy as np
 
 from .parallel import part_count, run_parts
 
-# The ``%`` conversion of each column dtype kind format_table accepts.
-_CONVERSIONS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
-# Rows per formatting chunk: bounds the Python objects alive at once.
-_CHUNK_ROWS = 4096
+# Filler of a chunk's byte matrix, dropped when the chunk is compacted.
+# 0xFF is never a byte of UTF-8 text, so no separator, newline or str cell,
+# NUL included, can hold it.
+_PAD = np.uint8(0xFF)
+# The sign slot of a number, by whether it is negative.
+_SIGNS = np.array([_PAD, ord("-")], dtype=np.uint8)
+# Cells per formatting chunk: bounds the kernel's temporaries.
+_CHUNK_CELLS = 3 * 2**12
 # Cells each formatting part holds at least: a fork costs about 4 ms at
-# 150 MB RSS, under a tenth of the time 65,536 cells take to format.
-_PART_CELLS = 2**16
+# 150 MB RSS, under a tenth of the ~45 ms 2**19 cells take to format.
+_PART_CELLS = 2**19
+# "0000" to "9999" in ASCII, one little-endian uint32 per value.
+_DIGITS4 = np.frombuffer("".join(f"{i:04d}" for i in range(10_000)).encode("ascii"), "<u4")
+# The low and high 32 bits of 5**k for the scales the fast float path takes.
+_POW5_LO = np.array([5**k & 0xFFFFFFFF for k in range(28)], dtype=np.uint64)
+_POW5_HI = np.array([5**k >> 32 for k in range(28)], dtype=np.uint64)
+_E16 = np.uint64(10**16)
+_E17 = np.uint64(10**17)
+
+
+def _byte_table(rows) -> np.ndarray:
+    """Rows of equal-length byte strings as a uint8 matrix."""
+    return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), -1)
+
+
+def _word_table(rows) -> np.ndarray:
+    """Rows of 24 bytes as three little-endian uint64 words, word-major: row
+    ``r`` of the bytes is column ``r`` of the result."""
+    return _byte_table(rows).view("<u8").T.copy()
+
+
+# A float's 16 digits after its first sit in the 24 bytes of three words.
+# The "." goes before digit p, p in 0..16 (16: none): bytes below p keep
+# their digit and bytes above p take the digit one below. _TAIL_FILL[p * 17
+# + t] then puts the "." at byte p if more than p of the 16 digits show,
+# and _PAD wherever no digit shows: from digit t on, and past the last.
+_TAIL_LOW = _word_table([bytes(_PAD * (b < p) for b in range(24)) for p in range(17)])
+_TAIL_HIGH = _word_table([bytes(_PAD * (b > p) for b in range(24)) for p in range(17)])
+_TAIL_FILL = _word_table([
+    bytes(_PAD if b - (b > p) >= t or b == p >= t else ord(".") if b == p else 0
+          for b in range(24))
+    for p in range(17) for t in range(17)
+])
+# The bytes before a float's first digit, by 2 * z + sign, where z is 0, or
+# 1 to 4 for "0." and the z - 1 zeros after it: "-", "0.", "-0.000", ...
+_FLOAT_PREFIX = _byte_table([
+    (b"-" if sign else b"\xff") + (b"0." + b"0" * (z - 1) if z else b"").ljust(5, b"\xff")
+    for z in range(5) for sign in (0, 1)
+])
+# A float's exponent in exponent notation, "e-99" to "e+99", by the
+# exponent plus 99; the last row is no exponent.
+_FLOAT_SUFFIX = _byte_table([b"e%+03d" % power for power in range(-99, 100)] + [b"\xff" * 4])
+# 0 to 9999 in ASCII without leading zeros, _PAD in their place, as
+# little-endian uint32s: 0 is "0" as a number's last group of four digits
+# and blank as one before it.
+_INT4_LAST = np.frombuffer(b"".join(str(i).rjust(4, "\xff").encode("latin-1")
+                                    for i in range(10_000)), "<u4")
+_INT4_LEAD = _INT4_LAST.copy()
+_INT4_LEAD[0] = 0xFFFFFFFF
 
 
 def format_table(columns, sep: str = " ", newline: str = "\n") -> str:
@@ -73,8 +141,8 @@ def format_table(columns, sep: str = " ", newline: str = "\n") -> str:
 def _append_table(data: bytearray, columns, sep: str, newline: str = "\n") -> None:
     """Append ``format_table(columns, sep, newline)`` to ``data`` as UTF-8.
 
-    A table of many cells is cut into parts at multiples of ``_CHUNK_ROWS``,
-    one part per CPU the process may run on, each of at least
+    A table of many cells is cut into parts at multiples of the chunk's
+    rows, one part per CPU the process may run on, each of at least
     ``_PART_CELLS`` cells, and the parts run through ``parallel.run_parts``.
     """
     columns = [np.asarray(col) for col in columns]
@@ -83,28 +151,298 @@ def _append_table(data: bytearray, columns, sep: str, newline: str = "\n") -> No
     num_rows = len(columns[0])
     if any(len(col) != num_rows for col in columns):
         raise ValueError("format_table columns differ in length")
-    if any(col.dtype.kind not in _CONVERSIONS for col in columns):
-        raise ValueError("format_table columns must be numeric or str")
-    template = sep.replace("%", "%%").join(_CONVERSIONS[col.dtype.kind] for col in columns)
-    row = template + newline.replace("%", "%%")
+    # Adjacent columns of one kind are formatted as one block.
+    groups = []
+    for col in columns:
+        kind = _cell_kind(col)
+        if groups and groups[-1][0] == kind:
+            groups[-1][1].append(col)
+        else:
+            groups.append((kind, [col]))
+    table = (groups, sep.encode("utf-8"), newline.encode("utf-8"))
+    chunk = _chunk_rows(len(columns))
     parts = part_count(num_rows * len(columns), _PART_CELLS)
-    step = _CHUNK_ROWS * max(1, -(-num_rows // (parts * _CHUNK_ROWS)))  # whole chunks
+    step = chunk * max(1, -(-num_rows // (parts * chunk)))  # whole chunks
     bounds = [(lo, min(lo + step, num_rows)) for lo in range(0, num_rows, step)]
     run_parts(data, len(bounds),
-              lambda buffer, index: _format_rows(buffer, columns, row, *bounds[index]))
+              lambda buffer, index: _format_rows(buffer, table, *bounds[index]))
 
 
-def _format_rows(data: bytearray, columns, row: str, start: int, stop: int) -> None:
-    """Append rows ``start..stop`` to ``data`` as UTF-8, ``_CHUNK_ROWS`` rows
-    at a time."""
-    width = len(columns)
-    for lo in range(start, stop, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, stop)
-        # One % per chunk: the row template repeated, over the cells row-major.
-        cells = [None] * (width * (hi - lo))
-        for index, col in enumerate(columns):
-            cells[index::width] = col[lo:hi].tolist()
-        data += (row * (hi - lo) % tuple(cells)).encode("utf-8")
+def _cell_kind(col: np.ndarray) -> str:
+    """The block a column's cells are formatted in: "f" float64, "i" int64,
+    "u" uint64 or "U" str."""
+    kind = col.dtype.kind
+    if kind == "u" and col.dtype.itemsize == 8:
+        return "u"
+    if kind in "biu":
+        return "i"
+    if kind in "fU":
+        return kind
+    raise ValueError("format_table columns must be numeric or str")
+
+
+def _chunk_rows(width: int) -> int:
+    """Rows per formatting chunk of a table ``width`` cells wide."""
+    return max(1, _CHUNK_CELLS // width)
+
+
+def _format_rows(data: bytearray, table, start: int, stop: int) -> None:
+    """Append rows ``start..stop`` of ``table`` (its column groups, separator
+    and newline as bytes) to ``data``, a chunk of rows at a time.
+
+    A chunk is one uint8 matrix, a row of it per table row: each cell's
+    bytes and each separator at fixed places, the newline at the end, and
+    _PAD wherever a cell is narrower than its place. Dropping the _PAD bytes
+    leaves the text.
+    """
+    groups, sep, newline = table
+    step = _chunk_rows(sum(len(cols) for _, cols in groups))
+    for lo in range(start, stop, step):
+        hi = min(lo + step, stop)
+        # A kernel takes its columns' cells one column after the other; the
+        # transpose puts them back in row order.
+        blocks = []
+        for kind, cols in groups:
+            cells = _CELLS[kind](np.array([col[lo:hi] for col in cols]).ravel())
+            blocks.append(cells.reshape(len(cols), hi - lo, -1).transpose(1, 0, 2))
+        # Each cell is followed by a separator; the last one's is _PAD.
+        template = b"".join((b"\xff" * cells.shape[2] + sep) * cells.shape[1]
+                            for cells in blocks)
+        template = template[:len(template) - len(sep)] + b"\xff" * len(sep) + newline
+        chunk = bytearray(template) * (hi - lo)
+        rows = np.frombuffer(chunk, dtype=np.uint8).reshape(hi - lo, len(template))
+        at = 0
+        for cells in blocks:
+            count, width = cells.shape[1:]
+            places = rows[:, at:at + count * (width + len(sep))]
+            places.reshape(hi - lo, count, -1)[:, :, :width] = cells
+            at += places.shape[1]
+        del rows, places
+        data += chunk.translate(None, b"\xff")
+
+
+def _float_cells(values: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` of each value, as a uint8 matrix, a row per value,
+    padded with _PAD.
+
+    ``%.17g`` shows 17 significant digits, correctly rounded half-even, in
+    exponent notation below 1e-4 and from 1e17, without trailing zeros or a
+    bare ".". ``_decimal_digits`` gives the digits exactly or says it
+    cannot; those values take ``'%.17g' % v`` itself. Each temporary is
+    dropped once spent, which bounds a chunk's peak memory.
+    """
+    values = values.astype(np.float64, copy=False)
+    digits, scale, exact = _decimal_digits(values)
+    first = (digits // _E16).astype(np.uint8)
+    digits -= first * _E16
+    digits = digits.view(np.int64)  # below 10**16: indexes without a copy
+    # Four groups of four digits; the last slot holds the high eight digits
+    # until the low eight are split.
+    quads = np.empty((2, len(values), 2), dtype=np.int64)
+    np.floor_divide(digits, 10**8, out=quads[1, :, 1])
+    digits -= quads[1, :, 1] * 10**8
+    for word, eight in enumerate((quads[1, :, 1], digits)):
+        np.floor_divide(eight, 10**4, out=quads[word, :, 0])
+        np.subtract(eight, quads[word, :, 0] * 10**4, out=quads[word, :, 1])
+    del digits
+    # The 16 digits after the first, as two words of eight ASCII digits, and
+    # a third word for the digit the "." pushes out of the second.
+    tail = np.zeros((3, len(values)), dtype="<u8")
+    np.take(_DIGITS4, quads, out=tail[:2].view("<u4").reshape(quads.shape), mode="clip")
+    del quads
+    # The digits after the first up to the last that is not "0": in each
+    # word, up to its highest byte that is not "0", whose top bit the float
+    # exponent gives exactly, as no byte of the word has its high bits set.
+    top = (tail[:2] ^ np.uint64(0x3030303030303030)).astype(np.float64).view(np.int64)
+    top >>= 52
+    shown = np.maximum((top[0] - 1015) >> 3, (top[1] - 951) >> 3)
+    del top
+    np.maximum(shown, 0, out=shown)
+
+    power = 16 - scale  # the decimal exponent of the first digit
+    del scale
+    fixed = (power + 4).view(np.uint64) <= 20  # -4 <= power <= 16
+    integral = fixed & (power >= 0)
+    np.maximum(shown, np.where(integral, power, 0), out=shown)
+    point = np.where(integral, power, np.where(fixed, 16, 0))
+    del integral
+    # Bytes below the "." keep their digit, bytes above it take the digit
+    # one byte lower.
+    shifted = tail << 8
+    shifted[1:] |= tail[:2] >> 56
+    # mode="clip" writes straight to ``out``; every index is in range.
+    mask = np.take(_TAIL_HIGH, point, axis=1)
+    shifted &= mask
+    tail &= np.take(_TAIL_LOW, point, axis=1, out=mask, mode="clip")
+    tail |= shifted
+    del shifted
+    tail |= np.take(_TAIL_FILL, point * 17 + shown, axis=1, out=mask, mode="clip")
+    del mask
+    body = np.ascontiguousarray(tail.T).view(np.uint8)
+    del tail
+    last = int((shown + (shown > point)).max())  # body bytes in use
+    del shown, point
+
+    negative = values < 0
+    small = fixed & (power < 0)
+    prefix = 6 if small.any() else 1 if negative.any() else 0
+    suffix = 0 if fixed.all() else 4
+    fallback = [] if exact.all() else [
+        ("%.17g" % v).encode("ascii") for v in values[~exact].tolist()]
+    width = max([prefix + 1 + last + suffix, *map(len, fallback)])
+    cells = np.full((len(values), width), _PAD, dtype=np.uint8)
+    if prefix == 1:
+        cells[:, 0] = np.take(_SIGNS, negative.view(np.uint8))
+    elif prefix:
+        cells[:, :prefix] = np.take(
+            _FLOAT_PREFIX, 2 * np.where(small, -power, 0) + negative, axis=0)
+    cells[:, prefix] = first + ord("0")
+    cells[:, prefix + 1:prefix + 1 + last] = body[:, :last]
+    if suffix:
+        cells[:, prefix + 1 + last:prefix + 5 + last] = np.take(
+            _FLOAT_SUFFIX, np.where(fixed | ~exact, len(_FLOAT_SUFFIX) - 1, power + 99), axis=0)
+    if fallback:
+        cells[~exact] = _byte_table([text.ljust(width, b"\xff") for text in fallback])
+    return cells
+
+
+def _decimal_digits(values: np.ndarray):
+    """The 17 significant digits of each ``|v|`` as an integer ``q`` from
+    10**16 to 10**17, correctly rounded half-even, the scale ``k`` with ``q
+    = round(|v| * 10**k)``, and whether ``q`` and ``k`` are exact.
+
+    With ``|v| = m * 2**e``, ``q`` is ``m * 5**k`` shifted right by ``-(e +
+    k)`` bits: an exact 128-bit product (Ryu printf: Adams 2019). Zero,
+    inf, NaN and subnormals, and scales and shifts that product does not
+    cover, are not exact.
+    """
+    bits = values.view(np.uint64)
+    biased = (bits >> 52) & 0x7FF
+    normal = biased - 1 < 0x7FE  # neither zero, subnormal, inf nor NaN
+    del biased
+    # 16 - floor(log10|v|), which may be one off next to a power of ten: the
+    # scale then moves a step, as the floor of the product says.
+    log = np.where(normal, values, 1.0)
+    np.abs(log, out=log)
+    np.log10(log, out=log)
+    np.floor(log, out=log)
+    scale = np.subtract(16, log, out=log).astype(np.int64)
+    del log
+    floor, up, exact = _scaled_digits(bits, scale)
+    exact &= normal
+    del normal
+    for _ in range(2):
+        retry = np.nonzero(exact & (floor - _E16 >= _E17 - _E16))[0]  # outside 10**16..10**17
+        if not retry.size:
+            break
+        scale[retry] += np.where(floor[retry] < _E16, 1, -1)
+        floor[retry], up[retry], exact[retry] = _scaled_digits(bits[retry], scale[retry])
+    exact &= floor - _E16 < _E17 - _E16
+    floor += up
+    floor[~exact] = _E16
+    carried = floor == _E17  # 9.99...95 rounds up to one more decimal place
+    if carried.any():
+        floor[carried] = _E16
+        scale[carried] -= 1
+    return floor, scale, exact
+
+
+def _scaled_digits(bits, scale):
+    """``floor(|v| * 10**scale)`` for the float64 ``v`` of each of ``bits``,
+    whether rounding it half-even adds one, and whether both are exact:
+    where ``v`` is normal, ``scale`` lies in 0..27 and, with ``|v| = m *
+    2**e``, the shift ``-(e + scale)`` in 1..63.
+
+    The product is ``m * 5**scale`` in two uint64 words, multiplied from
+    32-bit halves, then shifted right; the bits shifted out decide the
+    rounding. A floor below 10**17 takes a shift of at most 63 at these
+    scales, and a C shift by 64 bits or more is undefined.
+    """
+    shift = ((bits >> 52) & 0x7FF).view(np.int64)
+    np.subtract(1074, shift, out=shift)  # the shift less one
+    shift -= scale
+    shift = shift.view(np.uint64)  # below 0 wraps past 62
+    exact = scale.view(np.uint64) <= 27
+    exact &= shift < 63
+    np.minimum(shift, 62, out=shift)
+    shift += 1
+    # m * 5**k = (m_hi * 2**32 + m_lo) * (p_hi * 2**32 + p_lo); m < 2**53
+    # and 5**k < 2**63, so the middle sum stays below 2**64.
+    p_lo = np.take(_POW5_LO, scale, mode="clip")
+    p_hi = np.take(_POW5_HI, scale, mode="clip")
+    m_hi = (bits >> 32) & 0xFFFFF
+    m_hi |= 1 << 20  # the implicit bit of a normal m
+    m_lo = bits & 0xFFFFFFFF
+    word_lo = m_lo * p_lo
+    middle = np.multiply(m_lo, p_hi, out=m_lo)
+    middle += np.multiply(m_hi, p_lo, out=p_lo)
+    middle += word_lo >> 32
+    word_hi = np.multiply(m_hi, p_hi, out=m_hi)
+    word_hi += middle >> 32
+    word_lo &= 0xFFFFFFFF
+    middle <<= 32
+    word_lo |= middle
+    del middle, p_lo, p_hi
+    floor = word_lo >> shift
+    floor |= word_hi << (64 - shift)
+    floor[(word_hi >> shift) != 0] = _E17  # past 2**64: far too big
+    # Half-even: up when the remainder is over half, or half and the floor odd.
+    below = np.left_shift(1, shift, dtype=np.uint64)
+    below -= 1
+    word_lo &= below
+    word_lo += floor & 1
+    up = word_lo > below - (below >> 1)
+    return floor, up, exact
+
+
+def _int_cells(values: np.ndarray) -> np.ndarray:
+    """``'%d' % n`` of each int64 or uint64, as a uint8 matrix, a row per
+    value, padded with _PAD: a sign where any is negative, then the digits
+    in groups of four."""
+    if values.dtype == np.uint64:
+        magnitude, negative = values, np.zeros(len(values), dtype=bool)
+    else:
+        negative = values < 0
+        magnitude = np.abs(values).view(np.uint64)  # abs(-2**63) wraps to 2**63
+    groups = -(-len(str(int(magnitude.max(initial=0)))) // 4)
+    quads = np.empty((groups, len(values)), dtype=np.uint64)
+    quads[-1] = magnitude
+    for at in range(groups - 1, 0, -1):
+        np.floor_divide(quads[at], 10**4, out=quads[at - 1])
+        quads[at] -= quads[at - 1] * 10**4
+    quads = quads.view(np.int64)  # each below 10**4: indexes without a copy
+    # Groups before the first that is not 0 are blank, that one has no
+    # leading zeros, and those after it have all theirs.
+    digits = np.empty((len(values), groups), dtype="<u4")
+    started = np.zeros(len(values), dtype=bool)
+    for at, quad in enumerate(quads):
+        lead = np.take(_INT4_LAST if at == groups - 1 else _INT4_LEAD, quad)
+        digits[:, at] = np.where(started, np.take(_DIGITS4, quad), lead) if at else lead
+        started |= quad != 0
+    sign = int(negative.any())
+    cells = np.empty((len(values), sign + 4 * groups), dtype=np.uint8)
+    if sign:
+        cells[:, 0] = np.take(_SIGNS, negative.view(np.uint8))
+    cells[:, sign:] = digits.view(np.uint8)
+    return cells
+
+
+def _str_cells(values: np.ndarray) -> np.ndarray:
+    """The UTF-8 bytes of each str, as a uint8 matrix, a row per value,
+    padded with _PAD."""
+    encoded = np.char.encode(values, "utf-8")
+    width = encoded.dtype.itemsize
+    raw = encoded.view(np.uint8).reshape(len(values), width)
+    length = np.char.str_len(encoded)  # a numpy str keeps no trailing NUL
+    return np.where(np.arange(width) < length[:, None], raw, np.uint8(_PAD))
+
+
+_CELLS = {
+    "f": _float_cells,
+    "i": lambda values: _int_cells(values.astype(np.int64, copy=False)),
+    "u": _int_cells,
+    "U": _str_cells,
+}
 
 
 def sha256_bytes(data: bytes) -> str:

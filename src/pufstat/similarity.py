@@ -50,6 +50,25 @@ class GroupVarianceMap:
     def num_devices(self) -> int:
         return self.values.shape[0]
 
+    def windows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The first and last device ``a``, ``b`` of every window of at least
+        ``min_group`` devices, ``a`` then ``b`` ascending, as int32 arrays:
+        the pairs of ``np.triu_indices(num_devices, min_group - 1)`` in half
+        its bytes."""
+        num_devices, reach = self.num_devices, self.min_group - 1
+        if num_devices >= 2**31:
+            raise ConfigurationError(f"{num_devices} devices do not fit int32 window bounds")
+        first = np.arange(num_devices - reach, dtype=np.int32)
+        counts = num_devices - reach - first
+        a = np.repeat(first, counts)
+        # b counts up along each row of windows and restarts at a + reach,
+        # from num_devices - 1 at the end of the row before.
+        b = np.ones(len(a), dtype=np.int32)
+        b[np.cumsum(counts) - counts] = first + reach - (num_devices - 1)
+        b[0] = reach
+        np.cumsum(b, dtype=np.int32, out=b)
+        return a, b
+
 
 def _centred(dev) -> np.ndarray:
     """``dev`` as a 2-D float64 array with each row's mean subtracted.

@@ -347,9 +347,11 @@ def fmt_num_reference(value) -> str:
     return format(float(value), ".17g")
 
 
-def format_rows_reference(rows, sep: str, newline: str = "\n") -> str:
-    """A table row by row: text cells as they are, every other cell through
+def format_rows_reference(columns, sep: str, newline: str = "\n") -> str:
+    """A table row by row from the Python scalars of each column's
+    ``tolist()``: text cells as they are, every other cell through
     ``fmt_num_reference``, each row ended by ``newline``."""
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
     return "".join(
         sep.join(v if isinstance(v, str) else fmt_num_reference(v) for v in row) + newline
         for row in rows

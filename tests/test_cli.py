@@ -624,3 +624,33 @@ def test_chain_loads_once_and_matches_stages(layout, tmp_path, monkeypatch, caps
                            synth[1:] + ["--out", "syn", "--analyze"], monkeypatch) == 0
         assert len(loads) == 1
         assert _digests(tmp_path / "two" / "syn") == _digests(tmp_path / "one" / "syn")
+
+
+def test_compare_manifests_reports_each_artifact_that_differs(dataset_args, tmp_path,
+                                                              monkeypatch, capsys):
+    # Two runs of one stage list the same digests; a changed parameter
+    # changes every artifact that carries the manifest hash.
+    runs = {}
+    for name, extra in (("a", []), ("b", []), ("c", ["--min-group", "6"])):
+        runs[name] = tmp_path / name
+        assert main(["similarity", *dataset_args, "--out", str(runs[name]), *extra]) == 0
+    capsys.readouterr()
+    assert _run_script("compare_manifests.py", [str(runs["a"]), str(runs["b"])],
+                       monkeypatch) == 0
+    assert capsys.readouterr().out == "3 artifacts identical\n"
+    assert _run_script("compare_manifests.py", [str(runs["a"]), str(runs["c"])],
+                       monkeypatch) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["differs:", f"similarity_manifest.json/{name}"]
+        for name in ("group_variance.dat", "serial_corr.csv", "similarity.json")]
+    # An artifact one side does not list.
+    manifest = runs["b"] / "similarity_manifest.json"
+    payload = json.loads(manifest.read_text())
+    del payload["artifacts"]["serial_corr.csv"]
+    manifest.write_text(json.dumps(payload))
+    assert _run_script("compare_manifests.py", [str(runs["a"]), str(runs["b"])],
+                       monkeypatch) == 1
+    assert capsys.readouterr().out == "only in A: similarity_manifest.json/serial_corr.csv\n"
+    assert _run_script("compare_manifests.py", [str(runs["a"]), str(tmp_path / "none")],
+                       monkeypatch) == 2

@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import force_parts
 from oracles import load_csv_reference, load_metadata_reference, write_dataset_reference
-from pufstat import dataset
+from pufstat import dataset, output
 from pufstat.cli import main
 from pufstat.dataset import (
     CSV_HEADER,
@@ -760,18 +760,18 @@ def _assert_tree(root, want):
 
 def _log_writes(monkeypatch, log, child=None):
     """Log ``pid name`` to ``log`` for every file written; in a forked child,
-    ``child(path, text)`` writes instead, when given."""
+    ``child(path, data)`` writes instead, when given."""
     parent = os.getpid()
-    real_write_text = Path.write_text
+    real_write_bytes = Path.write_bytes
 
-    def write_text(self, text, *args, **kwargs):
+    def write_bytes(self, data):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()} {self.name}\n")
         if child is not None and os.getpid() != parent:
-            return child(self, text)
-        return real_write_text(self, text, *args, **kwargs)
+            return child(self, data)
+        return real_write_bytes(self, data)
 
-    monkeypatch.setattr(Path, "write_text", write_text)
+    monkeypatch.setattr(Path, "write_bytes", write_bytes)
     return parent
 
 
@@ -826,10 +826,10 @@ def test_failed_write_child_is_redone(how, tmp_path, monkeypatch):
     values = _equal_width_values(np.random.default_rng(103))
     write_dataset(values, tmp_path / "serial")
 
-    def fail(path, text):
+    def fail(path, data):
         if how == "killed mid-file":
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text[:len(text) // 2])
+            with open(path, "wb") as fh:
+                fh.write(data[:len(data) // 2])
         if how != "raises":
             os.kill(os.getpid(), signal.SIGKILL)
         raise OSError("writing failed in a child")
@@ -864,9 +864,10 @@ def test_parallel_write_raises_the_serial_error(tmp_path, monkeypatch):
 
 
 def test_parallel_write_does_not_nest(tmp_path, monkeypatch):
-    # Files of 8200 rows and 2**17 cells or more format in two parts on
-    # their own, but not inside a share of a two-part write: one fork in
+    # Files of 8200 rows and twice the part size or more format in two parts
+    # on their own, but not inside a share of a two-part write: one fork in
     # all, as on two CPUs.
+    monkeypatch.setattr(output, "_PART_CELLS", 2**16)
     values = np.random.default_rng(105).uniform(90.0, 110.0, size=(3, 16, 8200))
     layout = LayoutSpec(rows="samples")
     write_dataset_reference(values, tmp_path / "slow", rows="samples")
@@ -899,3 +900,20 @@ def test_synth_refuses_to_mix_datasets(tmp_path, capsys):
     assert main(base + ["--devices", "12", "--seed", "8"]) == 0
     assert load_readings(out / "dataset").num_devices == 12
     assert (out / "dataset" / "notes.md").exists()
+
+
+def test_synth_refuses_a_pattern_its_files_do_not_match(tmp_path, capsys):
+    # synth names device files device_NNNN.txt; a layout whose pattern does
+    # not match them would write a dataset that the same layout cannot read.
+    out = tmp_path / "synth"
+    argv = ["synth", "--seed", "1", "--devices", "4", "--ros", "16", "--samples", "2",
+            "--geometry", "4x4:col", "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv + ["--layout", "files:pattern=*.dat"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pufstat: configuration error: ")
+    assert "pattern '*.dat' does not match the device file device_0000.txt" in err
+    assert not (out / "dataset").exists() or not any((out / "dataset").iterdir())
+    assert main(argv + ["--layout", "files:pattern=device_*.txt"]) == 0
+    assert load_readings(out / "dataset", LayoutSpec.parse("files:pattern=device_*.txt")) \
+        .num_devices == 4

@@ -10,7 +10,7 @@ import pytest
 from conftest import force_parts
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import format_rows_reference, write_dataset_reference
+from oracles import fmt_num_reference, format_rows_reference, write_dataset_reference
 
 from pufstat import output
 from pufstat.dataset import DeviceMeta, LayoutSpec, ReadingsTensor, write_dataset
@@ -19,13 +19,11 @@ from pufstat.output import ArtifactWriter, RunManifest, format_table
 SPECIAL_FLOATS = [
     float("nan"), float("inf"), -float("inf"), 0.0, -0.0,
     5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
-    0.1, 1e16, 1e17, 123456789012345678.0,
+    0.1, 1e16, 1e17, 123456789012345678.0, 1e-4, 1e-5, 9.9999999999999995e-5,
 ]
 floats = st.one_of(st.floats(allow_subnormal=True), st.sampled_from(SPECIAL_FLOATS))
-# The row-wise path printed numpy integers through float(), which is exact
-# only up to 2**53; artifact integer columns are indices and counts.
-ints = st.integers(-(2**53), 2**53)
-separators = st.text(alphabet=" ,;\t%sdx", min_size=1, max_size=4)
+ints = st.integers(-(2**63), 2**63 - 1)
+separators = st.text(alphabet=" ,;\t%sdx\0→", min_size=1, max_size=4)
 
 
 def _column(kind, n):
@@ -37,6 +35,9 @@ def _column(kind, n):
             lambda v: np.array(v, dtype=np.float32))
     if kind == "int64":
         return st.lists(ints, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.int64))
+    if kind == "uint64":
+        return st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n).map(
+            lambda v: np.array(v, dtype=np.uint64))
     if kind == "uint8":
         return st.lists(st.integers(0, 255), min_size=n, max_size=n).map(
             lambda v: np.array(v, dtype=np.uint8))
@@ -45,7 +46,7 @@ def _column(kind, n):
     return st.lists(st.text(max_size=6), min_size=n, max_size=n).map(np.array)
 
 
-KINDS = ["float64", "float32", "int64", "uint8", "bool", "str"]
+KINDS = ["float64", "float32", "int64", "uint64", "uint8", "bool", "str"]
 
 
 @st.composite
@@ -56,10 +57,10 @@ def tables(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(tables(), separators, st.sampled_from(["\n", "\r\n"]))
+@given(tables(), separators, st.sampled_from(["\n", "\r\n", "\0"]))
 def test_format_table_matches_row_wise_oracle(columns, sep, newline):
-    rows = zip(*columns)  # numpy scalars, as the row-wise writers received them
-    assert format_table(columns, sep, newline) == format_rows_reference(rows, sep, newline)
+    with np.errstate(all="raise"):
+        assert format_table(columns, sep, newline) == format_rows_reference(columns, sep, newline)
 
 
 @settings(max_examples=100, deadline=None)
@@ -68,14 +69,108 @@ def test_format_table_matches_row_wise_oracle(columns, sep, newline):
 def test_python_list_columns_match_oracle(cells):
     # Columns as cli passes them for attack.csv: Python lists.
     columns = [list(col) for col in zip(*cells)] or [[], [], [], []]
-    assert format_table(columns, ",") == format_rows_reference(cells, ",")
+    assert format_table(columns, ",") == format_rows_reference(columns, ",")
+
+
+def _cells(values) -> list[str]:
+    """One column formatted by format_table, cell by cell."""
+    with np.errstate(all="raise"):
+        return format_table([values]).split("\n")[:-1]
+
+
+def _want(values) -> list[str]:
+    """The oracle's cells of one column, from its ``tolist()`` scalars."""
+    return [fmt_num_reference(v) for v in np.asarray(values).tolist()]
+
+
+def test_float_cells_match_random_bit_patterns():
+    # Doubles of every kind: subnormals, NaN payloads of either sign, inf,
+    # and normals of every exponent.
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2**64, 50_000, dtype=np.uint64, endpoint=False)
+    # Exponents the fast path takes, by the mantissa of another draw.
+    near = (rng.integers(990, 1080, 50_000).astype(np.uint64) << np.uint64(52)) | (
+        bits >> np.uint64(12))
+    specials = np.array([0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001,
+                         0xFFFFFFFFFFFFFFFF, 0x8000000000000000, 1, 0x000FFFFFFFFFFFFF],
+                        dtype=np.uint64)
+    values = np.concatenate([bits, near, specials]).view(np.float64)
+    assert _cells(values) == _want(values)
+
+
+def _ties():
+    """Doubles whose exact decimal value has 18 significant digits, the
+    last a 5: %.17g rounds each half to even."""
+    found = []
+    for shift in range(1, 70):
+        for odd in range(1, 400, 2):
+            exact = odd * 5**shift  # the digits of odd * 2**-shift
+            if len(str(exact)) == 18 and odd < 2**53:
+                found.append(odd / 2**shift)
+    return found
+
+
+def test_float_cells_at_boundaries():
+    # Powers of ten and up to two ulps either side of them.
+    powers = 10.0 ** np.arange(-30, 31)
+    around = np.concatenate([
+        np.nextafter(p, direction)
+        for p in (powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf))
+        for direction in (0, np.inf)
+    ])
+    edges = np.array([1e-5, 1e-4, 1e16, 1e17, 9.9999999999999995e-5, 9.9999999999999998e16,
+                      99999999999999999.0, 0.00099999999999999999, 2.0**53, 2.0**53 + 2,
+                      2.0**-1022, 1e-11, 1e-12, 9.99999999999999e-12])
+    ties = np.array(_ties())
+    assert len(ties) > 50
+    values = np.concatenate([powers, around, edges, ties, -ties])
+    assert _cells(values) == _want(values)
+    assert _cells(values.astype(np.float32)) == _want(values.astype(np.float32))
+
+
+def test_int_and_bool_cells_at_extremes():
+    info64, infou = np.iinfo(np.int64), np.iinfo(np.uint64)
+    signed = np.array([info64.min, info64.min + 1, -1, 0, 1, 9999, 10_000, -10_000,
+                       10**16 - 1, 10**16, -(10**18), info64.max], dtype=np.int64)
+    unsigned = np.array([0, 1, 9999, 10**19 - 1, 10**19, 2**63, infou.max], dtype=np.uint64)
+    assert _cells(signed) == _want(signed)
+    assert _cells(unsigned) == _want(unsigned)
+    assert _cells(np.array([True, False])) == ["1", "0"]
+    small = np.array([-128, 0, 127], dtype=np.int8)
+    assert _cells(small) == ["-128", "0", "127"]
+
+
+def test_str_cells_and_separators():
+    texts = np.array(["", "a\0b", "naïve", "→x", "%d", "plain"])
+    numbers = np.arange(len(texts))
+    for sep in [" ", "%", "\0", "→·", ", "]:
+        for newline in ["\n", "\r\n"]:
+            columns = [numbers, texts, numbers * 0.5]
+            assert format_table(columns, sep, newline) == format_rows_reference(
+                columns, sep, newline)
+
+
+def test_adjacent_columns_of_a_kind_format_together(monkeypatch):
+    # One kernel call per run of columns of one kind in each chunk, and no
+    # call with more than a chunk's cells.
+    calls = []
+    for kind, kernel in list(output._CELLS.items()):
+        monkeypatch.setitem(output._CELLS, kind, lambda values, kind=kind, kernel=kernel: (
+            calls.append((kind, values.size)), kernel(values))[1])
+    matrix = np.random.default_rng(5).normal(size=(2001, 32))
+    columns = [np.arange(2001), *matrix.T, np.arange(2001) % 2 == 0]
+    monkeypatch.setattr(output, "_PART_CELLS", 2**40)  # one part: the calls are seen here
+    assert format_table(columns, ",") == format_rows_reference(columns, ",")
+    chunks = -(-2001 // output._chunk_rows(len(columns)))
+    assert [kind for kind, _ in calls] == ["i", "f", "i"] * chunks
+    assert max(size for _, size in calls) <= output._CHUNK_CELLS
 
 
 def test_format_table_spans_chunks():
     n = 10_000  # several formatting chunks
     rng = np.random.default_rng(3)
     columns = [np.arange(n), rng.normal(size=n), rng.integers(0, 2, n).astype(bool)]
-    assert format_table(columns, " ") == format_rows_reference(zip(*columns), " ")
+    assert format_table(columns, " ") == format_rows_reference(columns, " ")
 
 
 def test_format_table_rejects_bad_columns():
@@ -144,9 +239,10 @@ def test_write_dataset_matches_oracle(values, layout, data):
             assert (fast / name).read_bytes() == (slow / name).read_bytes(), name
 
 
-# Rows that split into exactly 2, 3 and 4 parts at multiples of the
-# 4096-row chunk, with a short last chunk.
-PARALLEL_ROWS = 12 * 4096 + 5
+# Rows of a three-column table per formatting chunk, and rows that split
+# into exactly 2, 3 and 4 parts at multiples of it, with a short last chunk.
+CHUNK_ROWS = output._chunk_rows(3)
+PARALLEL_ROWS = 12 * CHUNK_ROWS + 5
 
 
 def _parallel_table():
@@ -168,12 +264,12 @@ def _record_parent_rows(monkeypatch, child=None):
     real_format_rows = output._format_rows
     rows = []
 
-    def format_rows(data, columns, row, start, stop):
+    def format_rows(data, table, start, stop):
         if os.getpid() == parent:
             rows.append((start, stop))
         elif child is not None:
             child(os.getpid())
-        real_format_rows(data, columns, row, start, stop)
+        real_format_rows(data, table, start, stop)
 
     monkeypatch.setattr(output, "_format_rows", format_rows)
     return rows
@@ -182,13 +278,13 @@ def _record_parent_rows(monkeypatch, child=None):
 @pytest.mark.parametrize("parts", [1, 2, 3, 4])
 def test_parallel_format_matches_oracle(parts, monkeypatch, tmp_path):
     columns = _parallel_table()
-    want = format_rows_reference(zip(*columns), " ")
+    want = format_rows_reference(columns, " ")
     forks = _force_parts(monkeypatch, parts)
     rows = _record_parent_rows(monkeypatch)
     assert format_table(columns, " ") == want
     assert len(forks) == parts - 1
     # This process formats only the first part, whole chunks of it.
-    step = 4096 * -(-PARALLEL_ROWS // (parts * 4096))
+    step = CHUNK_ROWS * -(-PARALLEL_ROWS // (parts * CHUNK_ROWS))
     assert rows == [(0, min(step, PARALLEL_ROWS))]
     writer = ArtifactWriter(tmp_path, RunManifest(version="0", subcommand="t", params={}))
     writer.write_dat("t.dat", "i x b", [(None, columns)], "u")
@@ -211,10 +307,11 @@ def test_failed_format_child_is_redone(how, monkeypatch, tmp_path):
     writer = ArtifactWriter(tmp_path, RunManifest(version="0", subcommand="t", params={}))
     writer.write_dat("t.dat", "i x b", [(None, columns)], "u")
     assert len(forks) == 2
-    assert rows == [(0, 20480), (20480, 40960), (40960, PARALLEL_ROWS)]
+    assert rows == [(0, 5 * CHUNK_ROWS), (5 * CHUNK_ROWS, 10 * CHUNK_ROWS),
+                    (10 * CHUNK_ROWS, PARALLEL_ROWS)]
     assert [p.name for p in tmp_path.iterdir()] == ["t.dat"]
     text = (tmp_path / "t.dat").read_text()
-    assert text.split("\n", 3)[3] == format_rows_reference(zip(*columns), " ")
+    assert text.split("\n", 3)[3] == format_rows_reference(columns, " ")
     assert writer.manifest.artifacts == {"t.dat": output.sha256_bytes(text.encode("utf-8"))}
 
 

@@ -166,3 +166,13 @@ def test_map_accurate_under_per_ro_offset(offset):
     direct = np.array([group_variance_reference(dev, int(s), int(s) + min_group - 1)
                        for s in a])
     np.testing.assert_allclose(gv.values[a, a + min_group - 1], direct, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("num_devices, min_group", [(2, 2), (5, 5), (6, 2), (9, 4), (40, 7)])
+def test_windows_are_the_upper_triangle_in_int32(num_devices, min_group):
+    values = np.full((num_devices, num_devices), np.nan)
+    a, b = GroupVarianceMap(values=values, min_group=min_group).windows()
+    want_a, want_b = np.triu_indices(num_devices, min_group - 1)
+    assert a.dtype == b.dtype == np.int32
+    np.testing.assert_array_equal(a, want_a)
+    np.testing.assert_array_equal(b, want_b)
