@@ -2,8 +2,11 @@
 """Generate a seeded synthetic dataset and optionally analyze it in place.
 
 The synthetic generator plants known device offsets, x/y gradients and local
-process noise, and stores the drawn components in ground_truth.json, so the
-analysis results can be compared against what was actually put in. With
+process noise, and stores the drawn components beside the dataset, so the
+analysis results can be compared against what was actually put in: the
+ROs x devices matrices in ground_truth_local.npy and
+ground_truth_true_freq.npy, everything else in ground_truth.json.
+pufstat.GroundTruth.load(OUT) reads all three back. With
 --analyze, the dataset goes through the chain of run_reference_analysis.py
 (every stage including similarity, then report; parsed once), except that
 attack samples 4 target devices, not 8. Usage:

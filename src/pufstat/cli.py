@@ -384,7 +384,7 @@ def cmd_synth(args) -> int:
         seed=args.seed,
     )
     writer = ArtifactWriter(out_dir, manifest)
-    writer.write_json("ground_truth.json", truth.to_dict())
+    truth.write(writer)
     writer.finish()
     print(f"pufstat: synthetic dataset written to {dataset_dir}", file=sys.stderr)
     return 0

@@ -44,7 +44,9 @@ scalar at a time, and the tests compare the two cell by cell.
 
 ``ArtifactWriter`` appends each chunk's bytes to one buffer as soon as
 it is formatted, so a large table (``group_variance.dat`` is 57 MB at 2000
-devices) is held once, as that buffer.
+devices) is held once, as that buffer. The blocks of a ``write_dat`` table
+are formatted as one table where their column kinds agree, and the table is
+cut at the newlines that end each block (``_append_blocks``).
 
 A table of at least ``2 * _PART_CELLS`` cells is formatted on every CPU in
 the process's affinity mask: it is cut at chunk boundaries into
@@ -145,12 +147,8 @@ def _append_table(data: bytearray, columns, sep: str, newline: str = "\n") -> No
     rows, one part per CPU the process may run on, each of at least
     ``_PART_CELLS`` cells, and the parts run through ``parallel.run_parts``.
     """
-    columns = [np.asarray(col) for col in columns]
-    if not columns or any(col.ndim != 1 for col in columns):
-        raise ValueError("format_table needs one or more 1-dimensional columns")
+    columns = _columns(columns)
     num_rows = len(columns[0])
-    if any(len(col) != num_rows for col in columns):
-        raise ValueError("format_table columns differ in length")
     # Adjacent columns of one kind are formatted as one block.
     groups = []
     for col in columns:
@@ -166,6 +164,50 @@ def _append_table(data: bytearray, columns, sep: str, newline: str = "\n") -> No
     bounds = [(lo, min(lo + step, num_rows)) for lo in range(0, num_rows, step)]
     run_parts(data, len(bounds),
               lambda buffer, index: _format_rows(buffer, table, *bounds[index]))
+
+
+def _columns(columns) -> list[np.ndarray]:
+    """``columns`` as 1-dimensional arrays of one length."""
+    columns = [np.asarray(col) for col in columns]
+    if not columns or any(col.ndim != 1 for col in columns):
+        raise ValueError("format_table needs one or more 1-dimensional columns")
+    if any(len(col) != len(columns[0]) for col in columns):
+        raise ValueError("format_table columns differ in length")
+    return columns
+
+
+def _append_blocks(data: bytearray, blocks, sep: str) -> None:
+    """Append the ``(comment_or_None, columns)`` blocks of a table to
+    ``data``: each block's rows as ``_append_table`` formats them, after a
+    ``# comment`` line where it has one, with a blank line between blocks.
+
+    Where every block with rows has the same column kinds, their rows are
+    formatted as one table, in one pass of the kernels, and cut at the
+    newlines that end each block's last row: a str cell that holds a
+    newline shows as too many of them, and the blocks are then formatted
+    one at a time.
+    """
+    tables = [_columns(columns) for _, columns in blocks]
+    kinds = [tuple(map(_cell_kind, columns)) for columns in tables]
+    filled = [columns for columns in tables if len(columns[0])]
+    rows, ends = bytearray(), None  # the rows of all blocks; the end of each row
+    if len(blocks) > 1 and len({k for k, cols in zip(kinds, tables) if len(cols[0])}) == 1:
+        _append_table(rows, [np.concatenate(parts) for parts in zip(*filled)], sep)
+        ends = np.flatnonzero(np.frombuffer(rows, dtype=np.uint8) == ord("\n")) + 1
+        if len(ends) != sum(len(columns[0]) for columns in filled):
+            ends = None
+    start = row = 0
+    for index, ((comment, _), columns) in enumerate(zip(blocks, tables)):
+        if index:
+            data += b"\n"
+        if comment:
+            data += f"# {comment}\n".encode("utf-8")
+        if ends is None:
+            _append_table(data, columns, sep)
+        elif len(columns[0]):
+            row += len(columns[0])
+            data += memoryview(rows)[start:ends[row - 1]]
+            start = ends[row - 1]
 
 
 def _cell_kind(col: np.ndarray) -> str:
@@ -550,12 +592,7 @@ class ArtifactWriter:
             f"# units: {units}\n"
             f"# columns: {header}\n".encode("utf-8")
         )
-        for index, (comment, columns) in enumerate(blocks):
-            if index:
-                data += b"\n"
-            if comment:
-                data += f"# {comment}\n".encode("utf-8")
-            _append_table(data, columns, " ")
+        _append_blocks(data, blocks, " ")
         return self._record(name, data)
 
     def write_binary(self, name: str, data: bytes) -> Path:

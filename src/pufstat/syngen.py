@@ -20,6 +20,7 @@ component; per-sample measurement noise is not recorded, only its sigma.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,8 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import DeviceMeta, ReadingsTensor
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ParseError, StructuralError
 from .geometry import GridGeometry
+from .output import ArtifactWriter
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,17 @@ class SynthConfig:
         }
 
 
+# Fields of GroundTruth, by what they are indexed by; the ROs x devices
+# matrices are written as .npy files, the rest in ground_truth.json.
+_RO_FIELDS = ("coord_x", "coord_y", "ro_mean_offsets")
+_DEVICE_FIELDS = ("device_offsets", "gradients_x", "gradients_y", "serials")
+_MATRIX_FIELDS = ("local", "true_freq")
+
+
+def _dtype(name: str) -> type:
+    return np.int64 if name == "serials" else np.float64
+
+
 @dataclass(frozen=True)
 class GroundTruth:
     """Every drawn frequency component, for oracle checks downstream."""
@@ -107,24 +120,44 @@ class GroundTruth:
     serials: np.ndarray
     true_freq: np.ndarray = field(repr=False)
 
-    def to_dict(self) -> dict:
-        return {
+    def write(self, writer: ArtifactWriter) -> None:
+        """Write the record through ``writer``: each ROs x devices matrix as
+        ``ground_truth_<field>.npy``, float64 in C order, and the config and
+        vectors as ``ground_truth.json``."""
+        writer.write_json("ground_truth.json", {
             "config": self.config,
-            "coord_x": self.coord_x.tolist(),
-            "coord_y": self.coord_y.tolist(),
-            "device_offsets": self.device_offsets.tolist(),
-            "gradients_x": self.gradients_x.tolist(),
-            "gradients_y": self.gradients_y.tolist(),
-            "local": self.local.tolist(),
-            "ro_mean_offsets": self.ro_mean_offsets.tolist(),
-            "serials": self.serials.tolist(),
-            "true_freq": self.true_freq.tolist(),
-        }
+            **{name: getattr(self, name).tolist() for name in _RO_FIELDS + _DEVICE_FIELDS},
+        })
+        for name in _MATRIX_FIELDS:
+            buffer = io.BytesIO()
+            np.save(buffer, np.ascontiguousarray(getattr(self, name), dtype=np.float64),
+                    allow_pickle=False)
+            writer.write_binary(f"ground_truth_{name}.npy", buffer.getvalue())
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), sort_keys=True) + "\n", encoding="utf-8"
-        )
+    @classmethod
+    def load(cls, out_dir: str | Path) -> GroundTruth:
+        """The record ``write`` left in ``out_dir``, the ``--out`` of ``synth``."""
+        out_dir = Path(out_dir)
+        try:
+            payload = json.loads((out_dir / "ground_truth.json").read_text(encoding="utf-8"))
+            config = payload["config"]
+            num_ros, num_devices = config["num_ros"], config["num_devices"]
+            fields = {name: np.array(payload[name], dtype=_dtype(name))
+                      for name in _RO_FIELDS + _DEVICE_FIELDS}
+            for name in _MATRIX_FIELDS:
+                fields[name] = np.load(out_dir / f"ground_truth_{name}.npy", allow_pickle=False)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{out_dir}: malformed ground truth: {exc!r}") from None
+        expected = {**dict.fromkeys(_RO_FIELDS, (num_ros,)),
+                    **dict.fromkeys(_DEVICE_FIELDS, (num_devices,)),
+                    **dict.fromkeys(_MATRIX_FIELDS, (num_ros, num_devices))}
+        for name, values in fields.items():
+            if values.shape != expected[name] or values.dtype != _dtype(name):
+                raise StructuralError(
+                    f"{out_dir}: ground truth {name} is {values.dtype} {values.shape}, "
+                    f"expected {expected[name]}"
+                )
+        return cls(config=config, **fields)
 
 
 def generate(config: SynthConfig) -> tuple[ReadingsTensor, DeviceMeta, GroundTruth]:

@@ -50,6 +50,26 @@ def test_synth_wrote_dataset_and_truth(synth_out):
     assert (synth_out / "synth_manifest.json").is_file()
 
 
+def test_synth_is_deterministic_and_fully_listed(tmp_path):
+    # The benchmark's set-up check: two synth runs give byte-identical
+    # trees, and synth_manifest.json lists and digests every file beside it.
+    argv = ["synth", "--seed", "5", "--preset", "spatial", "--devices", "9", "--ros", "16",
+            "--samples", "2", "--geometry", "4x4:col"]
+    trees = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main(argv + ["--out", str(out)]) == 0
+        trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+        listed = json.loads((out / "synth_manifest.json").read_text())["artifacts"]
+        beside = {p.name for p in out.iterdir() if p.is_file()} - {"synth_manifest.json"}
+        assert set(listed) == beside == {"ground_truth.json", "ground_truth_local.npy",
+                                         "ground_truth_true_freq.npy"}
+        for name, digest in listed.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    assert trees[0] == trees[1]
+    assert len(trees[0]) == 9 + 5
+
+
 def test_full_chain_exit_codes_and_artifacts(synth_out, dataset_args, tmp_path):
     out = tmp_path / "chain"
     base = dataset_args + ["--out", str(out)]

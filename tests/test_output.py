@@ -202,6 +202,86 @@ def test_write_dat_blocks_and_empty_rows(tmp_path):
     ]
 
 
+def _dat_body(tmp_path, blocks) -> str:
+    """What ``write_dat`` writes below its three header lines."""
+    writer = ArtifactWriter(tmp_path, RunManifest(version="0", subcommand="t", params={}))
+    writer.write_dat("t.dat", "h", blocks, "u")
+    return (tmp_path / "t.dat").read_bytes().decode("utf-8").split("\n", 3)[3]
+
+
+def _dat_reference(blocks) -> str:
+    """The blocks one at a time, each row by ``format_rows_reference``."""
+    return "\n".join((f"# {comment}\n" if comment else "") + format_rows_reference(columns, " ")
+                     for comment, columns in blocks)
+
+
+# Block shapes of one table: a signature of column kinds per block, some of
+# them shared by every block, some that mix kinds from block to block.
+BLOCK_SIGNATURES = [
+    [("int64", "int64", "float64")],
+    [("uint8", "bool", "float32"), ("int64", "int64", "float64")],
+    [("str", "float64")],
+    [("int64", "float64"), ("int64", "str"), ("uint64", "float64")],
+]
+
+
+@st.composite
+def dat_blocks(draw):
+    signatures = draw(st.sampled_from(BLOCK_SIGNATURES))
+    blocks = []
+    for _ in range(draw(st.integers(0, 6))):
+        kinds = draw(st.sampled_from(signatures))
+        n = draw(st.integers(0, 5))
+        comment = draw(st.one_of(st.none(), st.just(""), st.text(alphabet="ab: ", max_size=6)))
+        blocks.append((comment, [draw(_column(kind, n)) for kind in kinds]))
+    return blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(dat_blocks())
+def test_write_dat_blocks_match_per_block_oracle(blocks):
+    # Comments, empty blocks, kinds shared or mixed across blocks, and str
+    # cells that may hold a newline: the bytes of formatting block by block.
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _dat_body(Path(tmp), blocks) == _dat_reference(blocks)
+
+
+def test_write_dat_formats_blocks_of_one_kind_in_one_pass(monkeypatch, tmp_path):
+    # A loading_pc*.dat shape: 32 blocks of 16 rows, (x, y, loading), with
+    # empty blocks (a float64 column each) and comments among them.
+    calls = []
+    for kind, kernel in list(output._CELLS.items()):
+        monkeypatch.setitem(output._CELLS, kind, lambda values, kind=kind, kernel=kernel: (
+            calls.append(kind), kernel(values))[1])
+    grid = np.random.default_rng(8).normal(size=(16, 32))
+    y = np.arange(16)
+    blocks = [(f"x: {x}" if x % 5 == 0 else None, [np.full_like(y, x), y, grid[:, x]])
+              for x in range(32)]
+    blocks[3:3] = [("none here", [[], [], []])]
+    blocks.append((None, [[], [], []]))
+    assert _dat_body(tmp_path, blocks) == _dat_reference(blocks)
+    assert calls == ["i", "f"]
+    # Kinds that differ between blocks with rows: one pass per block.
+    calls.clear()
+    mixed = [(None, [y, grid[:, 0]]), (None, [y, y.astype(str)])]
+    assert _dat_body(tmp_path, mixed) == _dat_reference(mixed)
+    assert calls == ["i", "f", "i", "U"]
+    # A newline in a str cell: one pass, then one per block.
+    calls.clear()
+    lines = [(None, [np.array(["a\nb", "c"])]), ("d", [np.array(["e"])])]
+    assert _dat_body(tmp_path, lines) == "a\nb\nc\n\n# d\ne\n"
+    assert calls == ["U", "U", "U"]
+
+
+def test_write_dat_checks_every_block(tmp_path):
+    # An empty block's columns are checked as a block with rows would be.
+    writer = ArtifactWriter(tmp_path, RunManifest(version="0", subcommand="t", params={}))
+    for bad in ([np.array([], dtype=object)], [[], [1.0]], []):
+        with pytest.raises(ValueError):
+            writer.write_dat("t.dat", "h", [(None, [[1], [2.0]]), (None, bad)], "u")
+    assert not (tmp_path / "t.dat").exists()
+
+
 positive = st.one_of(
     st.floats(min_value=5e-324, max_value=1.7976931348623157e308, allow_subnormal=True),
     st.sampled_from([5e-324, 1e308, 1.7976931348623157e308, 196.5, 0.1]),

@@ -6,7 +6,8 @@ from scipy.special import ndtr
 
 from pufstat.bias import bias_normal
 from pufstat.correlation import fit_line, profile
-from pufstat.errors import ConfigurationError
+from pufstat.cli import main
+from pufstat.errors import ConfigurationError, ParseError, StructuralError
 from pufstat.geometry import GridGeometry
 from pufstat.matrices import build_matrices
 from pufstat.normality import test_rows
@@ -150,16 +151,50 @@ def test_local_only_difference_profile_is_white():
     assert abs(slope) < 5e-4
 
 
-def test_ground_truth_round_trips_as_json(tmp_path, small_synthetic):
-    config, _, _, truth = small_synthetic
-    path = tmp_path / "ground_truth.json"
-    truth.save(path)
-    loaded = json.loads(path.read_text())
-    assert loaded["config"]["seed"] == config.seed
-    assert loaded["config"]["geometry"] == "8x8:col"
-    assert np.allclose(loaded["true_freq"], truth.true_freq)
-    assert loaded["serials"] == truth.serials.tolist()
-    assert isinstance(truth, GroundTruth)
+def test_ground_truth_round_trips_through_synth_output(tmp_path):
+    # synth writes the record; GroundTruth.load rebuilds every array of it
+    # bit for bit, the matrices as float64 ROs x devices. The spatial preset
+    # draws device offsets and gradients, so those vectors are not zeros.
+    out = tmp_path / "synth"
+    assert main(["synth", "--seed", "11", "--preset", "spatial", "--devices", "6", "--ros", "16",
+                 "--samples", "2", "--geometry", "4x4:row", "--out", str(out)]) == 0
+    _, _, truth = generate(preset("spatial", seed=11, num_devices=6, num_ros=16, num_samples=2,
+                                  geometry=GridGeometry(4, 4, "row")))
+    loaded = GroundTruth.load(out)
+    assert loaded.config == truth.config
+    assert loaded.config["geometry"] == "4x4:row"
+    for name in ("local", "true_freq"):
+        assert getattr(loaded, name).dtype == np.float64
+        assert getattr(loaded, name).shape == (16, 6)
+    for name in ("coord_x", "coord_y", "device_offsets", "gradients_x", "gradients_y", "local",
+                 "ro_mean_offsets", "serials", "true_freq"):
+        assert getattr(loaded, name).dtype == getattr(truth, name).dtype, name
+        assert getattr(loaded, name).tobytes() == getattr(truth, name).tobytes(), name
+    payload = json.loads((out / "ground_truth.json").read_text())
+    assert "local" not in payload and "true_freq" not in payload
+
+
+def test_ground_truth_load_refuses_a_malformed_record(tmp_path):
+    out = tmp_path / "synth"
+    assert main(["synth", "--seed", "2", "--devices", "4", "--ros", "16", "--samples", "2",
+                 "--geometry", "4x4:col", "--out", str(out)]) == 0
+    np.save(out / "ground_truth_local.npy", np.zeros((4, 16)))
+    with pytest.raises(StructuralError, match=r"local is float64 \(4, 16\), expected \(16, 4\)"):
+        GroundTruth.load(out)
+    np.save(out / "ground_truth_local.npy", np.zeros((16, 4), dtype=np.float32))
+    with pytest.raises(StructuralError, match="local is float32"):
+        GroundTruth.load(out)
+    np.save(out / "ground_truth_local.npy", np.array([{}, {}]), allow_pickle=True)
+    with pytest.raises(ParseError, match="malformed ground truth"):
+        GroundTruth.load(out)
+    payload = json.loads((out / "ground_truth.json").read_text())
+    del payload["serials"]
+    (out / "ground_truth.json").write_text(json.dumps(payload))
+    with pytest.raises(ParseError, match="serials"):
+        GroundTruth.load(out)
+    (out / "ground_truth.json").write_text("{")
+    with pytest.raises(ParseError, match="malformed ground truth"):
+        GroundTruth.load(out)
 
 
 def test_presets():

@@ -129,7 +129,7 @@ def test_traced_synth_writes_in_shares_and_traces_once(tmp_path):
     assert main([*synth[2:], "--out", str(tmp_path / "serial")]) == 0
     files = sorted(p.relative_to(tmp_path / "serial")
                    for p in (tmp_path / "serial").rglob("*") if p.is_file())
-    assert len(files) == 24 + 3
+    assert len(files) == 24 + 5  # serials.csv, ground truth .json and two .npy, manifest
     assert sorted(p.relative_to(tmp_path / "traced")
                   for p in (tmp_path / "traced").rglob("*") if p.is_file()) == files
     for rel in files:
