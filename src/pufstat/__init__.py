@@ -70,7 +70,6 @@ from .pca import (
 )
 from .similarity import (
     GroupVarianceMap,
-    group_variance,
     group_variance_map,
     serial_correlation,
 )

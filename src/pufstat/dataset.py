@@ -24,7 +24,7 @@ from __future__ import annotations
 import fnmatch
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn
 
@@ -36,8 +36,8 @@ from .errors import (
     StructuralError,
     ValidationError,
 )
-from .output import _append_table
-from .parallel import part_count, run_parts
+from .output import _append_table, _columns, _format_rows, _table
+from .parallel import run_parts
 
 CSV_HEADER = ("device", "ro", "sample", "freq_mhz")
 # The CSV tables as structured dtypes: the field names are the header.
@@ -137,7 +137,6 @@ class ReadingsTensor:
     """
 
     values: np.ndarray
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -253,17 +252,8 @@ def load_readings(path: str | Path, layout: LayoutSpec | None = None) -> Reading
     """Read a dataset directory or consolidated CSV into a ReadingsTensor."""
     layout = layout or LayoutSpec()
     path = Path(path)
-    provenance = {"source": str(path), "layout": layout.describe()}
-    if layout.kind == "files":
-        tensor, provenance["device_names"] = _load_files(path, layout)
-    else:
-        tensor = _load_csv(path)
-    provenance.update(
-        num_devices=tensor.shape[0],
-        num_ros=tensor.shape[1],
-        num_samples=tensor.shape[2],
-    )
-    return ReadingsTensor(tensor, provenance)
+    tensor = _load_files(path, layout) if layout.kind == "files" else _load_csv(path)
+    return ReadingsTensor(tensor)
 
 
 def dataset_files(path: str | Path, layout: LayoutSpec) -> list[Path]:
@@ -284,51 +274,38 @@ def dataset_files(path: str | Path, layout: LayoutSpec) -> list[Path]:
     return files
 
 
-def _load_files(root: Path, layout: LayoutSpec) -> tuple[np.ndarray, list[str]]:
+def _load_files(root: Path, layout: LayoutSpec) -> np.ndarray:
     """Parse every device file into one (devices, rows, columns) tensor.
 
-    The files are cut, in device order and at file boundaries, into
-    ``part_count(total bytes, _PART_BYTES)`` shares of about equal size, run
-    by ``parallel.run_parts``: this process parses the first share and a
-    forked child each other one, every part appending the float64 bytes of
-    its tables. Each part checks each table against the first file's shape,
-    which is known before any fork, so a part that a child could not parse
-    is parsed again here and raises the error a serial load raises.
+    The files, sized in bytes, are one ``parallel.run_parts`` job, each
+    share at least ``_PART_BYTES``: this process parses the first share and
+    a forked child each other one, every part appending the float64 bytes
+    of its tables. Each part checks each table against the first file's
+    shape, which is known before any fork, so a share that a child could
+    not parse is parsed again here and raises the error a serial load
+    raises.
     """
     files = dataset_files(root, layout)
-    names = [p.name for p in files]
     first = _read_device(files[0], layout)
-    bounds = _share_bounds([p.stat().st_size for p in files], _PART_BYTES)
 
-    def parse(buffer: bytearray, index: int) -> None:
-        for path in files[max(1, bounds[index]):bounds[index + 1]]:
+    def parse(buffer: bytearray, lo: int, hi: int) -> None:
+        for path in files[max(1, lo):hi]:
             table = _read_device(path, layout)
             if table.shape != first.shape:
                 shape, want = ("{}x{}".format(*t.shape) for t in (table, first))
                 raise StructuralError(f"device file {path.name} has shape {shape}, "
-                                      f"expected {want} like {names[0]}")
+                                      f"expected {want} like {files[0].name}")
             buffer += memoryview(np.ascontiguousarray(table))
 
     data = bytearray(np.ascontiguousarray(first))
-    run_parts(data, len(bounds) - 1, parse)
-    return np.frombuffer(data).reshape(len(names), *first.shape), names
+    run_parts(data, [p.stat().st_size for p in files], _PART_BYTES, parse)
+    return np.frombuffer(data).reshape(len(files), *first.shape)
 
 
 def _read_device(path: Path, layout: LayoutSpec) -> np.ndarray:
     """One device file as a (ROs, samples) float64 table."""
     table = _read_table(path, np.dtype(np.float64), layout.delimiter, "#")
     return table.T if layout.rows == "samples" else table
-
-
-def _share_bounds(sizes: list[int], unit: int) -> list[int]:
-    """Where files of ``sizes`` (bytes or cells) are cut into ``part_count``
-    shares of about equal size, each of at least ``unit``: share ``i`` is
-    files ``bounds[i]..bounds[i + 1]``."""
-    total = np.cumsum(sizes)
-    parts = min(part_count(int(total[-1]), unit), len(sizes))
-    # Share i ends at the first file whose running total reaches i/parts of the bytes.
-    cuts = np.searchsorted(total, total[-1] * np.arange(1, parts) / parts) + 1
-    return sorted({0, len(sizes), *cuts.tolist()})
 
 
 def _sort_rows(keys: np.ndarray) -> tuple[np.ndarray, int | None]:
@@ -445,14 +422,15 @@ def _refuse_strays(out_dir: Path, pattern: str, names: list[str]) -> None:
 
 
 def _write_files(values: np.ndarray, out_dir: Path, layout: LayoutSpec) -> None:
-    """Write one text file per device, each formatted by ``_append_table``.
+    """Write one text file per device.
 
-    The devices are cut, in device order, into ``part_count(total cells,
-    _WRITE_CELLS)`` shares of about equal size, run by ``parallel.run_parts``:
-    this process writes the first share and a forked child each other one.
-    The parts append nothing to the buffer. A part whose child fails is
-    written again here, over whatever the child left, so an error reaches
-    the caller as a serial write raises it, at the first faulty file.
+    The devices, sized in cells, are one ``parallel.run_parts`` job, each
+    share at least ``_WRITE_CELLS``: this process writes the first share and
+    a forked child each other one, formatting each file where it is written,
+    in one ``_format_rows`` pass. The parts append nothing to the buffer. A
+    share whose child fails is written again here, over whatever the child
+    left, so an error reaches the caller as a serial write raises it, at the
+    first faulty file.
     """
     names = [device_file_name(j, len(values)) for j in range(len(values))]
     unmatched = [name for name in names if not fnmatch.fnmatch(name, layout.pattern)]
@@ -465,17 +443,16 @@ def _write_files(values: np.ndarray, out_dir: Path, layout: LayoutSpec) -> None:
     _refuse_strays(out_dir, layout.pattern, names)
     out_dir.mkdir(parents=True, exist_ok=True)
     sep = layout.delimiter if layout.delimiter is not None else " "
-    bounds = _share_bounds([values[0].size] * len(names), _WRITE_CELLS) if names else [0]
 
-    def write(_buffer: bytearray, index: int) -> None:
-        for j in range(bounds[index], bounds[index + 1]):
+    def write(_buffer: bytearray, lo: int, hi: int) -> None:
+        for j in range(lo, hi):
             # A file's columns are samples (rows=ros) or ROs (rows=samples).
-            columns = values[j] if layout.rows == "samples" else values[j].T
+            columns = _columns(values[j] if layout.rows == "samples" else values[j].T)
             data = bytearray()
-            _append_table(data, columns, sep)
+            _format_rows(data, _table(columns, sep), 0, len(columns[0]))
             (out_dir / names[j]).write_bytes(data)
 
-    run_parts(bytearray(), len(bounds) - 1, write)
+    run_parts(bytearray(), [math.prod(values.shape[1:])] * len(names), _WRITE_CELLS, write)
 
 
 def _write_csv(path: Path, header, columns) -> None:

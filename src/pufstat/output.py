@@ -49,14 +49,13 @@ are formatted as one table where their column kinds agree, and the table is
 cut at the newlines that end each block (``_append_blocks``).
 
 A table of at least ``2 * _PART_CELLS`` cells is formatted on every CPU in
-the process's affinity mask: it is cut at chunk boundaries into
-``min(CPUs, cells // _PART_CELLS)`` parts, run by ``parallel.run_parts``.
-This process formats the first part into the artifact's buffer; each other
-part is formatted by a forked child and streamed back through a pipe in
-blocks of at most 1 MiB. The parts are appended in row order, so the bytes
-are the same for any part count. A part whose child fails or is killed is
-formatted again in this process, so the artifact never depends on a child.
-Where the platform cannot fork, tables are formatted serially.
+the process's affinity mask: its chunks, sized in cells, are one job of
+``parallel.run_parts``, which cuts them into shares of at least
+``_PART_CELLS`` cells. This process formats the first share into the
+artifact's buffer; each other share is formatted by a forked child and
+streamed back through a pipe. The shares are appended in row order, so the
+bytes are the same for any share count, and a share whose child fails is
+formatted again here, so the artifact never depends on a child.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .parallel import part_count, run_parts
+from .parallel import run_parts
 
 # Filler of a chunk's byte matrix, dropped when the chunk is compacted.
 # 0xFF is never a byte of UTF-8 text, so no separator, newline or str cell,
@@ -143,13 +142,23 @@ def format_table(columns, sep: str = " ", newline: str = "\n") -> str:
 def _append_table(data: bytearray, columns, sep: str, newline: str = "\n") -> None:
     """Append ``format_table(columns, sep, newline)`` to ``data`` as UTF-8.
 
-    A table of many cells is cut into parts at multiples of the chunk's
-    rows, one part per CPU the process may run on, each of at least
-    ``_PART_CELLS`` cells, and the parts run through ``parallel.run_parts``.
+    The table's formatting chunks are the items of one ``run_parts`` job,
+    sized in cells, each share of them at least ``_PART_CELLS``.
     """
     columns = _columns(columns)
-    num_rows = len(columns[0])
-    # Adjacent columns of one kind are formatted as one block.
+    num_rows, width = len(columns[0]), len(columns)
+    table = _table(columns, sep, newline)
+    chunk = _chunk_rows(width)
+    full, rest = divmod(num_rows, chunk)
+    run_parts(data, [chunk * width] * full + [rest * width] * (rest > 0), _PART_CELLS,
+              lambda buffer, lo, hi: _format_rows(buffer, table, lo * chunk,
+                                                  min(hi * chunk, num_rows)))
+
+
+def _table(columns, sep: str, newline: str = "\n"):
+    """1-dimensional ``columns`` of one length as ``_format_rows`` takes
+    them: runs of adjacent columns of one kind, each run formatted as one
+    block, and the separator and newline as UTF-8."""
     groups = []
     for col in columns:
         kind = _cell_kind(col)
@@ -157,13 +166,7 @@ def _append_table(data: bytearray, columns, sep: str, newline: str = "\n") -> No
             groups[-1][1].append(col)
         else:
             groups.append((kind, [col]))
-    table = (groups, sep.encode("utf-8"), newline.encode("utf-8"))
-    chunk = _chunk_rows(len(columns))
-    parts = part_count(num_rows * len(columns), _PART_CELLS)
-    step = chunk * max(1, -(-num_rows // (parts * chunk)))  # whole chunks
-    bounds = [(lo, min(lo + step, num_rows)) for lo in range(0, num_rows, step)]
-    run_parts(data, len(bounds),
-              lambda buffer, index: _format_rows(buffer, table, *bounds[index]))
+    return groups, sep.encode("utf-8"), newline.encode("utf-8")
 
 
 def _columns(columns) -> list[np.ndarray]:
@@ -518,8 +521,9 @@ def write_bytes_atomic(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def write_text_atomic(path: Path, text: str) -> None:
-    write_bytes_atomic(path, text.encode("utf-8"))
+def _json_bytes(payload: dict) -> bytes:
+    """``payload`` as UTF-8 JSON, indented, keys sorted, ending in a newline."""
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 @dataclass
@@ -572,8 +576,7 @@ class ArtifactWriter:
     def write_json(self, name: str, payload: dict) -> Path:
         body = dict(payload)
         body["manifest_hash"] = self.manifest.hash
-        text = json.dumps(body, indent=2, sort_keys=True) + "\n"
-        return self._record(name, text.encode("utf-8"))
+        return self._record(name, _json_bytes(body))
 
     def write_csv(self, name: str, header, columns, units: str) -> Path:
         data = bytearray(
@@ -602,7 +605,6 @@ class ArtifactWriter:
         payload = self.manifest.core()
         payload["hash"] = self.manifest.hash
         payload["artifacts"] = dict(sorted(self.manifest.artifacts.items()))
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         path = self.out_dir / f"{self.manifest.subcommand}_manifest.json"
-        write_text_atomic(path, text)
+        write_bytes_atomic(path, _json_bytes(payload))
         return path

@@ -18,20 +18,6 @@ from .dataset import DeviceMeta
 from .errors import ConfigurationError, DegenerateDataError, UnavailableAnalysisError
 
 
-def group_variance(dev, a: int, b: int) -> float:
-    """Mean over rows of the sample variance of columns a..b inclusive."""
-    d = np.asarray(dev, dtype=np.float64)
-    if d.ndim != 2:
-        raise ConfigurationError(f"deviation matrix must be 2-dimensional, got {d.shape}")
-    if not (0 <= a <= b < d.shape[1]):
-        raise ConfigurationError(
-            f"window {a}..{b} out of range for {d.shape[1]} devices"
-        )
-    if b - a + 1 < 2:
-        raise ConfigurationError("window must span at least 2 devices")
-    return float(d[:, a : b + 1].var(axis=1, ddof=1).mean())
-
-
 @dataclass(frozen=True)
 class GroupVarianceMap:
     """Group variance for every window of at least ``min_group`` devices.

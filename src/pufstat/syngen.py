@@ -199,16 +199,7 @@ def generate(config: SynthConfig) -> tuple[ReadingsTensor, DeviceMeta, GroundTru
     jitter = serial_rng.integers(1, 2_000, size=num_j)
     serials = start + np.cumsum(jitter)
 
-    tensor = ReadingsTensor(
-        readings,
-        provenance={
-            "source": "synthetic",
-            "seed": config.seed,
-            "num_devices": num_j,
-            "num_ros": num_i,
-            "num_samples": num_t,
-        },
-    )
+    tensor = ReadingsTensor(readings)
     meta = DeviceMeta(serials)
     truth = GroundTruth(
         config=config.to_dict(),

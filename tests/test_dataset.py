@@ -16,13 +16,14 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import force_parts
 from oracles import load_csv_reference, load_metadata_reference, write_dataset_reference
-from pufstat import dataset, output
+from pufstat import dataset, output, parallel
 from pufstat.cli import main
 from pufstat.dataset import (
     CSV_HEADER,
     DeviceMeta,
     LayoutSpec,
     ReadingsTensor,
+    dataset_files,
     device_file_name,
     load_metadata,
     load_readings,
@@ -50,9 +51,7 @@ def test_files_round_trip(tiny_tensor, tmp_path):
     write_dataset(tiny_tensor, tmp_path)
     loaded = load_readings(tmp_path)
     assert np.array_equal(loaded.values, tiny_tensor.values)
-    assert loaded.provenance["num_devices"] == 5
-    assert loaded.provenance["num_ros"] == 4
-    assert loaded.provenance["num_samples"] == 6
+    assert (loaded.num_devices, loaded.num_ros, loaded.num_samples) == (5, 4, 6)
 
 
 def test_files_round_trip_rows_as_samples(tiny_tensor, tmp_path):
@@ -200,7 +199,7 @@ def test_device_order_is_lexicographic(tmp_path):
     loaded = load_readings(tmp_path)
     assert loaded.values[0, 0, 0] == 1.0
     assert loaded.values[1, 0, 0] == 2.0
-    assert loaded.provenance["device_names"] == ["a.txt", "b.txt"]
+    assert [p.name for p in dataset_files(tmp_path, LayoutSpec())] == ["a.txt", "b.txt"]
 
 
 def test_empty_device_files_are_structural_without_warnings(tmp_path):
@@ -644,7 +643,7 @@ def test_parallel_load_matches_serial_at_share_edges(case, tmp_path, monkeypatch
     paths = sorted(tmp_path.iterdir())
     with monkeypatch.context() as patch:
         _force_shares(patch, 3)
-        assert dataset._share_bounds([p.stat().st_size for p in paths], dataset._PART_BYTES) == [0, 4, 8, 12]
+        assert parallel._cut([p.stat().st_size for p in paths], dataset._PART_BYTES) == [0, 4, 8, 12]
     for index, edit in faults:
         _rewrite(paths[index], edit)
     serial = _load_outcome(tmp_path, layout)
@@ -864,18 +863,17 @@ def test_parallel_write_raises_the_serial_error(tmp_path, monkeypatch):
 
 
 def test_parallel_write_does_not_nest(tmp_path, monkeypatch):
-    # Files of 8200 rows and twice the part size or more format in two parts
-    # on their own, but not inside a share of a two-part write: one fork in
-    # all, as on two CPUs.
-    monkeypatch.setattr(output, "_PART_CELLS", 2**16)
+    # Files of 8200 rows format in many shares as tables of their own, but a
+    # share of a write formats each of its files where it runs: a write in
+    # three shares forks twice in all, and one file written alone not at all.
+    monkeypatch.setattr(output, "_PART_CELLS", 1)
     values = np.random.default_rng(105).uniform(90.0, 110.0, size=(3, 16, 8200))
     layout = LayoutSpec(rows="samples")
     write_dataset_reference(values, tmp_path / "slow", rows="samples")
-    forks = _force_write_shares(monkeypatch, 2)
+    forks = _force_write_shares(monkeypatch, 3)
     write_dataset(ReadingsTensor(values), tmp_path / "fast", layout)
-    assert len(forks) == 1
+    assert len(forks) == 2
     _assert_tree(tmp_path / "fast", tmp_path / "slow")
-    # Written alone, one such file is formatted in two parts again.
     write_dataset(ReadingsTensor(values[:1]), tmp_path / "one", layout)
     assert len(forks) == 2
     assert (tmp_path / "one" / "device_0000.txt").read_bytes() == \

@@ -363,9 +363,10 @@ def test_parallel_format_matches_oracle(parts, monkeypatch, tmp_path):
     rows = _record_parent_rows(monkeypatch)
     assert format_table(columns, " ") == want
     assert len(forks) == parts - 1
-    # This process formats only the first part, whole chunks of it.
-    step = CHUNK_ROWS * -(-PARALLEL_ROWS // (parts * CHUNK_ROWS))
-    assert rows == [(0, min(step, PARALLEL_ROWS))]
+    # This process formats only the first share: whole chunks, up to the
+    # first that reaches 1/parts of the rows.
+    first = CHUNK_ROWS * -(-PARALLEL_ROWS // (parts * CHUNK_ROWS))
+    assert rows == [(0, min(first, PARALLEL_ROWS))]
     writer = ArtifactWriter(tmp_path, RunManifest(version="0", subcommand="t", params={}))
     writer.write_dat("t.dat", "i x b", [(None, columns)], "u")
     assert (tmp_path / "t.dat").read_text().split("\n", 3)[3] == want
@@ -387,8 +388,9 @@ def test_failed_format_child_is_redone(how, monkeypatch, tmp_path):
     writer = ArtifactWriter(tmp_path, RunManifest(version="0", subcommand="t", params={}))
     writer.write_dat("t.dat", "i x b", [(None, columns)], "u")
     assert len(forks) == 2
-    assert rows == [(0, 5 * CHUNK_ROWS), (5 * CHUNK_ROWS, 10 * CHUNK_ROWS),
-                    (10 * CHUNK_ROWS, PARALLEL_ROWS)]
+    # Shares of 5, 4 and 4 chunks: the first ends where a third of the cells is reached.
+    assert rows == [(0, 5 * CHUNK_ROWS), (5 * CHUNK_ROWS, 9 * CHUNK_ROWS),
+                    (9 * CHUNK_ROWS, PARALLEL_ROWS)]
     assert [p.name for p in tmp_path.iterdir()] == ["t.dat"]
     text = (tmp_path / "t.dat").read_text()
     assert text.split("\n", 3)[3] == format_rows_reference(columns, " ")

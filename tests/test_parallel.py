@@ -1,41 +1,83 @@
-"""Jobs of ``parallel.run_parts`` do not nest: inside a part of a job of
-more than one part, every further job runs in one part, where it is."""
+"""``parallel.run_parts`` alone cuts a job into shares, and no result
+depends on how many there are."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pufstat import parallel
 
-
-def test_part_count_is_one_inside_a_part(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    assert parallel.part_count(3, 1) == 3
-
-    def part(buffer, index):
-        buffer += f"{index}:{parallel.part_count(3, 1)} ".encode()
-
-    data = bytearray()
-    parallel.run_parts(data, 3, part)
-    assert data == b"0:1 1:1 2:1 "
-    # A job of one part forks nothing, so a job inside it may.
-    data = bytearray()
-    parallel.run_parts(data, 1, part)
-    assert data == b"0:3 "
-    assert parallel.part_count(3, 1) == 3
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_nested_job_is_refused():
-    def inner(buffer, index):
-        buffer += b"x"
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(0, 40), max_size=10), unit=st.integers(1, 60),
+       cpus=st.integers(1, 4))
+def test_shares_cover_the_items_in_order(sizes, unit, cpus):
+    # Each share reports its items from wherever it runs.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        data = bytearray()
+        parallel.run_parts(data, sizes, unit,
+                           lambda buffer, lo, hi: buffer.extend(f"{lo}:{hi} ".encode()))
+    shares = [tuple(map(int, share.split(":"))) for share in data.decode().split()]
+    if not sizes:
+        assert shares == []
+        return
+    assert [lo for lo, _ in shares] == [0, *(hi for _, hi in shares[:-1])]
+    assert shares[-1][1] == len(sizes)
+    assert all(lo < hi for lo, hi in shares)
+    assert len(shares) <= cpus
+    if len(shares) > 1:
+        assert all(sum(sizes[lo:hi]) >= unit for lo, hi in shares)
+    # Items of one size, each at least a unit, take every share there is room for.
+    if len(set(sizes)) == 1 and sizes[0] >= unit:
+        assert len(shares) == min(cpus, len(sizes))
 
-    def outer(buffer, index):
-        parallel.run_parts(buffer, 1, inner)
-        parallel.run_parts(buffer, 2, inner)
 
-    with pytest.raises(RuntimeError, match="inside a part"):
-        parallel.run_parts(bytearray(), 2, outer)
-    # The refusal leaves no job behind.
-    data = bytearray()
-    parallel.run_parts(data, 2, inner)
-    assert data == b"xx"
+def _synth_and_chain(out: Path, cpus: int, patch: str) -> None:
+    """``synth`` and the reference chain in ``out``, in one interpreter whose
+    affinity mask holds ``cpus`` CPUs, after ``patch`` has run. The paths are
+    relative, so the manifests of two such runs hash alike."""
+    synth = ["synth", "--seed", "5", "--devices", "100", "--ros", "16", "--samples", "2",
+             "--geometry", "4x4:col", "--out", "synth"]
+    chain = [str(ROOT / "scripts" / "run_reference_analysis.py"), "--dataset", "synth/dataset",
+             "--meta", "synth/dataset/serials.csv", "--geometry", "4x4:col", "--out", "chain"]
+    script = (
+        "import os, runpy, sys\n"
+        "from pufstat import cli, dataset, output\n"
+        f"{patch}\n"
+        f"os.sched_getaffinity = lambda pid: set(range({cpus}))\n"
+        f"assert cli.main({synth!r}) == 0\n"
+        f"sys.argv = {chain!r}\n"
+        f"runpy.run_path({chain[0]!r}, run_name='__main__')\n"
+    )
+    out.mkdir()
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, cwd=out,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
+def test_outputs_do_not_depend_on_the_share_count(tmp_path):
+    # One CPU, every job in one share, against three CPUs with every job cut
+    # as finely as three shares allow: the loader, the writer and the tables
+    # of more than one chunk (group_variance.dat) all run in shares.
+    _synth_and_chain(tmp_path / "one", 1, "")
+    _synth_and_chain(tmp_path / "three", 3,
+                     "dataset._PART_BYTES = dataset._WRITE_CELLS = output._PART_CELLS = 1")
+    compared = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_manifests.py"),
+         str(tmp_path / "one" / "chain"), str(tmp_path / "three" / "chain")],
+        capture_output=True, text=True, timeout=60)
+    assert compared.returncode == 0, compared.stdout + compared.stderr
+    trees = [tmp_path / side / "synth" / "dataset" for side in ("one", "three")]
+    names = sorted(p.name for p in trees[0].iterdir())
+    assert sorted(p.name for p in trees[1].iterdir()) == names
+    for name in names:
+        assert (trees[0] / name).read_bytes() == (trees[1] / name).read_bytes(), name

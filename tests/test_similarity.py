@@ -11,7 +11,6 @@ from pufstat.errors import (
 )
 from pufstat.similarity import (
     GroupVarianceMap,
-    group_variance,
     group_variance_map,
     serial_correlation,
 )
@@ -19,19 +18,9 @@ from pufstat.similarity import (
 
 def test_group_variance_hand_case():
     dev = np.asarray([[-1.0, 1.0]])
-    assert group_variance(dev, 0, 1) == pytest.approx(2.0)
+    assert group_variance_map(dev, min_group=2).values[0, 1] == pytest.approx(2.0)
     dev2 = np.asarray([[-1.0, 1.0], [0.0, 4.0]])
-    assert group_variance(dev2, 0, 1) == pytest.approx((2.0 + 8.0) / 2.0)
-
-
-def test_group_variance_guards():
-    dev = np.zeros((3, 6))
-    with pytest.raises(ConfigurationError):
-        group_variance(dev, 2, 1)
-    with pytest.raises(ConfigurationError):
-        group_variance(dev, 0, 6)
-    with pytest.raises(ConfigurationError):
-        group_variance(dev, 3, 3)
+    assert group_variance_map(dev2, min_group=2).values[0, 1] == pytest.approx((2.0 + 8.0) / 2.0)
 
 
 def test_map_matches_brute_force():
@@ -53,7 +42,7 @@ def test_map_agrees_with_single_window_function():
     dev = rng.normal(size=(20, 30)) * 4.0
     gv = group_variance_map(dev, min_group=5)
     for a, b in [(0, 4), (3, 17), (25, 29), (0, 29)]:
-        assert gv.values[a, b] == pytest.approx(group_variance(dev, a, b), rel=1e-9)
+        assert gv.values[a, b] == pytest.approx(group_variance_reference(dev, a, b), rel=1e-9)
 
 
 def test_window_variance_permutation_invariant():
@@ -61,8 +50,8 @@ def test_window_variance_permutation_invariant():
     dev = rng.normal(size=(6, 10))
     shuffled = dev.copy()
     shuffled[:, 2:7] = shuffled[:, [4, 6, 2, 5, 3]]
-    assert group_variance(dev, 2, 6) == pytest.approx(
-        group_variance(shuffled, 2, 6), abs=1e-12
+    assert group_variance_map(dev).values[2, 6] == pytest.approx(
+        group_variance_map(shuffled).values[2, 6], abs=1e-12
     )
 
 
