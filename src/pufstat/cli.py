@@ -34,8 +34,8 @@ from .similarity import group_variance_map, serial_correlation
 from .syngen import preset
 
 MATRIX_CHOICES = ("freq", "dev", "diff", "all")
-# "auto" spreads 8 counts over 0..7/8 of the pair count; at 256 pairs that
-# is 0,32,64,96,128,160,192,224.
+# "auto" spreads 8 counts over 0..7/8 of the pair count, each once; at 256
+# pairs that is 0,32,64,96,128,160,192,224.
 DEFAULT_FIXED_COUNTS = "auto"
 
 
@@ -250,23 +250,12 @@ def cmd_attack(args, inputs: Inputs) -> int:
             int(j) for j in rng.choice(num_devices, size=min(args.devices, num_devices), replace=False)
         )
     if args.fixed_counts == "auto":
-        fixed_counts = [matrices.num_pairs * k // 8 for k in range(8)]
+        fixed_counts = sorted({matrices.num_pairs * k // 8 for k in range(8)})
     else:
         fixed_counts = args.fixed_counts
     modes = ("trend", "exact") if args.mode == "both" else (args.mode,)
-    cells = []
-    for device in devices:
-        cells.extend(
-            evaluate_attack(
-                matrices.diff,
-                device,
-                fixed_counts,
-                mode=modes,
-                seed=args.seed,
-                selection=args.select,
-                trend_magnitude=args.trend_magnitude,
-            )
-        )
+    cells = evaluate_attack(matrices.diff, devices, fixed_counts, mode=modes, seed=args.seed,
+                            selection=args.select, trend_magnitude=args.trend_magnitude)
     envelope = []  # rows of attack_envelope.dat (-6.0 prints as -6) and attack_summary.json
     for mode in modes:
         for count in fixed_counts:

@@ -44,7 +44,9 @@ or falls below 1e-20, where the search stalls.
 
 from __future__ import annotations
 
+import io
 import math
+import pickle
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -53,6 +55,7 @@ import numpy as np
 from .correlation import covariance_matrix
 from .errors import ConfigurationError, NumericError, StructuralError
 from .matrices import response_bits
+from .parallel import run_parts
 
 MODES = ("trend", "exact")
 
@@ -64,6 +67,11 @@ BACKTRACK = 0.5
 # the factorization's relative backward error, stays under 5e-10, a tenth
 # of the half tolerance the shift leaves, up to k = 2122.
 _CHOLESKY_MAX = 2048
+# Work, in cells times pairs squared, each attack share holds at least: a
+# fork and the child's first page faults cost about 10 ms at 45 MB RSS, as
+# much as one reference-shape target of 16 cells (2**20, about 9 ms). On two
+# CPUs four such targets took 27 ms in two shares and 34 ms in one.
+_PART_WORK = 2**21
 
 
 @dataclass(frozen=True)
@@ -425,30 +433,41 @@ class AttackCell:
 
 def evaluate_attack(
     diff,
-    device_index: int,
+    devices: Sequence[int],
     fixed_counts,
     mode: str | Sequence[str] = "trend",
     seed: int | None = None,
     selection: str = "even",
     trend_magnitude: float = 1.0,
 ) -> list[AttackCell]:
-    """Leave-one-out attack sweep against a single target device.
+    """Leave-one-out attack sweep against each target device of ``devices``.
 
-    The target column is removed, covariance and row means are trained on
-    the rest into one ``CovFitProblem``, and for each fixed count the pinned
-    positions take either the target's exact values or their +-magnitude
-    trend. ``mode`` is one mode or a sequence of them; cells come in (mode,
-    fixed count) order. A training covariance that fails its check, or a
-    fit that fails, raises out of the sweep.
+    For each target, its column is removed, covariance and row means are
+    trained on the rest into one ``CovFitProblem``, and for each fixed count
+    the pinned positions take either the target's exact values or their
+    +-magnitude trend. ``mode`` is one mode or a sequence of them; cells come
+    in (device, mode, fixed count) order. A repeated target or fixed count
+    is refused. Every argument is checked before any target is trained; a
+    training covariance that fails its check, or a fit that fails, raises
+    out of the sweep, the first such target in device order.
+
+    The targets are the items of one ``parallel.run_parts`` job, sized in
+    cells times pairs squared, each share at least ``_PART_WORK``. A share
+    appends one pickle of each of its targets' cells, read back here in
+    order: the bytes come from this process or its own forks, and pickle
+    gives back every float exactly.
     """
     d = np.asarray(diff, dtype=np.float64)
     if d.ndim != 2:
         raise StructuralError(f"difference matrix must be 2-dimensional, got {d.shape}")
     num_pairs, num_devices = d.shape
-    if not (0 <= device_index < num_devices):
-        raise ConfigurationError(
-            f"device index {device_index} out of range for {num_devices} devices"
-        )
+    devices = list(devices)
+    for device in devices:
+        if not (0 <= device < num_devices):
+            raise ConfigurationError(
+                f"device index {device} out of range for {num_devices} devices"
+            )
+    _refuse_repeats(devices, "target device")
     modes = (mode,) if isinstance(mode, str) else tuple(mode)
     for m in modes:
         if m not in MODES:
@@ -457,16 +476,42 @@ def evaluate_attack(
         raise ConfigurationError(
             f"trend magnitude must be positive and finite, got {trend_magnitude!r}"
         )
+    counts = [int(count) for count in fixed_counts]
+    _refuse_repeats(counts, "fixed count")
+    masks = []
+    for count in counts:
+        mask = np.zeros(num_pairs, dtype=bool)
+        mask[choose_fixed_positions(num_pairs, count, selection, seed)] = True
+        masks.append((count, mask))
+
+    def part(buffer, lo, hi):
+        for device in devices[lo:hi]:
+            buffer += pickle.dumps(_attack_target(d, device, masks, modes, trend_magnitude))
+
+    data = bytearray()
+    run_parts(data, [len(modes) * len(masks) * num_pairs**2] * len(devices), _PART_WORK,
+              part)
+    stream = io.BytesIO(data)
+    return [cell for _ in devices for cell in pickle.load(stream)]
+
+
+def _refuse_repeats(values: list[int], what: str) -> None:
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ConfigurationError(f"{what} {value} is repeated")
+        seen.add(value)
+
+
+def _attack_target(d: np.ndarray, device_index: int, masks, modes,
+                   trend_magnitude: float) -> list[AttackCell]:
+    """The cells of one target, in (mode, fixed count) order, for the
+    checked arguments of ``evaluate_attack``."""
+    num_pairs = d.shape[0]
     truth = d[:, device_index]
     train = np.delete(d, device_index, axis=1)
     problem = CovFitProblem(covariance_matrix(train), train.mean(axis=1), train.shape[1],
                             truth)
-
-    masks = []
-    for count in fixed_counts:
-        mask = np.zeros(num_pairs, dtype=bool)
-        mask[choose_fixed_positions(num_pairs, int(count), selection, seed)] = True
-        masks.append((int(count), mask))
 
     def cell(m, count, mask):
         if m == "exact":

@@ -1,7 +1,8 @@
 """Run the parts of one job on every CPU the process may use.
 
 A job is a run of items, each with a size in its unit of work: a table's
-formatting chunks in cells, device files in bytes or in cells.
+formatting chunks in cells, device files in bytes or in cells, attack
+targets in cells times pairs squared.
 ``run_parts`` alone decides how a job is cut: into ``min(CPUs, total //
 unit, items)`` shares of about equal size, in item order, each of at least
 ``unit`` where there is more than one. It calls ``part(buffer, lo, hi)``
@@ -14,8 +15,15 @@ another, whatever the share count. A part may instead, or as well, write
 files that only it writes; a redone part overwrites them.
 
 A part must start no job of its own, only do its work in the process it
-runs in, so that the processes never outnumber the affinity mask. The three
+runs in, so that the processes never outnumber the affinity mask. The four
 callers keep to this: nothing here checks it.
+
+An attack share calls BLAS and LAPACK in its child. The OpenBLAS numpy
+ships is a pthreads build, which stops its worker threads in a fork handler
+before every fork, so a child never waits on a lock one of them held; a
+test forks right after a GEMM on two BLAS threads and gets the one-share
+cells. A BLAS on an OpenMP runtime that keeps its threads across a fork is
+not covered by that test.
 
 One failure rule: a share whose child exits non-zero or is killed is redone
 in this process by the same ``part`` call, after the bytes it had streamed
@@ -103,10 +111,6 @@ def _fork_part(part, lo: int, hi: int) -> tuple[int, int]:
     """Fork a child that runs ``part`` over items ``lo..hi`` into its own
     buffer and writes the buffer to a pipe; return the child's pid and the
     pipe's read end.
-
-    The child only works on data the parent already holds, so it needs no
-    lock that another thread of the parent (a BLAS worker) could have held
-    at the fork.
     """
     read_fd, write_fd = os.pipe()
     try:

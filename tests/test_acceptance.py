@@ -124,16 +124,10 @@ def test_criterion_07_attack_envelope(reference_matrices):
     rng = np.random.default_rng(ATTACK_DEVICE_SEED)
     num_devices = reference_matrices.num_devices
     devices = sorted(int(j) for j in rng.choice(num_devices, size=8, replace=False))
-    deltas = []
-    for device in devices:
-        for mode in ("trend", "exact"):
-            cells = evaluate_attack(
-                reference_matrices.diff, device, ATTACK_FIXED_COUNTS,
-                mode=mode, seed=ATTACK_DEVICE_SEED,
-            )
-            assert all(c.error is None for c in cells)
-            deltas.extend(c.delta_correct for c in cells)
-    deltas = np.asarray(deltas, dtype=np.float64)
+    cells = evaluate_attack(reference_matrices.diff, devices, ATTACK_FIXED_COUNTS,
+                            mode=("trend", "exact"), seed=ATTACK_DEVICE_SEED)
+    assert all(c.error is None for c in cells)
+    deltas = np.asarray([c.delta_correct for c in cells], dtype=np.float64)
     ok = float(deltas.min()) >= -5 and float(deltas.max()) <= 5 \
         and float(np.abs(deltas).mean()) <= 2.0
     _criterion(7, "attack delta envelope", ok,

@@ -335,6 +335,20 @@ def test_attack_exits_1_on_failed_covariance_check(dataset_args, tmp_path, monke
     assert not (out / "attack.csv").exists()
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--device-indices", "3,5,3", "target device 3 is repeated"),
+    ("--fixed-counts", "0,8,0", "fixed count 0 is repeated"),
+])
+def test_attack_refuses_a_repeated_value(dataset_args, tmp_path, monkeypatch, capsys,
+                                         option, value, message):
+    # Refused before any target is trained, and nothing is written.
+    monkeypatch.setattr(pufstat.covfit, "covariance_matrix", None)
+    out = tmp_path / "repeated"
+    assert main(["attack", "--seed", "3", option, value, "--out", str(out)] + dataset_args) == 1
+    assert capsys.readouterr().err.splitlines() == [f"pufstat: configuration error: {message}"]
+    assert not out.exists() or not any(out.iterdir())
+
+
 def _overflowing_dataset(tmp_path) -> Path:
     """6 devices x 8 ROs of finite, positive readings near 1e300 MHz whose
     pair differences (+-5e299) overflow when squared."""

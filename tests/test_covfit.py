@@ -1,7 +1,13 @@
+import os
+import signal
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import force_parts
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -261,8 +267,7 @@ def test_choose_fixed_positions_guards():
 def test_attack_sweep_shape_and_edges():
     rng = np.random.default_rng(70)
     diff = rng.normal(size=(16, 24))
-    cells = evaluate_attack(diff, device_index=5, fixed_counts=[0, 8, 16],
-                            mode="exact")
+    cells = evaluate_attack(diff, [5], [0, 8, 16], mode="exact")
     assert [c.fixed_count for c in cells] == [0, 8, 16]
     assert all(isinstance(c, AttackCell) for c in cells)
     assert all(c.error is None for c in cells)
@@ -281,8 +286,7 @@ def test_attack_null_mean_delta_small():
     for seed in range(20):
         rng = np.random.default_rng(900 + seed)
         diff = rng.normal(size=(16, 24))
-        cells = evaluate_attack(diff, device_index=int(seed % 24),
-                                fixed_counts=[8], mode="trend", seed=seed)
+        cells = evaluate_attack(diff, [seed % 24], [8], mode="trend", seed=seed)
         deltas.append(cells[0].delta_correct)
     assert abs(float(np.mean(deltas))) < 1.0
 
@@ -295,24 +299,157 @@ def test_attack_exact_mode_exploits_shared_structure():
     pattern = rng.uniform(0.6, 1.4, size=k) * rng.choice([-1.0, 1.0], size=k)
     gains = rng.normal(size=j)
     diff = np.outer(pattern, gains) + 0.1 * rng.normal(size=(k, j))
-    deltas = []
-    for device in range(4):
-        cells = evaluate_attack(diff, device_index=device,
-                                fixed_counts=[k // 2], mode="exact", seed=5)
-        deltas.append(cells[0].delta_correct)
-    assert float(np.mean(deltas)) > 2.0
+    cells = evaluate_attack(diff, range(4), [k // 2], mode="exact", seed=5)
+    assert float(np.mean([c.delta_correct for c in cells])) > 2.0
 
 
-def test_attack_guards():
+def test_attack_guards(monkeypatch):
+    # Every argument is checked before any target is trained.
+    monkeypatch.setattr(covfit, "covariance_matrix", None)
     rng = np.random.default_rng(90)
     diff = rng.normal(size=(8, 10))
     with pytest.raises(ConfigurationError):
-        evaluate_attack(diff, device_index=10, fixed_counts=[0])
+        evaluate_attack(diff, [0, 10], [0])
     with pytest.raises(ConfigurationError):
-        evaluate_attack(diff, device_index=0, fixed_counts=[0], mode="best")
+        evaluate_attack(diff, [0], [0], mode="best")
     for magnitude in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ConfigurationError, match="trend magnitude"):
-            evaluate_attack(diff, device_index=0, fixed_counts=[0], trend_magnitude=magnitude)
+            evaluate_attack(diff, [0], [0], trend_magnitude=magnitude)
+    with pytest.raises(ConfigurationError, match="^target device 3 is repeated$"):
+        evaluate_attack(diff, [1, 3, 2, 3], [0, 4])
+    with pytest.raises(ConfigurationError, match="^fixed count 4 is repeated$"):
+        evaluate_attack(diff, [1, 3], [4, 0, 4])
+    with pytest.raises(ConfigurationError, match="out of range"):
+        evaluate_attack(diff, [1, 3], [0, 9])
+
+
+# --- the targets as one parallel job ----------------------------------------
+
+SWEEP_TARGETS = range(12)
+SWEEP_COUNTS = [0, 3, 6, 10]
+
+
+def _sweep_diff():
+    return np.random.default_rng(92).normal(size=(10, 14))
+
+
+def _sweep():
+    return evaluate_attack(_sweep_diff(), SWEEP_TARGETS, SWEEP_COUNTS, mode=MODES, seed=2)
+
+
+def _record_parent_targets(monkeypatch, child=None):
+    """Record the targets this process trains; ``child(os.getpid())`` runs
+    first for each target of a forked child."""
+    parent = os.getpid()
+    real_target = covfit._attack_target
+    targets = []
+
+    def attack_target(d, device, *args):
+        if os.getpid() == parent:
+            targets.append(device)
+        elif child is not None:
+            child(os.getpid())
+        return real_target(d, device, *args)
+
+    monkeypatch.setattr(covfit, "_attack_target", attack_target)
+    return targets
+
+
+def test_attack_cells_do_not_depend_on_the_share_count(monkeypatch):
+    with pytest.MonkeyPatch.context() as patch:
+        assert force_parts(patch, covfit, "_PART_WORK", 1) == []
+        want = _sweep()
+    forks = force_parts(monkeypatch, covfit, "_PART_WORK", 3)
+    targets = _record_parent_targets(monkeypatch)
+    cells = _sweep()
+    assert len(forks) == 2
+    assert targets == [0, 1, 2, 3]
+    assert cells == want
+    assert [(c.device_index, c.mode, c.fixed_count) for c in cells] == [
+        (device, mode, count) for device in SWEEP_TARGETS for mode in MODES
+        for count in SWEEP_COUNTS]
+
+
+@pytest.mark.parametrize("how", ["raises", "killed"])
+def test_failed_attack_child_is_redone(how, monkeypatch):
+    def fail(pid):
+        if how == "killed":
+            os.kill(pid, signal.SIGKILL)
+        raise RuntimeError("attack failed in a child")
+
+    want = _sweep()
+    forks = force_parts(monkeypatch, covfit, "_PART_WORK", 3)
+    targets = _record_parent_targets(monkeypatch, fail)
+    assert _sweep() == want
+    assert len(forks) == 2
+    assert targets == list(SWEEP_TARGETS)
+
+
+def test_attack_error_is_the_first_in_device_order(monkeypatch):
+    # Targets 5 and 9 fail their covariance check, in the second and third
+    # of three shares; the sweep raises target 5's error, as in one process.
+    real_target = covfit._attack_target
+    current = []
+
+    def attack_target(d, device, *args):
+        current[:] = [device]
+        return real_target(d, device, *args)
+
+    def bad_covariance(train):
+        cov = covariance_matrix(train)
+        if current[0] in (5, 9):
+            cov = cov - (current[0] + np.abs(cov).max()) * np.eye(len(cov))
+        return cov
+
+    monkeypatch.setattr(covfit, "_attack_target", attack_target)
+    monkeypatch.setattr(covfit, "covariance_matrix", bad_covariance)
+    messages = []
+    for parts in (1, 3):
+        forks = force_parts(monkeypatch, covfit, "_PART_WORK", parts)
+        with pytest.raises(ConfigurationError, match="not positive semidefinite") as excinfo:
+            _sweep()
+        assert len(forks) == parts - 1
+        messages.append(str(excinfo.value))
+    assert messages[0] == messages[1]
+    assert current == [5]  # the redone share of the child that failed
+
+
+def test_attack_without_targets_forks_nothing(monkeypatch):
+    monkeypatch.setattr(covfit, "covariance_matrix", None)
+    forks = force_parts(monkeypatch, covfit, "_PART_WORK", 3)
+    assert evaluate_attack(_sweep_diff(), [], SWEEP_COUNTS, mode=MODES, seed=2) == []
+    assert forks == []
+
+
+def test_attack_shares_fork_while_blas_threads_run():
+    # OpenBLAS keeps worker threads after a GEMM; a fork right after one must
+    # neither hang a child nor change a cell.
+    script = (
+        "import os\n"
+        "import numpy as np\n"
+        "from pufstat import covfit\n"
+        "diff = np.random.default_rng(93).normal(size=(96, 64))\n"
+        "sweep = lambda: covfit.evaluate_attack(diff, range(8), [0, 24, 48], mode=covfit.MODES,"
+        " seed=4)\n"
+        "os.sched_getaffinity = lambda pid: {0}\n"
+        "want = sweep()\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "covfit._PART_WORK = 1\n"
+        "forks = []\n"
+        "real_fork = os.fork\n"
+        "os.fork = lambda: forks.append(1) or real_fork()\n"
+        "big = np.random.default_rng(94).normal(size=(600, 600))\n"
+        "big @ big\n"
+        "assert sweep() == want\n"
+        "assert forks == [1], forks\n"
+        "print('same cells')\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(covfit.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "same cells\n"
 
 
 # --- the exact line search against the plain loop and the root oracle -----
@@ -576,31 +713,28 @@ def _sweep_counts(num_pairs):
 def test_attack_sweep_equals_oracle_cells(small_matrices, selection):
     diff = small_matrices.diff
     counts = _sweep_counts(diff.shape[0])
-    for device in (0, 7, 30, diff.shape[1] - 1):
-        cells = evaluate_attack(diff, device, counts, mode=MODES, seed=5,
-                                selection=selection)
-        want = [cell for mode in MODES
-                for cell in _oracle_cells(diff, device, counts, mode, 5, selection, fit)]
-        assert cells == want
-        for i, mode in enumerate(MODES):
-            single = evaluate_attack(diff, device, counts, mode=mode, seed=5,
-                                     selection=selection)
-            assert single == want[i * len(counts):(i + 1) * len(counts)]
+    devices = [0, 7, 30, diff.shape[1] - 1]
+    cells = evaluate_attack(diff, devices, counts, mode=MODES, seed=5, selection=selection)
+    want = [cell for device in devices for mode in MODES
+            for cell in _oracle_cells(diff, device, counts, mode, 5, selection, fit)]
+    assert cells == want
+    for mode in MODES:
+        single = evaluate_attack(diff, devices, counts, mode=mode, seed=5, selection=selection)
+        assert single == [cell for cell in want if cell.mode == mode]
 
 
 @pytest.mark.parametrize("selection", ["even", "random"])
 def test_attack_sweep_no_worse_than_plain_loop(small_matrices, selection):
     diff = small_matrices.diff
     counts = _sweep_counts(diff.shape[0])
-    for device in range(0, diff.shape[1], 6):
-        cells = evaluate_attack(diff, device, counts, mode=MODES, seed=5,
-                                selection=selection)
-        want = [cell for mode in MODES
-                for cell in _oracle_cells(diff, device, counts, mode, 5, selection,
-                                          fit_reference)]
-        assert [c.stop_reason for c in cells if c.fixed_count == 0] == ["gradient tolerance"] * 2
-        for got, ref in zip(cells, want, strict=True):
-            _assert_no_worse_cell(got, ref)
+    devices = range(0, diff.shape[1], 6)
+    cells = evaluate_attack(diff, devices, counts, mode=MODES, seed=5, selection=selection)
+    want = [cell for device in devices for mode in MODES
+            for cell in _oracle_cells(diff, device, counts, mode, 5, selection, fit_reference)]
+    assert ([c.stop_reason for c in cells if c.fixed_count == 0]
+            == ["gradient tolerance"] * 2 * len(devices))
+    for got, ref in zip(cells, want, strict=True):
+        _assert_no_worse_cell(got, ref)
 
 
 def _count_calls(monkeypatch, module, name):
@@ -626,10 +760,9 @@ def test_attack_checks_training_covariance_once_per_target(monkeypatch):
     sum_calls = _count_calls(monkeypatch, np, "sum")
     rng = np.random.default_rng(95)
     diff = rng.normal(size=(16, 24))
-    for target in (2, 11):
-        cells = evaluate_attack(diff, target, [0, 4, 8, 12, 15], mode=MODES, seed=1)
-        assert len(cells) == 10
-        assert all(c.error is None for c in cells)
+    cells = evaluate_attack(diff, [2, 11], [0, 4, 8, 12, 15], mode=MODES, seed=1)
+    assert len(cells) == 20
+    assert all(c.error is None for c in cells)
     assert chol_calls == [(16, 16), (16, 16)]
     assert eig_calls == []
     assert [shape for shape in sum_calls if shape == (16, 16)] == [(16, 16), (16, 16)]
@@ -721,6 +854,6 @@ def test_failed_covariance_check_raises(monkeypatch, bad_cov, error, message, ei
     rng = np.random.default_rng(96)
     diff = rng.normal(size=(8, 12))
     with pytest.raises(error) as excinfo:
-        evaluate_attack(diff, 3, [0, 4, 8], mode=MODES, seed=1)
+        evaluate_attack(diff, [3], [0, 4, 8], mode=MODES, seed=1)
     assert str(excinfo.value) == message
     assert len(calls) == eigvalsh_calls

@@ -63,9 +63,8 @@ def drift_values() -> dict:
     rng = np.random.default_rng(ATTACK_SEED)  # criterion 7
     devices = sorted(int(j) for j in rng.choice(matrices.num_devices, size=8, replace=False))
     deltas = [cell.delta_correct
-              for device in devices for mode in ("trend", "exact")
-              for cell in evaluate_attack(matrices.diff, device, ATTACK_FIXED_COUNTS,
-                                          mode=mode, seed=ATTACK_SEED)]
+              for cell in evaluate_attack(matrices.diff, devices, ATTACK_FIXED_COUNTS,
+                                          mode=("trend", "exact"), seed=ATTACK_SEED)]
 
     packed = pack_bits(matrices.bits)  # criterion 8
     return {

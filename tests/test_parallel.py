@@ -50,7 +50,7 @@ def _synth_and_chain(out: Path, cpus: int, patch: str) -> None:
              "--meta", "synth/dataset/serials.csv", "--geometry", "4x4:col", "--out", "chain"]
     script = (
         "import os, runpy, sys\n"
-        "from pufstat import cli, dataset, output\n"
+        "from pufstat import cli, covfit, dataset, output\n"
         f"{patch}\n"
         f"os.sched_getaffinity = lambda pid: set(range({cpus}))\n"
         f"assert cli.main({synth!r}) == 0\n"
@@ -66,11 +66,13 @@ def _synth_and_chain(out: Path, cpus: int, patch: str) -> None:
 
 def test_outputs_do_not_depend_on_the_share_count(tmp_path):
     # One CPU, every job in one share, against three CPUs with every job cut
-    # as finely as three shares allow: the loader, the writer and the tables
-    # of more than one chunk (group_variance.dat) all run in shares.
+    # as finely as three shares allow: the loader, the writer, the tables of
+    # more than one chunk (group_variance.dat) and the attack's 8 targets all
+    # run in shares.
     _synth_and_chain(tmp_path / "one", 1, "")
     _synth_and_chain(tmp_path / "three", 3,
-                     "dataset._PART_BYTES = dataset._WRITE_CELLS = output._PART_CELLS = 1")
+                     "dataset._PART_BYTES = dataset._WRITE_CELLS = output._PART_CELLS = "
+                     "covfit._PART_WORK = 1")
     compared = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "compare_manifests.py"),
          str(tmp_path / "one" / "chain"), str(tmp_path / "three" / "chain")],
