@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Run the full analysis pipeline against a measured RO frequency dataset.
 
-Runs ingest, normality, similarity (only with --meta), entropy, correlate,
-attack (8 sampled target devices, both modes) and pca, then report, through
-``pufstat.cli.run_chain``: the dataset is parsed, hashed and derived once,
-and the artifacts equal those of the subcommands run one by one. Usage:
+Runs ingest, similarity (only with --meta), correlate, attack (8 sampled
+target devices, both modes), pca, normality and entropy, then report,
+through ``pufstat.cli.run_chain``: the dataset is parsed, hashed and
+derived once, each stage's artifacts are written by a forked writer while
+the next stages compute, and the artifacts equal those of the subcommands
+run one by one. The exit code is that of the first stage that failed.
+Usage:
 
     python3 scripts/run_reference_analysis.py --dataset /path/to/dataset \
         --meta /path/to/serials.csv --out results/

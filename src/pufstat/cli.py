@@ -4,6 +4,10 @@ Subcommands: ingest, normality, similarity, entropy, correlate, attack,
 pca, synth, report. Every run writes its artifacts plus a manifest into the
 output directory (--out, or the PUFSTAT_OUT environment variable).
 
+A subcommand computes its results, then returns its writes: a call that
+formats the artifacts, writes them and then the manifest. ``main`` runs
+them at once; ``run_chain`` runs them behind the next stages.
+
 Exit codes: 0 success, 1 analysis error, 2 usage error, 3 I/O error.
 """
 
@@ -13,12 +17,13 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, parallel
 from .bias import bias_histogram, bias_report
 from .correlation import fit_line, profile
 from .covfit import evaluate_attack
@@ -54,7 +59,7 @@ def _arg_type(convert, wanted: str, valid=lambda value: True):
 
 
 _int_list = _arg_type(lambda text: [int(tok) for tok in text.split(",") if tok.strip() != ""],
-                      "comma-separated integers")
+                      "comma-separated integers", lambda values: len(values) > 0)
 _non_negative_int = _arg_type(int, "a non-negative integer", lambda v: v >= 0)
 _positive_float = _arg_type(float, "a positive finite number",
                             lambda v: v > 0 and np.isfinite(v))
@@ -97,8 +102,24 @@ def _load(args) -> Inputs:
     return Inputs(meta, layout, matrices, hash_input_files(files))
 
 
-def _writer(args, subcommand: str, params: dict, inputs: Inputs) -> ArtifactWriter:
-    """The artifact writer of one dataset subcommand, under its run manifest."""
+# What a subcommand returns: its writes, run once its results are computed.
+Writes = Callable[[], None]
+
+
+def _writes_into(out_dir: Path, manifest: RunManifest,
+                 fill: Callable[[ArtifactWriter], None]) -> Writes:
+    """The writes that ``fill`` an artifact writer under ``manifest`` in
+    ``out_dir``, then write the manifest."""
+    def writes() -> None:
+        writer = ArtifactWriter(out_dir, manifest)
+        fill(writer)
+        writer.finish()
+    return writes
+
+
+def _writes(args, subcommand: str, params: dict, inputs: Inputs,
+            fill: Callable[[ArtifactWriter], None]) -> Writes:
+    """The writes of one dataset subcommand, under its run manifest."""
     manifest = RunManifest(
         version=__version__,
         subcommand=subcommand,
@@ -110,119 +131,123 @@ def _writer(args, subcommand: str, params: dict, inputs: Inputs) -> ArtifactWrit
         seed=getattr(args, "seed", None),
         input_sha256=inputs.input_sha256,
     )
-    return ArtifactWriter(_resolve_out(args), manifest)
+    return _writes_into(_resolve_out(args), manifest, fill)
 
 
-def cmd_ingest(args, inputs: Inputs) -> int:
+def cmd_ingest(args, inputs: Inputs) -> Writes:
     matrices = inputs.matrices
-    writer = _writer(args, "ingest", {}, inputs)
-    for name, matrix, label, units in (
-        ("freq.csv", matrices.freq, "ro", "MHz"),
-        ("dev.csv", matrices.dev, "ro", "MHz"),
-        ("diff.csv", matrices.diff, "pair", "MHz"),
-        ("bits.csv", matrices.bits, "pair", "bit"),
-    ):
-        header = [label] + [f"d{j}" for j in range(matrix.shape[1])]
-        writer.write_csv(name, header, [np.arange(matrix.shape[0]), *matrix.T], units)
-    if matrices.num_pairs % 8 == 0:
-        writer.write_binary("bits.bin", pack_bits(matrices.bits))
-    else:
+    packed = matrices.num_pairs % 8 == 0
+    if not packed:
         print(
             f"pufstat: note: {matrices.num_pairs} pairs is not a multiple of 8; "
             "skipping bits.bin",
             file=sys.stderr,
         )
-    writer.finish()
-    return 0
+
+    def fill(writer: ArtifactWriter) -> None:
+        for name, matrix, label, units in (
+            ("freq.csv", matrices.freq, "ro", "MHz"),
+            ("dev.csv", matrices.dev, "ro", "MHz"),
+            ("diff.csv", matrices.diff, "pair", "MHz"),
+            ("bits.csv", matrices.bits, "pair", "bit"),
+        ):
+            header = [label] + [f"d{j}" for j in range(matrix.shape[1])]
+            writer.write_csv(name, header, [np.arange(matrix.shape[0]), *matrix.T], units)
+        if packed:
+            writer.write_binary("bits.bin", pack_bits(matrices.bits))
+
+    return _writes(args, "ingest", {}, inputs, fill)
 
 
-def cmd_normality(args, inputs: Inputs) -> int:
+def cmd_normality(args, inputs: Inputs) -> Writes:
     matrices = inputs.matrices
     selected = MATRIX_CHOICES[:3] if args.matrix == "all" else (args.matrix,)
     results = [(name, *test_rows(getattr(matrices, name))) for name in selected]
-    writer = _writer(args, "normality", {"matrix": args.matrix}, inputs)
-    for name, stats, summary in results:
-        writer.write_csv(
-            f"normality_{name}.csv",
-            ["row", "a2", "a2_star", "reject"],
-            [np.arange(len(stats)), stats.a2, stats.a2_star, stats.reject_at_1pct],
-            "dimensionless",
-        )
-        writer.write_json(
-            f"normality_{name}_summary.json",
-            {
-                "matrix": name,
-                "rows": len(stats),
-                "quantile_50": summary.quantile_50,
-                "quantile_90": summary.quantile_90,
-                "quantile_99": summary.quantile_99,
-                "max": summary.max,
-                "reject_fraction": float(stats.reject_at_1pct.mean()),
-                "threshold_1pct": REJECT_1PCT,
-            },
-        )
-    writer.finish()
-    return 0
+
+    def fill(writer: ArtifactWriter) -> None:
+        for name, stats, summary in results:
+            writer.write_csv(
+                f"normality_{name}.csv",
+                ["row", "a2", "a2_star", "reject"],
+                [np.arange(len(stats)), stats.a2, stats.a2_star, stats.reject_at_1pct],
+                "dimensionless",
+            )
+            writer.write_json(
+                f"normality_{name}_summary.json",
+                {
+                    "matrix": name,
+                    "rows": len(stats),
+                    "quantile_50": summary.quantile_50,
+                    "quantile_90": summary.quantile_90,
+                    "quantile_99": summary.quantile_99,
+                    "max": summary.max,
+                    "reject_fraction": float(stats.reject_at_1pct.mean()),
+                    "threshold_1pct": REJECT_1PCT,
+                },
+            )
+
+    return _writes(args, "normality", {"matrix": args.matrix}, inputs, fill)
 
 
-def cmd_similarity(args, inputs: Inputs) -> int:
+def cmd_similarity(args, inputs: Inputs) -> Writes:
     if inputs.meta is None:
         raise UnavailableAnalysisError(
             "similarity needs per-device serial numbers; pass --meta"
         )
     gv = group_variance_map(inputs.matrices.dev, min_group=args.min_group)
     corrs = [serial_correlation(inputs.matrices.dev, inputs.meta, g) for g in args.group_sizes]
-    writer = _writer(
-        args, "similarity", {"min_group": args.min_group, "group_sizes": args.group_sizes}, inputs
-    )
-    a, b = gv.windows()
-    writer.write_dat("group_variance.dat", "a b s2", [(None, [a, b, gv.values[a, b]])],
-                     "MHz^2")
-    writer.write_csv(
-        "serial_corr.csv", ["group_size", "corr"], [args.group_sizes, corrs], "dimensionless"
-    )
-    writer.write_json(
-        "similarity.json",
-        {"serial_correlation": [{"group_size": g, "corr": c}
-                                for g, c in zip(args.group_sizes, corrs)]},
-    )
-    writer.finish()
-    return 0
+
+    def fill(writer: ArtifactWriter) -> None:
+        a, b = gv.windows()
+        writer.write_dat("group_variance.dat", "a b s2", [(None, [a, b, gv.values[a, b]])],
+                         "MHz^2")
+        writer.write_csv(
+            "serial_corr.csv", ["group_size", "corr"], [args.group_sizes, corrs], "dimensionless"
+        )
+        writer.write_json(
+            "similarity.json",
+            {"serial_correlation": [{"group_size": g, "corr": c}
+                                    for g, c in zip(args.group_sizes, corrs)]},
+        )
+
+    return _writes(args, "similarity",
+                   {"min_group": args.min_group, "group_sizes": args.group_sizes}, inputs, fill)
 
 
-def cmd_entropy(args, inputs: Inputs) -> int:
+def cmd_entropy(args, inputs: Inputs) -> Writes:
     matrices = inputs.matrices
     report = bias_report(matrices.diff, matrices.bits)
     edges, counts_bin, counts_norm = bias_histogram(report)
     centers = (edges[:-1] + edges[1:]) / 2.0
-    writer = _writer(args, "entropy", {}, inputs)
-    writer.write_csv(
-        "bias.csv",
-        ["k", "p_binary", "p_normal"],
-        [np.arange(report.p_binary.size), report.p_binary, report.p_normal],
-        "probability",
-    )
-    writer.write_dat(
-        "bias_hist.dat",
-        "bin_left bin_center count_binary count_normal",
-        [(None, [edges[:-1], centers, counts_bin, counts_norm])],
-        "bias (dimensionless)",
-    )
-    writer.write_json(
-        "entropy.json",
-        {
-            "entropy_binary_bits": report.entropy_binary,
-            "entropy_normal_bits": report.entropy_normal,
-            "num_pairs": int(report.p_binary.size),
-            "num_devices": report.num_devices,
-            "convention": report.convention,
-        },
-    )
-    writer.finish()
-    return 0
+
+    def fill(writer: ArtifactWriter) -> None:
+        writer.write_csv(
+            "bias.csv",
+            ["k", "p_binary", "p_normal"],
+            [np.arange(report.p_binary.size), report.p_binary, report.p_normal],
+            "probability",
+        )
+        writer.write_dat(
+            "bias_hist.dat",
+            "bin_left bin_center count_binary count_normal",
+            [(None, [edges[:-1], centers, counts_bin, counts_norm])],
+            "bias (dimensionless)",
+        )
+        writer.write_json(
+            "entropy.json",
+            {
+                "entropy_binary_bits": report.entropy_binary,
+                "entropy_normal_bits": report.entropy_normal,
+                "num_pairs": int(report.p_binary.size),
+                "num_devices": report.num_devices,
+                "convention": report.convention,
+            },
+        )
+
+    return _writes(args, "entropy", {}, inputs, fill)
 
 
-def cmd_correlate(args, inputs: Inputs) -> int:
+def cmd_correlate(args, inputs: Inputs) -> Writes:
     matrices = inputs.matrices
     profiles = {"dev": profile(matrices.dev), "diff": profile(matrices.diff)}
     summaries = {}
@@ -230,16 +255,18 @@ def cmd_correlate(args, inputs: Inputs) -> int:
         slope, intercept = fit_line(prof.coefficients)
         summaries[key] = {"reference_index": prof.reference_index, "slope": slope,
                           "intercept": intercept}
-    writer = _writer(args, "correlate", {}, inputs)
-    for name, prof in zip(("coco_D.dat", "coco_B.dat"), profiles.values()):
-        index = np.arange(prof.coefficients.size)
-        writer.write_dat(name, "index r", [(None, [index, prof.coefficients])], "dimensionless")
-    writer.write_json("correlate.json", summaries)
-    writer.finish()
-    return 0
+
+    def fill(writer: ArtifactWriter) -> None:
+        for name, prof in zip(("coco_D.dat", "coco_B.dat"), profiles.values()):
+            index = np.arange(prof.coefficients.size)
+            writer.write_dat(name, "index r", [(None, [index, prof.coefficients])],
+                             "dimensionless")
+        writer.write_json("correlate.json", summaries)
+
+    return _writes(args, "correlate", {}, inputs, fill)
 
 
-def cmd_attack(args, inputs: Inputs) -> int:
+def cmd_attack(args, inputs: Inputs) -> Writes:
     matrices = inputs.matrices
     num_devices = matrices.num_devices
     if args.device_indices:
@@ -268,7 +295,20 @@ def cmd_attack(args, inputs: Inputs) -> int:
         (f"mode: {mode}", [[e[k] for e in envelope if e["mode"] == mode] for k in columns])
         for mode in modes
     ]
-    writer = _writer(
+
+    def fill(writer: ArtifactWriter) -> None:
+        fields = ["device_index", "mode", "fixed_count", "delta_correct", "objective",
+                  "iterations", "stop_reason", "start_objective"]
+        writer.write_csv(
+            "attack.csv",
+            ["device", *fields[1:]],
+            [[getattr(c, f) for c in cells] for f in fields],
+            "bits (delta_correct), MHz^2 scaled (objective, start_objective)",
+        )
+        writer.write_dat("attack_envelope.dat", " ".join(columns), blocks, "bits")
+        writer.write_json("attack_summary.json", {"envelope": envelope})
+
+    return _writes(
         args,
         "attack",
         {
@@ -279,22 +319,11 @@ def cmd_attack(args, inputs: Inputs) -> int:
             "trend_magnitude": args.trend_magnitude,
         },
         inputs,
+        fill,
     )
-    fields = ["device_index", "mode", "fixed_count", "delta_correct", "objective", "iterations",
-              "stop_reason", "start_objective"]
-    writer.write_csv(
-        "attack.csv",
-        ["device", *fields[1:]],
-        [[getattr(c, f) for c in cells] for f in fields],
-        "bits (delta_correct), MHz^2 scaled (objective, start_objective)",
-    )
-    writer.write_dat("attack_envelope.dat", " ".join(columns), blocks, "bits")
-    writer.write_json("attack_summary.json", {"envelope": envelope})
-    writer.finish()
-    return 0
 
 
-def cmd_pca(args, inputs: Inputs) -> int:
+def cmd_pca(args, inputs: Inputs) -> Writes:
     matrices = inputs.matrices
     geometry = GridGeometry.parse(args.geometry)
     scaled = standardize(matrices.freq)
@@ -311,44 +340,47 @@ def cmd_pca(args, inputs: Inputs) -> int:
     agreements = [truncated_bits(result, scaled, r)[1] for r in ranks]
     key_corr = {f"pc{pc_num}": pc_key_correlation(result, matrices.bits, pc_num)
                 for pc_num in range(1, min(3, result.rank) + 1)}
-    writer = _writer(args, "pca", {"pcs": args.pcs, "trunc_ranks": args.trunc_ranks}, inputs)
-    writer.write_csv(
-        "pca_fractions.csv",
-        ["pc", "singular_value", "variance_fraction"],
-        [np.arange(1, result.rank + 1), result.singular_values, result.variance_fractions],
-        "dimensionless",
-    )
-    y = np.arange(geometry.rows)
-    for pc_num, grid, (counts, edges) in zip(range(1, num_pcs + 1), grids, histograms):
-        blocks = [(None, [np.full_like(y, x), y, grid[:, x]]) for x in range(geometry.cols)]
-        writer.write_dat(
-            f"loading_pc{pc_num}.dat", "x y loading", blocks, "dimensionless"
+
+    def fill(writer: ArtifactWriter) -> None:
+        writer.write_csv(
+            "pca_fractions.csv",
+            ["pc", "singular_value", "variance_fraction"],
+            [np.arange(1, result.rank + 1), result.singular_values, result.variance_fractions],
+            "dimensionless",
         )
-        writer.write_dat(
-            f"scores_hist_pc{pc_num}.dat", "score count",
-            [(None, [(edges[:-1] + edges[1:]) / 2.0, counts])], "score (dimensionless)",
+        y = np.arange(geometry.rows)
+        for pc_num, grid, (counts, edges) in zip(range(1, num_pcs + 1), grids, histograms):
+            blocks = [(None, [np.full_like(y, x), y, grid[:, x]]) for x in range(geometry.cols)]
+            writer.write_dat(
+                f"loading_pc{pc_num}.dat", "x y loading", blocks, "dimensionless"
+            )
+            writer.write_dat(
+                f"scores_hist_pc{pc_num}.dat", "score count",
+                [(None, [(edges[:-1] + edges[1:]) / 2.0, counts])], "score (dimensionless)",
+            )
+        writer.write_csv(
+            "trunc_agreement.csv", ["r", "agreement"], [ranks, agreements], "fraction"
         )
-    writer.write_csv(
-        "trunc_agreement.csv", ["r", "agreement"], [ranks, agreements], "fraction"
-    )
-    writer.write_json(
-        "pca_summary.json",
-        {
-            "rank": result.rank,
-            "variance_fractions": [
-                {"pc": pc, "variance_fraction": float(v)}
-                for pc, v in enumerate(result.variance_fractions, start=1)
-            ],
-            "truncated_agreement": [{"r": r, "agreement": a} for r, a in zip(ranks, agreements)],
-            "ones_count_correlation": key_corr,
-            "geometry": geometry.describe(),
-        },
-    )
-    writer.finish()
-    return 0
+        writer.write_json(
+            "pca_summary.json",
+            {
+                "rank": result.rank,
+                "variance_fractions": [
+                    {"pc": pc, "variance_fraction": float(v)}
+                    for pc, v in enumerate(result.variance_fractions, start=1)
+                ],
+                "truncated_agreement": [{"r": r, "agreement": a}
+                                        for r, a in zip(ranks, agreements)],
+                "ones_count_correlation": key_corr,
+                "geometry": geometry.describe(),
+            },
+        )
+
+    return _writes(args, "pca", {"pcs": args.pcs, "trunc_ranks": args.trunc_ranks}, inputs,
+                   fill)
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> Writes:
     layout = LayoutSpec.parse(args.layout)
     overrides = {}
     if args.devices is not None:
@@ -365,18 +397,19 @@ def cmd_synth(args) -> int:
     tensor, meta, truth = generate(config)
     out_dir = _resolve_out(args)
     dataset_dir = out_dir / "dataset"
-    write_dataset(tensor, dataset_dir, layout, meta=meta)
     manifest = RunManifest(
         version=__version__,
         subcommand="synth",
         params={"preset": args.preset, "config": config.to_dict(), "layout": layout.describe()},
         seed=args.seed,
     )
-    writer = ArtifactWriter(out_dir, manifest)
-    truth.write(writer)
-    writer.finish()
-    print(f"pufstat: synthetic dataset written to {dataset_dir}", file=sys.stderr)
-    return 0
+
+    def writes() -> None:
+        write_dataset(tensor, dataset_dir, layout, meta=meta)
+        _writes_into(out_dir, manifest, truth.write)()
+        print(f"pufstat: synthetic dataset written to {dataset_dir}", file=sys.stderr)
+
+    return writes
 
 
 REPORT_REQUIRED = (
@@ -412,7 +445,7 @@ def _stage_manifest(name: str) -> str:
     return name.split("_")[0].removesuffix(".json") + "_manifest.json"
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> Writes:
     out_dir = _resolve_out(args)
     present = [name for name in REPORT_OPTIONAL if (out_dir / name).is_file()]
     inputs = REPORT_REQUIRED + tuple(present)
@@ -453,10 +486,7 @@ def cmd_report(args) -> int:
         params={},
         input_sha256=hash_input_files([out_dir / n for n in inputs]),
     )
-    writer = ArtifactWriter(out_dir, manifest)
-    writer.write_json("report.json", payload)
-    writer.finish()
-    return 0
+    return _writes_into(out_dir, manifest, lambda writer: writer.write_json("report.json", payload))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -547,64 +577,111 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args, loaded: dict) -> int:
-    """Run one parsed subcommand and map its errors to exit codes. ``loaded``
-    keeps the Inputs of the last (dataset, layout, meta) for the next call.
-    Overflow, an invalid operation or a division by zero anywhere in numpy
-    is a numeric error; underflow is not."""
+def _mapped(call, *args) -> tuple[int, object]:
+    """``(0, call(*args))``, or the exit code of the error it raised and
+    None. Overflow, an invalid operation or a division by zero anywhere in
+    numpy is a numeric error; underflow is not."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            if not hasattr(args, "dataset"):
-                return args.func(args)
-            key = (args.dataset, args.layout, args.meta)
-            if key not in loaded:
-                loaded.clear()
-                loaded[key] = _load(args)
-            return args.func(args, loaded[key])
+            return 0, call(*args)
     except PufStatError as exc:
         print(f"pufstat: {exc.category} error: {exc}", file=sys.stderr)
-        return 1
+        return 1, None
     except FloatingPointError as exc:
         print(f"pufstat: numeric error: {exc}", file=sys.stderr)
-        return 1
+        return 1, None
     except OSError as exc:
         print(f"pufstat: i/o error: {exc}", file=sys.stderr)
-        return 3
+        return 3, None
+
+
+def _run(args, loaded: dict) -> tuple[int, Writes | None]:
+    """Compute one parsed subcommand: its exit code and, where that is 0,
+    its writes. ``loaded`` keeps the Inputs of the last (dataset, layout,
+    meta) for the next call."""
+    def compute() -> Writes:
+        if not hasattr(args, "dataset"):
+            return args.func(args)
+        key = (args.dataset, args.layout, args.meta)
+        if key not in loaded:
+            loaded.clear()
+            loaded[key] = _load(args)
+        return args.func(args, loaded[key])
+
+    return _mapped(compute)
 
 
 def main(argv=None) -> int:
-    return _run(build_parser().parse_args(argv), {})
+    code, writes = _run(build_parser().parse_args(argv), {})
+    return code or _mapped(writes)[0]
+
+
+def _write_behind(writes: Writes) -> parallel.Share:
+    """Start a stage's writes in the background; they give no bytes back."""
+    return parallel.start(lambda buffer: writes())
 
 
 def run_chain(dataset: str, out: str, *, layout: str = "files", meta: str | None = None,
               geometry: str, seed: int, attack_devices: int) -> int:
-    """Run ingest, normality, similarity (only with ``meta``), entropy,
-    correlate, attack and pca on one dataset, then report, all into ``out``.
+    """Run ingest, similarity (only with ``meta``), correlate, attack, pca,
+    normality and entropy on one dataset, then report, all into ``out``.
 
     The artifacts are those of running the subcommands one by one, but the
-    dataset is parsed, hashed and derived once. Returns the first non-zero
-    exit code, else 0."""
+    dataset is parsed, hashed and derived once, and the writing runs behind
+    the computing. Each stage computes in this process; its writes
+    (formatting, hashing, the atomic writes and the manifest) then go to a
+    forked writer (``parallel.start``) while the next stages compute. The
+    last dataset stage writes here, and every writer is joined, in chain
+    order, before report reads what they wrote. normality and entropy come
+    last, so that the ``scipy.special`` import in normality runs while the
+    earlier stages' tables are written.
+
+    A stage that fails to compute stops the chain, once the writers already
+    started are joined. A writer that failed is redone at its join, here,
+    under the stage's error mapping. The first stage that failed, in chain
+    order, gives the exit code, and report does not run. Returns 0 when
+    every stage succeeded."""
     base = ["--dataset", dataset, "--layout", layout, "--out", out]
     if meta:
         base += ["--meta", meta]
-    stages = [["ingest"], ["normality", "--matrix", "all"]]
+    stages = [["ingest"]]
     if meta:
         stages.append(["similarity"])
     stages += [
-        ["entropy"],
         ["correlate"],
         ["attack", "--seed", str(seed), "--devices", str(attack_devices), "--mode", "both"],
         ["pca", "--geometry", geometry],
+        ["normality", "--matrix", "all"],
+        ["entropy"],
     ]
-    steps = [stage + base for stage in stages] + [["report", "--out", out]]
+    steps = [stage + base for stage in stages]
     parser = build_parser()
-    loaded = {}
-    for step in steps:
-        print(f"==> pufstat {' '.join(step)}", flush=True)
-        code = _run(parser.parse_args(step), loaded)
-        if code != 0:
-            print(f"step failed with exit code {code}", file=sys.stderr)
-            return code
+    loaded, shares = {}, []
+    try:
+        for step in steps:
+            print(f"==> pufstat {' '.join(step)}", flush=True)
+            code, writes = _run(parser.parse_args(step), loaded)
+            if code == 0 and step is steps[-1]:
+                code = _mapped(writes)[0]
+            elif code == 0:
+                code, share = _mapped(_write_behind, writes)
+                shares += [share] if share else []
+            if code:
+                break
+        joined = [_mapped(share.join, bytearray())[0] for share in shares]
+        code = next((c for c in joined if c), code)
+        if code == 0:
+            step = ["report", "--out", out]
+            print(f"==> pufstat {' '.join(step)}", flush=True)
+            code, writes = _run(parser.parse_args(step), loaded)
+            code = code or _mapped(writes)[0]
+    finally:
+        # Only on an error: end the writers still running and reap them.
+        for share in shares:
+            share.end()
+    if code:
+        print(f"step failed with exit code {code}", file=sys.stderr)
+        return code
     print(f"all artifacts in {out}")
     return 0
 

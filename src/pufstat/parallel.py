@@ -1,4 +1,5 @@
-"""Run the parts of one job on every CPU the process may use.
+"""Run the parts of one job on every CPU the process may use, and parts in
+the background.
 
 A job is a run of items, each with a size in its unit of work: a table's
 formatting chunks in cells, device files in bytes or in cells, attack
@@ -7,16 +8,24 @@ targets in cells times pairs squared.
 unit, items)`` shares of about equal size, in item order, each of at least
 ``unit`` where there is more than one. It calls ``part(buffer, lo, hi)``
 once per share, for items ``lo..hi``: the first share in this process,
-straight into the destination buffer, and every other share in a forked
-child that appends into a buffer of its own and streams it back through a
-pipe. The parent reads each pipe in share order, in blocks of at most
-``_PIPE_BLOCK`` bytes, so the result is the bytes the shares give one after
-another, whatever the share count. A part may instead, or as well, write
-files that only it writes; a redone part overwrites them.
+straight into the destination buffer, and every other share in the
+background, by ``start``. The parent joins the shares in order, so the
+result is the bytes the shares give one after another, whatever the share
+count. A part may instead, or as well, write files that only it writes; a
+redone part overwrites them.
 
-A part must start no job of its own, only do its work in the process it
-runs in, so that the processes never outnumber the affinity mask. The four
-callers keep to this: nothing here checks it.
+``start(part)`` is one part in the background: a forked child runs
+``part(buffer)`` into a buffer of its own and streams it back through a
+pipe, which ``join(data)`` reads, in blocks of at most ``_PIPE_BLOCK``
+bytes, onto ``data``. Where the process may use one CPU, or cannot fork,
+``start`` runs the part at once, here. ``run_chain`` starts each stage's
+writes this way while it computes the next stages.
+
+Nothing bounds the processes by the affinity mask: a chain's writers run
+beside the stage the parent computes, and that stage's own job, and a
+writer's large table (``group_variance.dat``) is a job of its own in the
+writer's child. On two CPUs that nesting was no slower than a writer that
+formats alone, so nothing here stops it.
 
 An attack share calls BLAS and LAPACK in its child. The OpenBLAS numpy
 ships is a pthreads build, which stops its worker threads in a fork handler
@@ -25,13 +34,13 @@ test forks right after a GEMM on two BLAS threads and gets the one-share
 cells. A BLAS on an OpenMP runtime that keeps its threads across a fork is
 not covered by that test.
 
-One failure rule: a share whose child exits non-zero or is killed is redone
-in this process by the same ``part`` call, after the bytes it had streamed
-are dropped, and a share whose fork failed runs here too. No result depends
-on a child succeeding, and every error a part raises reaches the caller
-from this process, as a serial run raises it. A child leaves only by
-``os._exit``: it runs no atexit handler, flushes no stdio buffer and
-unwinds none of its caller's frames, so it can neither repeat buffered
+One failure rule: a part whose child exits non-zero or is killed is redone
+in this process by the same ``part`` call at ``join``, after the bytes it
+had streamed are dropped, and a part whose fork failed runs there too. No
+result depends on a child succeeding, and every error a part raises reaches
+the caller from this process, as a serial run raises it. A child leaves
+only by ``os._exit``: it runs no atexit handler, flushes no stdio buffer
+and unwinds none of its caller's frames, so it can neither repeat buffered
 output nor write anything but its part. It prints nothing, not even a
 traceback, since the redone part raises the error again here.
 """
@@ -53,40 +62,86 @@ def run_parts(data: bytearray, sizes: list[int], unit: int,
               part: Callable[[bytearray, int, int], None]) -> None:
     """Append the bytes of ``part(buffer, lo, hi)`` for each share of the
     items of ``sizes`` to ``data``, in item order; shares after the first
-    run in forked children. Shares left without a child because a fork
-    failed run here after the others. No items call no part. An error
-    ``part`` raises in this process propagates once every child has been
-    ended and reaped."""
+    are started in the background. No items call no part. An error ``part``
+    raises in this process propagates once every child has been ended and
+    reaped."""
     bounds = _cut(sizes, unit)
     shares = list(zip(bounds, bounds[1:]))
-    children = []  # (share, pid, read end of its pipe), in share order
+    started = []
     try:
-        for share in shares[1:]:
-            try:
-                children.append((share, *_fork_part(part, *share)))
-            except OSError:
-                break
-        unforked = shares[len(children) + 1:]
+        for lo, hi in shares[1:]:
+            started.append(start(lambda buffer, lo=lo, hi=hi: part(buffer, lo, hi)))
         if shares:
             part(data, *shares[0])
-        while children:
-            share, pid, fd = children[0]
-            start = len(data)
-            while block := os.read(fd, _PIPE_BLOCK):
-                data += block
-            children.pop(0)
-            os.close(fd)
-            if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
-                del data[start:]
-                part(data, *share)
-        for share in unforked:
-            part(data, *share)
+        for share in started:
+            share.join(data)
     finally:
         # Only on an error: end the children still running and reap them.
-        for _, pid, fd in children:
+        for share in started:
+            share.end()
+
+
+def start(part: Callable[[bytearray], None]) -> Share:
+    """Start ``part(buffer)`` in a forked child, or run it here at once where
+    this process may use one CPU or cannot fork; ``Share.join`` appends its
+    bytes. A part whose fork fails runs at ``join``."""
+    if _cpus() == 1:
+        done = bytearray()
+        part(done)
+        return Share(part, done=done)
+    try:
+        return Share(part, child=_fork_part(part))
+    except OSError:
+        return Share(part)
+
+
+class Share:
+    """A part that ``start`` started: its child, a pid and the read end of
+    its pipe, until joined; or the bytes it gave here at once; or neither,
+    when its fork failed."""
+
+    def __init__(self, part: Callable[[bytearray], None], *,
+                 child: tuple[int, int] | None = None, done: bytearray | None = None):
+        self._part = part
+        self._child = child
+        self._done = done
+
+    def join(self, data: bytearray) -> None:
+        """Append the part's bytes to ``data``: the child's, or, where the
+        child exited non-zero, was killed or was never forked, those of
+        ``part`` run again here, whose error then propagates."""
+        if self._done is not None:
+            data += self._done
+            return
+        if self._child is None:
+            self._part(data)
+            return
+        pid, fd = self._child
+        begin = len(data)
+        while block := os.read(fd, _PIPE_BLOCK):
+            data += block
+        self._child = None
+        os.close(fd)
+        if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
+            del data[begin:]
+            self._part(data)
+
+    def end(self) -> None:
+        """End the child if it has not been joined, and reap it."""
+        if self._child is not None:
+            pid, fd = self._child
+            self._child = None
             os.close(fd)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+
+def _cpus() -> int:
+    """The CPUs in the affinity mask; 1 where this platform cannot fork or
+    report the mask."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
 
 
 def _cut(sizes: list[int], unit: int) -> list[int]:
@@ -96,9 +151,7 @@ def _cut(sizes: list[int], unit: int) -> list[int]:
     would leave a share, or the rest, under ``unit`` is not made. One share
     where this platform cannot fork or report the affinity mask."""
     total = [0, *itertools.accumulate(sizes)]  # work before each item
-    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    cpus = len(os.sched_getaffinity(0)) if can_fork else 1
-    count = max(1, min(cpus, total[-1] // unit, len(sizes)))
+    count = max(1, min(_cpus(), total[-1] // unit, len(sizes)))
     bounds = [0]
     for index in range(1, count):
         cut = bisect.bisect_left(total, total[-1] * index / count)
@@ -107,10 +160,9 @@ def _cut(sizes: list[int], unit: int) -> list[int]:
     return bounds + [len(sizes)] if sizes else []
 
 
-def _fork_part(part, lo: int, hi: int) -> tuple[int, int]:
-    """Fork a child that runs ``part`` over items ``lo..hi`` into its own
-    buffer and writes the buffer to a pipe; return the child's pid and the
-    pipe's read end.
+def _fork_part(part: Callable[[bytearray], None]) -> tuple[int, int]:
+    """Fork a child that runs ``part`` into its own buffer and writes the
+    buffer to a pipe; return the child's pid and the pipe's read end.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -126,7 +178,7 @@ def _fork_part(part, lo: int, hi: int) -> tuple[int, int]:
     try:
         os.close(read_fd)
         buffer = bytearray()
-        part(buffer, lo, hi)
+        part(buffer)
         with memoryview(buffer) as view:
             written = 0
             while written < len(view):

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import re
 import runpy
 import shutil
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -487,6 +491,11 @@ def test_manifest_links_all_artifacts(dataset_args, tmp_path):
     (["attack", "--seed", "1", "--fixed-counts", "0,8,y"], "--fixed-counts"),
     (["similarity", "--group-sizes", "5,w"], "--group-sizes"),
     (["pca", "--trunc-ranks", "1,z"], "--trunc-ranks"),
+    # A list with no integers in it.
+    (["attack", "--seed", "1", "--device-indices", ","], "--device-indices"),
+    (["attack", "--seed", "1", "--fixed-counts", ","], "--fixed-counts"),
+    (["similarity", "--group-sizes", ","], "--group-sizes"),
+    (["pca", "--trunc-ranks", ","], "--trunc-ranks"),
 ])
 def test_malformed_int_list_is_usage_error(argv, flag, dataset_args, tmp_path, capsys):
     out = tmp_path / "out"
@@ -688,3 +697,160 @@ def test_compare_manifests_reports_each_artifact_that_differs(dataset_args, tmp_
     assert capsys.readouterr().out == "only in A: similarity_manifest.json/serial_corr.csv\n"
     assert _run_script("compare_manifests.py", [str(runs["a"]), str(tmp_path / "none")],
                        monkeypatch) == 2
+
+
+CHAIN_ORDER = ["ingest", "similarity", "correlate", "attack", "pca", "normality", "entropy",
+               "report"]
+
+
+def _synth_chain_set(monkeypatch, tmp_path) -> list[str]:
+    """Synthesize a small dataset in ``tmp_path``, now the working directory;
+    return its dataset and meta paths. Relative paths keep the manifests of
+    two output directories comparable."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--seed", "5", "--devices", "24", "--ros", "32", "--samples", "4",
+                 "--geometry", "4x8:col", "--out", "data"]) == 0
+    return ["data/dataset", "data/dataset/serials.csv"]
+
+
+def _fork_in_writers(monkeypatch, in_child) -> list:
+    """Three CPUs, so that every writer is forked; ``in_child()`` runs in
+    each child as it finishes its stage's manifest. Returns the list that
+    records each fork."""
+    parent = os.getpid()
+    real_finish, real_fork = pufstat.output.ArtifactWriter.finish, os.fork
+    forks = []
+
+    def finish(self):
+        if os.getpid() != parent:
+            in_child()
+        return real_finish(self)
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(pufstat.output.ArtifactWriter, "finish", finish)
+    return forks
+
+
+def test_chain_failure_joins_the_writers_in_flight(tmp_path, monkeypatch, capsys):
+    # pca's 4x4 grid does not fit the 32 ROs. The writers of ingest,
+    # similarity, correlate and attack, each still writing when pca fails,
+    # are joined: their stages are complete, report does not run, and no
+    # child is left.
+    dataset, meta = _synth_chain_set(monkeypatch, tmp_path)
+    forks = _fork_in_writers(monkeypatch, lambda: time.sleep(0.3))
+    capsys.readouterr()
+    assert run_chain(dataset, "chain", meta=meta, geometry="4x4:col", seed=1,
+                     attack_devices=8) == 1
+    assert len(forks) == 4
+    out, err = capsys.readouterr()
+    assert re.findall(r"==> pufstat (\w+)", out) == CHAIN_ORDER[:5]
+    assert err == ("pufstat: configuration error: geometry 4x4:col has 16 cells but there are "
+                   "32 ROs\nstep failed with exit code 1\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.undo()
+    monkeypatch.chdir(tmp_path)
+    base = ["--dataset", dataset, "--meta", meta, "--out", "stages"]
+    for stage in (["ingest"], ["similarity"], ["correlate"],
+                  ["attack", "--seed", "1", "--devices", "8", "--mode", "both"]):
+        assert main(stage + base) == 0
+    assert not (tmp_path / "chain" / "report.json").exists()
+    assert _digests(tmp_path / "chain") == _digests(tmp_path / "stages")
+
+
+def test_killed_writer_is_redone(tmp_path, monkeypatch):
+    # Every writer SIGKILLs itself in its child, after its stage's tables
+    # and before its manifest; each is redone at its join, over the files
+    # it had written, and the chain writes what its stages write one by one.
+    dataset, meta = _synth_chain_set(monkeypatch, tmp_path)
+    _run_stages(dataset, "files", meta, "stages", "4x8:col", 1, 8)
+    forks = _fork_in_writers(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    assert run_chain(dataset, "chain", meta=meta, geometry="4x8:col", seed=1,
+                     attack_devices=8) == 0
+    assert len(forks) == 6
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _digests(tmp_path / "chain") == _digests(tmp_path / "stages")
+
+
+def test_chain_prints_each_stage_once_in_order(tmp_path):
+    # The chain script on three CPUs, in a process whose stdout is a pipe,
+    # so block-buffered: text left unflushed as each writer is forked
+    # would show twice if a child flushed it.
+    chain = [str(SCRIPTS / "run_reference_analysis.py"), "--dataset", "data/dataset",
+             "--meta", "data/dataset/serials.csv", "--geometry", "4x8:col", "--out", "chain"]
+    script = (
+        "import os, runpy, sys\n"
+        "from pufstat import cli\n"
+        "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+        "assert cli.main(['synth', '--seed', '5', '--devices', '24', '--ros', '32',\n"
+        "                 '--samples', '4', '--geometry', '4x8:col', '--out', 'data']) == 0\n"
+        "real_write_behind = cli._write_behind\n"
+        "def write_behind(writes):\n"
+        "    print('writer', end=' ')\n"
+        "    return real_write_behind(writes)\n"
+        "cli._write_behind = write_behind\n"
+        "print('before', end=' ')\n"
+        f"sys.argv = {chain!r}\n"
+        f"runpy.run_path({chain[0]!r}, run_name='__main__')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("before ") and done.stdout.count("before") == 1
+    assert re.findall(r"==> pufstat (\w+)", done.stdout) == CHAIN_ORDER
+    assert done.stdout.count("writer") == 6
+    assert done.stdout.endswith("all artifacts in chain\n")
+    assert done.stdout.count("all artifacts") == 1
+
+
+def test_first_failing_stage_sets_the_exit_code(tmp_path, monkeypatch, capsys):
+    # similarity's writer cannot write group_variance.dat, in its child or
+    # when redone here (an i/o error, 3); pca then fails to compute (1).
+    # similarity comes first in the chain, so the chain exits 3.
+    dataset, meta = _synth_chain_set(monkeypatch, tmp_path)
+    forks = _fork_in_writers(monkeypatch, lambda: None)
+    real_write_dat = pufstat.output.ArtifactWriter.write_dat
+
+    def write_dat(self, name, *args):
+        if name == "group_variance.dat":
+            raise PermissionError(f"cannot write {name}")
+        return real_write_dat(self, name, *args)
+
+    monkeypatch.setattr(pufstat.output.ArtifactWriter, "write_dat", write_dat)
+    capsys.readouterr()
+    assert run_chain(dataset, "chain", meta=meta, geometry="4x4:col", seed=1,
+                     attack_devices=8) == 3
+    assert len(forks) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "pufstat: configuration error: geometry 4x4:col has 16 cells but there are 32 ROs",
+        "pufstat: i/o error: cannot write group_variance.dat",
+        "step failed with exit code 3",
+    ]
+    assert not (tmp_path / "chain" / "similarity_manifest.json").exists()
+    assert (tmp_path / "chain" / "attack_manifest.json").is_file()
+
+
+def test_unexpected_error_ends_the_writers(tmp_path, monkeypatch):
+    # An exception no stage maps to an exit code (here from pca) leaves
+    # run_chain at once: the writers still running are killed and reaped.
+    dataset, meta = _synth_chain_set(monkeypatch, tmp_path)
+    _fork_in_writers(monkeypatch, lambda: time.sleep(60))
+
+    def pca(*args):
+        raise RuntimeError("pca failed")
+
+    monkeypatch.setattr(pufstat.cli, "pca", pca)
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="pca failed"):
+        run_chain(dataset, "chain", meta=meta, geometry="4x8:col", seed=1, attack_devices=8)
+    assert time.monotonic() - started < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -1,7 +1,10 @@
 """``parallel.run_parts`` alone cuts a job into shares, and no result
-depends on how many there are."""
+depends on how many there are; ``parallel.start`` runs a part in the
+background, and its result does not depend on the child."""
 
 import os
+import signal
+import time
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +41,70 @@ def test_shares_cover_the_items_in_order(sizes, unit, cpus):
     # Items of one size, each at least a unit, take every share there is room for.
     if len(set(sizes)) == 1 and sizes[0] >= unit:
         assert len(shares) == min(cpus, len(sizes))
+
+
+def _pid_part(how: str = ""):
+    """A part that appends the pid it runs in; in a child, ``how`` makes it
+    raise or be killed first."""
+    parent = os.getpid()
+
+    def part(buffer: bytearray) -> None:
+        if os.getpid() != parent and how == "raises":
+            raise RuntimeError("part failed in a child")
+        if os.getpid() != parent and how == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        buffer.extend(b"%d " % os.getpid())
+    return part
+
+
+@pytest.mark.parametrize("cpus, how, where", [
+    (2, "", "child"), (2, "raises", "here"), (2, "killed", "here"), (1, "", "here"),
+])
+def test_started_part_joins_its_bytes(cpus, how, where, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    data = bytearray(b"head ")
+    share = parallel.start(_pid_part(how))
+    share.join(data)
+    head, pid = data.split()
+    assert head == b"head"
+    assert (int(pid) == os.getpid()) == (where == "here")
+    share.end()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus, fork_fails", [(1, False), (2, True)])
+def test_part_without_a_child_runs_here(cpus, fork_fails, monkeypatch):
+    # On one CPU the part runs at once, in start; where the fork fails, at
+    # join.
+    def fork():
+        raise BlockingIOError("no more processes")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    if fork_fails:
+        monkeypatch.setattr(os, "fork", fork)
+    ran = []
+
+    def part(buffer: bytearray) -> None:
+        ran.append(os.getpid())
+        buffer.extend(b"x")
+
+    share = parallel.start(part)
+    assert len(ran) == (0 if fork_fails else 1)
+    data = bytearray()
+    share.join(data)
+    assert data == b"x" and ran == [os.getpid()]
+
+
+def test_end_kills_and_reaps_a_running_child(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    share = parallel.start(lambda buffer: time.sleep(60))
+    started = time.monotonic()
+    share.end()
+    share.end()
+    assert time.monotonic() - started < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _synth_and_chain(out: Path, cpus: int, patch: str) -> None:

@@ -40,7 +40,8 @@ def test_tracer_times_the_reference_chain(tmp_path):
 
 def test_forked_parts_leave_no_trace(tmp_path):
     # The reference chain under the tracer with its device files parsed in
-    # three shares. A child that flushed stdio, ran the tracer's dump or
+    # three shares and the writes of every dataset stage but the last in a
+    # forked writer. A child that flushed stdio, ran the tracer's dump or
     # returned into the chain would show here.
     assert main(["synth", "--seed", "3", "--devices", "24", "--ros", "16", "--samples", "2",
                  "--geometry", "4x4:col", "--out", str(tmp_path / "synth")]) == 0
@@ -76,7 +77,9 @@ def test_forked_parts_leave_no_trace(tmp_path):
                             env=env, cwd=tmp_path, timeout=120)
     assert traced.returncode == 0, traced.stderr
     assert traced.stdout.startswith("before ") and traced.stdout.count("before") == 1
-    assert len(forks.read_text().splitlines()) == 2
+    # The load's two children, then one writer for each of ingest,
+    # similarity, correlate, attack, pca and normality.
+    assert len(forks.read_text().splitlines()) == 2 + 6
     assert len(writes.read_text().splitlines()) == 1
     assert json.loads(trace.read_text())["calls"]["dataset.load"] == 1
     untraced = subprocess.run([sys.executable, *chain, "--out", str(tmp_path / "serial")],
