@@ -10,6 +10,14 @@ analysis, and a seeded synthetic dataset generator for calibration.
 
 __version__ = "0.1.0"
 
+import os
+
+# One BLAS thread unless the caller chose otherwise: the work is already cut
+# across the CPUs by forked shares, and BLAS threads beside them only contend.
+# This must come before numpy is imported.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 from .bias import (
     BiasReport,
     bias_binary,

@@ -198,8 +198,7 @@ def cmd_similarity(args, inputs: Inputs) -> Writes:
     corrs = [serial_correlation(inputs.matrices.dev, inputs.meta, g) for g in args.group_sizes]
 
     def fill(writer: ArtifactWriter) -> None:
-        a, b = gv.windows()
-        writer.write_dat("group_variance.dat", "a b s2", [(None, [a, b, gv.values[a, b]])],
+        writer.write_dat("group_variance.dat", "a b s2", [(None, [gv.first, gv.last, gv.values])],
                          "MHz^2")
         writer.write_csv(
             "serial_corr.csv", ["group_size", "corr"], [args.group_sizes, corrs], "dimensionless"

@@ -27,12 +27,14 @@ writer's large table (``group_variance.dat``) is a job of its own in the
 writer's child. On two CPUs that nesting was no slower than a writer that
 formats alone, so nothing here stops it.
 
-An attack share calls BLAS and LAPACK in its child. The OpenBLAS numpy
-ships is a pthreads build, which stops its worker threads in a fork handler
-before every fork, so a child never waits on a lock one of them held; a
-test forks right after a GEMM on two BLAS threads and gets the one-share
-cells. A BLAS on an OpenMP runtime that keeps its threads across a fork is
-not covered by that test.
+An attack share calls BLAS and LAPACK in its child. Importing ``pufstat``
+sets ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` to 1 where they are
+unset, so BLAS threads do not contend with the shares for the CPUs. The
+OpenBLAS numpy ships is a pthreads build, which stops its worker threads in
+a fork handler before every fork, so a child never waits on a lock one of
+them held; a test forks right after a GEMM on two BLAS threads and gets the
+one-share cells. A BLAS on an OpenMP runtime that keeps its threads across
+a fork is not covered by that test.
 
 One failure rule: a part whose child exits non-zero or is killed is redone
 in this process by the same ``part`` call at ``join``, after the bytes it

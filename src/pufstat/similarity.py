@@ -5,6 +5,9 @@ rows of the within-window sample variance of the deviation matrix. If
 devices that left the fab close together were more alike, windows of nearby
 devices would show systematically smaller variance, and the group variance
 would correlate with how far apart the window endpoints' serial numbers are.
+``group_variance_map`` lists every window as one table, the rows of
+``group_variance.dat``; ``serial_correlation`` computes only the windows
+the claim reads.
 """
 
 from __future__ import annotations
@@ -20,40 +23,26 @@ from .errors import ConfigurationError, DegenerateDataError, UnavailableAnalysis
 
 @dataclass(frozen=True)
 class GroupVarianceMap:
-    """Group variance for every window of at least ``min_group`` devices.
+    """Group variance of every window of at least ``min_group`` devices.
 
-    ``values[a, b]`` holds the variance for window a..b; entries for windows
-    shorter than ``min_group`` are NaN.
+    Window ``i`` is devices ``first[i]..last[i]`` with variance ``values[i]``,
+    ordered by ``first`` then ``last``, ascending: the order of
+    ``np.triu_indices(num_devices, min_group - 1)``. ``first`` and ``last``
+    are int32.
     """
 
+    first: np.ndarray
+    last: np.ndarray
     values: np.ndarray
     min_group: int
 
     def __post_init__(self):
-        self.values.setflags(write=False)
+        for column in (self.first, self.last, self.values):
+            column.setflags(write=False)
 
     @property
     def num_devices(self) -> int:
-        return self.values.shape[0]
-
-    def windows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The first and last device ``a``, ``b`` of every window of at least
-        ``min_group`` devices, ``a`` then ``b`` ascending, as int32 arrays:
-        the pairs of ``np.triu_indices(num_devices, min_group - 1)`` in half
-        its bytes."""
-        num_devices, reach = self.num_devices, self.min_group - 1
-        if num_devices >= 2**31:
-            raise ConfigurationError(f"{num_devices} devices do not fit int32 window bounds")
-        first = np.arange(num_devices - reach, dtype=np.int32)
-        counts = num_devices - reach - first
-        a = np.repeat(first, counts)
-        # b counts up along each row of windows and restarts at a + reach,
-        # from num_devices - 1 at the end of the row before.
-        b = np.ones(len(a), dtype=np.int32)
-        b[np.cumsum(counts) - counts] = first + reach - (num_devices - 1)
-        b[0] = reach
-        np.cumsum(b, dtype=np.int32, out=b)
-        return a, b
+        return int(self.last[-1]) + 1
 
 
 def _centred(dev) -> np.ndarray:
@@ -69,8 +58,8 @@ def _centred(dev) -> np.ndarray:
 
 
 def group_variance_map(dev, min_group: int = 5) -> GroupVarianceMap:
-    """Compute all windows at once from prefix sums of the centred rows,
-    O(rows * devices^2).
+    """Compute all windows from prefix sums of the centred rows,
+    O(rows * devices^2), one slice of the table per first device.
 
     For the window a..a+n-1, the sum over rows of squared deviations from
     each row's window mean is ``sum(x^2) - sum_rows(s1^2) / n``, where
@@ -89,14 +78,22 @@ def group_variance_map(dev, min_group: int = 5) -> GroupVarianceMap:
     np.cumsum(c, axis=1, out=prefix[:, 1:])
     squares = np.concatenate([[0.0], np.cumsum(np.einsum("ij,ij->j", c, c))])
     lengths = np.arange(1, num_devices + 1, dtype=np.float64)
-    values = np.full((num_devices, num_devices), np.nan)
-    for a in range(num_devices - min_group + 1):
+    devices = np.arange(num_devices, dtype=np.int32)
+    starts = num_devices - min_group + 1
+    first = np.empty(starts * (starts + 1) // 2, dtype=np.int32)
+    last = np.empty_like(first)
+    values = np.empty(first.size)
+    lo = 0
+    for a in range(starts):
         s1 = prefix[:, a + min_group:] - prefix[:, a:a + 1]
         n = lengths[min_group - 1:num_devices - a]
         ss = np.einsum("ij,ij->j", s1, s1)
-        values[a, a + min_group - 1:] = \
-            ((squares[a + min_group:] - squares[a]) - ss / n) / ((n - 1.0) * num_rows)
-    return GroupVarianceMap(values=values, min_group=min_group)
+        hi = lo + n.size
+        first[lo:hi] = a
+        last[lo:hi] = devices[a + min_group - 1:]
+        values[lo:hi] = ((squares[a + min_group:] - squares[a]) - ss / n) / ((n - 1.0) * num_rows)
+        lo = hi
+    return GroupVarianceMap(first, last, values, min_group)
 
 
 def serial_correlation(dev, meta: DeviceMeta, group_size: int) -> float:

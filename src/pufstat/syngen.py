@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -76,22 +76,9 @@ class SynthConfig:
             object.__setattr__(self, "ro_mean_offsets", offs)
 
     def to_dict(self) -> dict:
-        return {
-            "num_devices": self.num_devices,
-            "num_ros": self.num_ros,
-            "num_samples": self.num_samples,
-            "geometry": self.geometry.describe(),
-            "seed": self.seed,
-            "base_freq": self.base_freq,
-            "device_sigma": self.device_sigma,
-            "gradient_x_sigma": self.gradient_x_sigma,
-            "gradient_y_sigma": self.gradient_y_sigma,
-            "local_sigma": self.local_sigma,
-            "meas_sigma": self.meas_sigma,
-            "ro_mean_offsets": (
-                None if self.ro_mean_offsets is None else self.ro_mean_offsets.tolist()
-            ),
-        }
+        offsets = self.ro_mean_offsets
+        return {**asdict(self), "geometry": self.geometry.describe(),
+                "ro_mean_offsets": None if offsets is None else offsets.tolist()}
 
 
 # Fields of GroundTruth, by what they are indexed by; the ROs x devices

@@ -150,3 +150,48 @@ def test_outputs_do_not_depend_on_the_share_count(tmp_path):
     assert sorted(p.name for p in trees[1].iterdir()) == names
     for name in names:
         assert (trees[0] / name).read_bytes() == (trees[1] / name).read_bytes(), name
+
+
+def _openblas() -> str:
+    """The OpenBLAS numpy ships in ``numpy.libs``, or a skip where it has none."""
+    import numpy
+
+    libs = Path(numpy.__file__).parents[1] / "numpy.libs"
+    found = sorted(libs.glob("libscipy_openblas64_*.so"))
+    if not found:
+        pytest.skip("no scipy-openblas64 library in numpy.libs")
+    return str(found[0])
+
+
+BLAS_THREADS = (
+    "import ctypes, os, sys\n"
+    "import pufstat\n"
+    "import numpy\n"
+    "from pufstat import parallel\n"
+    "count = ctypes.CDLL(sys.argv[1]).scipy_openblas_get_num_threads64_\n"
+    "os.sched_getaffinity = lambda pid: {0, 1}\n"
+    "forks = []\n"
+    "real_fork = os.fork\n"
+    "os.fork = lambda: forks.append(1) or real_fork()\n"
+    "data = bytearray()\n"
+    "parallel.run_parts(data, [1, 1], 1, lambda buffer, lo, hi: buffer.extend(b'%d ' % count()))\n"
+    "assert forks == [1], forks\n"
+    "print(count(), data.decode().strip())\n"
+)
+
+
+@pytest.mark.parametrize("explicit, want", [(None, "1"), ("2", "2")])
+def test_import_defaults_blas_to_one_thread(explicit, want):
+    # Both the process and a forked share run one BLAS thread unless the
+    # caller set OPENBLAS_NUM_THREADS; an explicit value is kept.
+    library = _openblas()
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      os.environ.get("PYTHONPATH")]))
+    if explicit is not None:
+        env["OPENBLAS_NUM_THREADS"] = explicit
+    done = subprocess.run([sys.executable, "-c", BLAS_THREADS, library], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [want, want, want]

@@ -16,25 +16,31 @@ from pufstat.similarity import (
 )
 
 
+def _window(gv, a, b):
+    """The variance of the window a..b, found by its bounds."""
+    (index,) = np.flatnonzero((gv.first == a) & (gv.last == b))
+    return gv.values[index]
+
+
 def test_group_variance_hand_case():
     dev = np.asarray([[-1.0, 1.0]])
-    assert group_variance_map(dev, min_group=2).values[0, 1] == pytest.approx(2.0)
+    assert group_variance_map(dev, min_group=2).values.tolist() == [pytest.approx(2.0)]
     dev2 = np.asarray([[-1.0, 1.0], [0.0, 4.0]])
-    assert group_variance_map(dev2, min_group=2).values[0, 1] == pytest.approx((2.0 + 8.0) / 2.0)
+    assert group_variance_map(dev2, min_group=2).values.tolist() == \
+        [pytest.approx((2.0 + 8.0) / 2.0)]
 
 
 def test_map_matches_brute_force():
+    # Every window, under per-RO offsets up to 300 times the noise.
     rng = np.random.default_rng(8)
-    dev = rng.normal(size=(12, 15))
-    gv = group_variance_map(dev, min_group=3)
-    assert gv.values.shape == (15, 15)
-    for a in range(15):
-        for b in range(15):
-            if b - a + 1 >= 3:
-                want = group_variance_reference(dev, a, b)
-                assert gv.values[a, b] == pytest.approx(want, abs=1e-10)
-            else:
-                assert np.isnan(gv.values[a, b])
+    noise = rng.normal(size=(12, 15))
+    trend = rng.normal(size=(12, 1))
+    for offset in (0.0, 3.0, 30.0, 300.0):
+        dev = noise + offset * trend
+        gv = group_variance_map(dev, min_group=3)
+        assert gv.values.shape == (13 * 14 // 2,)
+        for a, b, s2 in zip(gv.first.tolist(), gv.last.tolist(), gv.values.tolist()):
+            assert s2 == pytest.approx(group_variance_reference(dev, a, b), rel=1e-12)
 
 
 def test_map_agrees_with_single_window_function():
@@ -42,7 +48,7 @@ def test_map_agrees_with_single_window_function():
     dev = rng.normal(size=(20, 30)) * 4.0
     gv = group_variance_map(dev, min_group=5)
     for a, b in [(0, 4), (3, 17), (25, 29), (0, 29)]:
-        assert gv.values[a, b] == pytest.approx(group_variance_reference(dev, a, b), rel=1e-9)
+        assert _window(gv, a, b) == pytest.approx(group_variance_reference(dev, a, b), rel=1e-9)
 
 
 def test_window_variance_permutation_invariant():
@@ -50,8 +56,8 @@ def test_window_variance_permutation_invariant():
     dev = rng.normal(size=(6, 10))
     shuffled = dev.copy()
     shuffled[:, 2:7] = shuffled[:, [4, 6, 2, 5, 3]]
-    assert group_variance_map(dev).values[2, 6] == pytest.approx(
-        group_variance_map(shuffled).values[2, 6], abs=1e-12
+    assert _window(group_variance_map(dev), 2, 6) == pytest.approx(
+        _window(group_variance_map(shuffled), 2, 6), abs=1e-12
     )
 
 
@@ -61,9 +67,14 @@ def test_map_guards():
     with pytest.raises(ConfigurationError):
         group_variance_map(np.zeros((3, 4)), min_group=5)
     gv = group_variance_map(np.random.default_rng(0).normal(size=(3, 8)), min_group=4)
-    short = np.subtract.outer(np.arange(8), np.arange(8)) > -3  # b - a + 1 < 4
-    assert np.isnan(gv.values[short]).all()
-    assert not np.isnan(gv.values[~short]).any()
+    assert gv.values.size == 5 * 6 // 2
+    assert (gv.last - gv.first + 1 >= 4).all()
+    assert np.isfinite(gv.values).all()
+    # As many devices as min_group: the one window of all of them.
+    dev = np.random.default_rng(0).normal(size=(3, 5))
+    gv = group_variance_map(dev, min_group=5)
+    assert (gv.first.tolist(), gv.last.tolist(), gv.num_devices) == ([0], [4], 5)
+    assert gv.values.tolist() == [pytest.approx(group_variance_reference(dev, 0, 4), rel=1e-12)]
 
 
 def test_serial_correlation_shift_invariance():
@@ -78,14 +89,14 @@ def test_serial_correlation_shift_invariance():
 
 
 def test_serial_correlation_reads_the_map_diagonal():
-    # The windows serial_correlation computes are the map's diagonal b = a + g - 1.
+    # The windows serial_correlation computes are the map's windows of g devices.
     rng = np.random.default_rng(15)
     dev = rng.normal(size=(9, 40)) + rng.normal(scale=30.0, size=(9, 1))
     serials = np.cumsum(rng.integers(1, 500, size=40)).astype(np.int64)
     gv = group_variance_map(dev, min_group=3)
     for g in (3, 7, 20):
         starts = np.arange(40 - g + 1)
-        want = pearson(gv.values[starts, starts + g - 1],
+        want = pearson(gv.values[gv.last - gv.first == g - 1],
                        (serials[starts + g - 1] - serials[starts]).astype(np.float64))
         got = serial_correlation(dev, DeviceMeta(serials=serials), group_size=g)
         assert got == pytest.approx(want, rel=1e-12)
@@ -134,8 +145,9 @@ def test_serial_correlation_guards():
 def test_map_is_write_protected():
     gv = group_variance_map(np.random.default_rng(1).normal(size=(4, 8)), min_group=3)
     assert isinstance(gv, GroupVarianceMap)
-    with pytest.raises(ValueError):
-        gv.values[0, 4] = 0.0
+    for column in (gv.first, gv.last, gv.values):
+        with pytest.raises(ValueError):
+            column[0] = 0
 
 
 @pytest.mark.parametrize("offset", [0.0, 3.0, 30.0, 300.0])
@@ -150,18 +162,21 @@ def test_map_accurate_under_per_ro_offset(offset):
     starts = rng.integers(0, num_devices - min_group + 1, size=40)
     windows = [(int(a), int(rng.integers(a + min_group - 1, num_devices))) for a in starts]
     for a, b in windows:
-        assert gv.values[a, b] == pytest.approx(group_variance_reference(dev, a, b), rel=1e-12)
-    a = np.arange(num_devices - min_group + 1)
+        assert _window(gv, a, b) == pytest.approx(group_variance_reference(dev, a, b), rel=1e-12)
+    shortest = gv.last - gv.first == min_group - 1
+    np.testing.assert_array_equal(gv.first[shortest], np.arange(num_devices - min_group + 1))
     direct = np.array([group_variance_reference(dev, int(s), int(s) + min_group - 1)
-                       for s in a])
-    np.testing.assert_allclose(gv.values[a, a + min_group - 1], direct, rtol=1e-12, atol=0)
+                       for s in gv.first[shortest]])
+    np.testing.assert_allclose(gv.values[shortest], direct, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("num_devices, min_group", [(2, 2), (5, 5), (6, 2), (9, 4), (40, 7)])
 def test_windows_are_the_upper_triangle_in_int32(num_devices, min_group):
-    values = np.full((num_devices, num_devices), np.nan)
-    a, b = GroupVarianceMap(values=values, min_group=min_group).windows()
+    dev = np.random.default_rng(num_devices).normal(size=(3, num_devices))
+    gv = group_variance_map(dev, min_group=min_group)
     want_a, want_b = np.triu_indices(num_devices, min_group - 1)
-    assert a.dtype == b.dtype == np.int32
-    np.testing.assert_array_equal(a, want_a)
-    np.testing.assert_array_equal(b, want_b)
+    assert gv.first.dtype == gv.last.dtype == np.int32
+    np.testing.assert_array_equal(gv.first, want_a)
+    np.testing.assert_array_equal(gv.last, want_b)
+    assert gv.values.shape == want_a.shape
+    assert gv.num_devices == num_devices

@@ -86,6 +86,19 @@ def test_ro_mean_offsets_applied():
     assert np.allclose(readings.values[0, :, 0], 200.0 + offsets)
 
 
+def test_config_dict_lists_every_field():
+    config = SynthConfig(num_devices=3, num_ros=4, num_samples=2, geometry=GridGeometry(2, 2),
+                         seed=5, local_sigma=0.5, ro_mean_offsets=[0.0, 1.0, 2.0, 3.5])
+    described = json.loads(json.dumps(config.to_dict()))
+    assert described == {
+        "num_devices": 3, "num_ros": 4, "num_samples": 2, "geometry": "2x2:col", "seed": 5,
+        "base_freq": 200.0, "device_sigma": 0.0, "gradient_x_sigma": 0.0,
+        "gradient_y_sigma": 0.0, "local_sigma": 0.5, "meas_sigma": 0.0,
+        "ro_mean_offsets": [0.0, 1.0, 2.0, 3.5],
+    }
+    assert preset("spatial", seed=1).to_dict()["ro_mean_offsets"] is None
+
+
 def test_config_validation():
     geo = GridGeometry(2, 2, "row")
     with pytest.raises(ConfigurationError, match="positive"):

@@ -36,6 +36,8 @@ def test_tracer_times_the_reference_chain(tmp_path):
         assert calls.get(span, 0) > 0, span
     # len(result[0]) of each test_rows call: 16 freq + 16 dev + 8 diff rows.
     assert spans["counts"]["normality.rows"] == 40
+    # Windows of at least 5 (the default --min-group) of 24 devices: 20 * 21 / 2.
+    assert spans["counts"]["similarity.windows"] == 210
 
 
 def test_forked_parts_leave_no_trace(tmp_path):
