@@ -16,6 +16,7 @@ attack samples 4 target devices, not 8. Usage:
 """
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -58,4 +59,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    # The process ends here: frozen, what is left escapes the interpreter's
+    # last collection.
+    gc.freeze()
+    sys.exit(code)

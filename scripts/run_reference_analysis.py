@@ -14,6 +14,7 @@ Usage:
 """
 
 import argparse
+import gc
 import sys
 
 from pufstat.cli import run_chain
@@ -33,4 +34,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    # The process ends here: frozen, what is left escapes the interpreter's
+    # last collection.
+    gc.freeze()
+    sys.exit(code)

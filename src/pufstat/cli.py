@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 analysis error, 2 usage error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -27,8 +28,7 @@ from . import __version__, parallel
 from .bias import bias_histogram, bias_report
 from .correlation import fit_line, profile
 from .covfit import evaluate_attack
-from .dataset import (DeviceMeta, LayoutSpec, dataset_files, load_metadata, load_readings,
-                      write_dataset)
+from .dataset import DeviceMeta, LayoutSpec, load_metadata, load_readings, write_dataset
 from .errors import ParseError, PufStatError, StructuralError, UnavailableAnalysisError
 from .geometry import DEFAULT_GEOMETRY, GridGeometry
 from .matrices import PufMatrices, build_matrices, pack_bits
@@ -93,13 +93,14 @@ class Inputs:
 def _load(args) -> Inputs:
     # Derive before reading --meta, so a bad RO count is reported first.
     layout = LayoutSpec.parse(args.layout)
-    matrices = build_matrices(load_readings(args.dataset, layout))
-    meta = None
-    files = dataset_files(args.dataset, layout)
+    readings = load_readings(args.dataset, layout)
+    matrices = build_matrices(readings)
+    meta, files = None, []
     if args.meta:
         meta = load_metadata(args.meta, matrices.num_devices)
-        files.append(Path(args.meta))
-    return Inputs(meta, layout, matrices, hash_input_files(files))
+        files.append(args.meta)
+    # The dataset's files were hashed as they were read.
+    return Inputs(meta, layout, matrices, hash_input_files(files, readings.digests))
 
 
 # What a subcommand returns: its writes, run once its results are computed.
@@ -685,5 +686,16 @@ def run_chain(dataset: str, out: str, *, layout: str = "files", meta: str | None
     return 0
 
 
+def console_main() -> int:
+    """The ``pufstat`` console script and ``python -m pufstat.cli``: ``main``,
+    then every object left is frozen (``gc.freeze``), so the interpreter's
+    last collection does not sweep them before the process ends. Library
+    callers and tests run ``main`` itself, which leaves the collector as
+    it was."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

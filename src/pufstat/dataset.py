@@ -11,6 +11,14 @@ Two on-disk layouts are supported:
 
 All frequencies are megahertz and must be finite and strictly positive.
 
+Each device file is read once: its bytes are hashed (the digests travel
+with the readings, for the run manifest) and parsed by the exact decimal
+kernel ``decimals.parse_tables``, at most ``_KERNEL_BYTES`` of text per
+call. Only where the kernel declines the text, as outside the plain
+grammar pufstat writes, does ``np.loadtxt`` parse it, and ``_diagnose``
+name the fault where that fails too. A consolidated CSV is parsed by
+``np.loadtxt`` and hashed once it has loaded.
+
 Device files are read and written on every CPU the process may use: the
 files are cut, in device order, into shares run by ``parallel.run_parts``,
 this process taking the first share and a forked child each other one. A
@@ -22,6 +30,7 @@ never written over a directory that holds other files its pattern matches.
 from __future__ import annotations
 
 import fnmatch
+import hashlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -30,13 +39,14 @@ from typing import NoReturn
 
 import numpy as np
 
+from .decimals import parse_tables
 from .errors import (
     ConfigurationError,
     ParseError,
     StructuralError,
     ValidationError,
 )
-from .output import _append_table, _columns, _format_rows, _table
+from .output import _append_table, _columns, _format_rows, _table, sha256_file
 from .parallel import run_parts
 
 CSV_HEADER = ("device", "ro", "sample", "freq_mhz")
@@ -51,6 +61,9 @@ _BAD_SEPARATOR = "#\r\n0123456789.+-eE"
 # Bytes of device files each parsing share holds at least: a fork costs
 # about 2 ms at 32 MB RSS, a tenth of the ~17 ms 1 MiB of them takes to parse.
 _PART_BYTES = 1 << 20
+# Bytes of text one decimal kernel call parses at most (one file more only
+# where a single file is larger): its temporaries are about ten times that.
+_KERNEL_BYTES = 1 << 18
 # Cells of device files each writing share holds at least: formatting them
 # takes about 40 ms, ten times what a fork takes at 100 MB RSS.
 _WRITE_CELLS = 2**16
@@ -134,9 +147,12 @@ class ReadingsTensor:
     """Raw readings, shape (num_devices, num_ros, num_samples), MHz.
 
     Immutable after construction. Any RO count is valid; the pairing checks it.
+    ``digests`` holds ``(path, SHA-256 hex)`` of each file ``load_readings``
+    read them from, for ``output.hash_input_files``; it is empty otherwise.
     """
 
     values: np.ndarray
+    digests: tuple = ()
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -252,8 +268,8 @@ def load_readings(path: str | Path, layout: LayoutSpec | None = None) -> Reading
     """Read a dataset directory or consolidated CSV into a ReadingsTensor."""
     layout = layout or LayoutSpec()
     path = Path(path)
-    tensor = _load_files(path, layout) if layout.kind == "files" else _load_csv(path)
-    return ReadingsTensor(tensor)
+    tensor, digests = _load_files(path, layout) if layout.kind == "files" else _load_csv(path)
+    return ReadingsTensor(tensor, digests)
 
 
 def dataset_files(path: str | Path, layout: LayoutSpec) -> list[Path]:
@@ -274,38 +290,75 @@ def dataset_files(path: str | Path, layout: LayoutSpec) -> list[Path]:
     return files
 
 
-def _load_files(root: Path, layout: LayoutSpec) -> np.ndarray:
-    """Parse every device file into one (devices, rows, columns) tensor.
+def _read_bytes(path: Path) -> tuple[bytes, bytes]:
+    """A device file's bytes and their SHA-256: the one read of each device
+    file a load parses."""
+    data = path.read_bytes()
+    return data, hashlib.sha256(data).digest()
+
+
+def _load_files(root: Path, layout: LayoutSpec) -> tuple[np.ndarray, tuple]:
+    """Parse every device file into one (devices, rows, columns) tensor, and
+    the digest of each file.
 
     The files, sized in bytes, are one ``parallel.run_parts`` job, each
     share at least ``_PART_BYTES``: this process parses the first share and
-    a forked child each other one, every part appending the float64 bytes
-    of its tables. Each part checks each table against the first file's
-    shape, which is known before any fork, so a share that a child could
-    not parse is parsed again here and raises the error a serial load
-    raises.
+    a forked child each other one. Every part appends one record per file,
+    its SHA-256 and then its table's float64 bytes, and parses its files
+    in groups of at most ``_KERNEL_BYTES``. Each part checks each table
+    against the first file's shape, which is known before any fork, so a
+    share that a child could not parse is parsed again here and raises the
+    error a serial load raises. The records are then packed, in place, into
+    the tensor.
     """
     files = dataset_files(root, layout)
-    first = _read_device(files[0], layout)
+    sizes = [p.stat().st_size for p in files]
+    blob, digest = _read_bytes(files[0])
+    first = next(_device_tables(files[:1], [blob], layout))
+    del blob
 
     def parse(buffer: bytearray, lo: int, hi: int) -> None:
-        for path in files[max(1, lo):hi]:
-            table = _read_device(path, layout)
-            if table.shape != first.shape:
-                shape, want = ("{}x{}".format(*t.shape) for t in (table, first))
-                raise StructuralError(f"device file {path.name} has shape {shape}, "
-                                      f"expected {want} like {files[0].name}")
-            buffer += memoryview(np.ascontiguousarray(table))
+        start = max(1, lo)
+        while start < hi:
+            stop, text = start + 1, sizes[start]
+            while stop < hi and text + sizes[stop] <= _KERNEL_BYTES:
+                text += sizes[stop]
+                stop += 1
+            read = [_read_bytes(path) for path in files[start:stop]]
+            tables = _device_tables(files[start:stop], [blob for blob, _ in read], layout)
+            for path, (_, digest), table in zip(files[start:stop], read, tables):
+                if table.shape != first.shape:
+                    shape, want = ("{}x{}".format(*t.shape) for t in (table, first))
+                    raise StructuralError(f"device file {path.name} has shape {shape}, "
+                                          f"expected {want} like {files[0].name}")
+                buffer += digest
+                buffer += memoryview(np.ascontiguousarray(table))
+            start = stop
 
-    data = bytearray(np.ascontiguousarray(first))
-    run_parts(data, [p.stat().st_size for p in files], _PART_BYTES, parse)
-    return np.frombuffer(data).reshape(len(files), *first.shape)
+    data = bytearray(digest)
+    data += memoryview(np.ascontiguousarray(first))
+    run_parts(data, sizes, _PART_BYTES, parse)
+    size, record = first.nbytes, len(digest) + first.nbytes
+    digests = tuple((path, data[j * record:j * record + len(digest)].hex())
+                    for j, path in enumerate(files))
+    for j in range(len(files)):
+        data[j * size:(j + 1) * size] = data[j * record + len(digest):(j + 1) * record]
+    del data[len(files) * size:]
+    return np.frombuffer(data).reshape(len(files), *first.shape), digests
 
 
-def _read_device(path: Path, layout: LayoutSpec) -> np.ndarray:
-    """One device file as a (ROs, samples) float64 table."""
-    table = _read_table(path, np.dtype(np.float64), layout.delimiter, "#")
-    return table.T if layout.rows == "samples" else table
+def _device_tables(paths: list[Path], blobs: list[bytes], layout: LayoutSpec):
+    """The (ROs, samples) float64 table of each device file of ``paths``,
+    whose bytes are ``blobs``: one kernel call for them all, or where the
+    kernel declines, ``np.loadtxt`` on one file after the other, each
+    parsed only when the one before it has been taken."""
+    tables = parse_tables(blobs, layout.delimiter)
+    for index, path in enumerate(paths):
+        if tables is None:
+            table = _read_table(path, np.dtype(np.float64), layout.delimiter, "#")
+        else:
+            table = tables[index]
+        yield table.T if layout.rows == "samples" else table
 
 
 def _sort_rows(keys: np.ndarray) -> tuple[np.ndarray, int | None]:
@@ -318,7 +371,9 @@ def _sort_rows(keys: np.ndarray) -> tuple[np.ndarray, int | None]:
     return order, (int(repeats.min()) if repeats.size else None)
 
 
-def _load_csv(path: Path) -> np.ndarray:
+def _load_csv(path: Path) -> tuple[np.ndarray, tuple]:
+    """The dense (device, ro, sample) cube of a consolidated CSV, and its
+    digest."""
     if not path.is_file():
         raise FileNotFoundError(f"dataset file not found: {path}")
     table = _read_table(path, _CSV_DTYPE, ",")
@@ -347,7 +402,7 @@ def _load_csv(path: Path) -> np.ndarray:
             f"{path.name} is missing device {j}, ro {i}, sample {t} "
             f"(expected a dense {shape[0]}x{shape[1]}x{shape[2]} cube)"
         )
-    return table["freq_mhz"][order].reshape(shape)
+    return table["freq_mhz"][order].reshape(shape), ((path, sha256_file(path)),)
 
 
 def load_metadata(path: str | Path, num_devices: int | None = None) -> DeviceMeta:

@@ -502,13 +502,17 @@ def sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def hash_input_files(paths) -> str:
-    """Digest of a set of input files: names and contents, in sorted order."""
+def hash_input_files(paths, hashed=()) -> str:
+    """Digest of a set of input files: names and contents, in sorted order.
+    The files of ``paths`` are read here; ``hashed`` gives ``(path, SHA-256
+    hex)`` of files already read."""
+    entries = [(Path(p), digest) for p, digest in hashed]
+    entries += [(Path(p), sha256_file(Path(p))) for p in paths]
     h = hashlib.sha256()
-    for path in sorted(Path(p) for p in paths):
+    for path, digest in sorted(entries):
         h.update(path.name.encode("utf-8"))
         h.update(b"\0")
-        h.update(bytes.fromhex(sha256_file(path)))
+        h.update(bytes.fromhex(digest))
     return h.hexdigest()
 
 

@@ -5,9 +5,10 @@ library: quadrature instead of closed-form special functions, plain Python
 accumulation instead of vectorized numpy, exhaustive search instead of
 gradient descent, a backtracking descent instead of the exact line search,
 polynomial arithmetic with ``np.roots`` instead of the closed-form cubic,
-``csv.reader`` loops instead of one ``np.loadtxt`` call, and one row at a
-time instead of the one-pass normality kernel. Slow is fine; these exist
-to certify the fast paths.
+``csv.reader`` loops instead of one ``np.loadtxt`` call, ``float()`` per
+token instead of the decimal kernel, and one row at a time instead of the
+one-pass normality kernel. Slow is fine; these exist to certify the fast
+paths.
 """
 
 from __future__ import annotations
@@ -389,6 +390,13 @@ def write_dataset_reference(values, out_dir, kind: str = "files", rows: str = "r
             writer.writerow(("device", "serial"))
             for j, serial in enumerate(serials):
                 writer.writerow((j, int(serial)))
+
+
+def decimal_table_reference(text: str, sep: str | None = None) -> np.ndarray:
+    """A text table token by token: ``str.split`` on each line, then
+    CPython's correctly rounded ``float()`` per token, no numpy parsing."""
+    return np.array([[float(token) for token in line.split(sep)]
+                     for line in text.splitlines()], dtype=np.float64)
 
 
 def load_csv_reference(path) -> np.ndarray:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -584,8 +585,13 @@ def _digests(root: Path) -> dict:
 
 def _run_script(name, argv, monkeypatch):
     monkeypatch.setattr(sys, "argv", [str(SCRIPTS / name)] + argv)
-    with pytest.raises(SystemExit) as excinfo:
-        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    try:
+        with pytest.raises(SystemExit) as excinfo:
+            runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    finally:
+        # A script freezes every object as it ends its process; this one
+        # goes on.
+        gc.unfreeze()
     return excinfo.value.code
 
 
@@ -810,6 +816,38 @@ def test_chain_prints_each_stage_once_in_order(tmp_path):
     assert done.stdout.count("writer") == 6
     assert done.stdout.endswith("all artifacts in chain\n")
     assert done.stdout.count("all artifacts") == 1
+
+
+def test_chain_and_cli_processes_end_frozen(tmp_path, monkeypatch):
+    # The chain script and ``python -m pufstat.cli`` freeze what is left
+    # before they exit: the chain still prints its last line and writes
+    # every artifact the stages write one by one, and a subcommand run as
+    # a process writes what main() writes.
+    dataset, meta = _synth_chain_set(monkeypatch, tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")}
+    chain = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_reference_analysis.py"), "--dataset", dataset,
+         "--meta", meta, "--geometry", "4x8:col", "--seed", "1", "--out", "chain"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert chain.returncode == 0, chain.stderr
+    assert chain.stdout.endswith("all artifacts in chain\n")
+    _run_stages(dataset, "files", meta, "stages", "4x8:col", 1, 8)
+    assert _digests(tmp_path / "chain") == _digests(tmp_path / "stages")
+    entropy = ["entropy", "--dataset", dataset, "--out"]
+    done = subprocess.run([sys.executable, "-m", "pufstat.cli", *entropy, "process"],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert main([*entropy, "in-process"]) == 0
+    assert _digests(tmp_path / "process") == _digests(tmp_path / "in-process")
+
+
+def test_main_and_run_chain_leave_the_collector_unfrozen(tmp_path, monkeypatch):
+    dataset, meta = _synth_chain_set(monkeypatch, tmp_path)
+    assert main(["entropy", "--dataset", dataset, "--out", "out"]) == 0
+    assert gc.get_freeze_count() == 0
+    assert run_chain(dataset, "chain", meta=meta, geometry="4x8:col", seed=1,
+                     attack_devices=8) == 0
+    assert gc.get_freeze_count() == 0
 
 
 def test_first_failing_stage_sets_the_exit_code(tmp_path, monkeypatch, capsys):

@@ -673,20 +673,21 @@ def test_parallel_load_forks_and_parses_only_its_own_share(parts, tmp_path, monk
 
 
 def _record_parent_reads(monkeypatch, child=None):
-    """Record the files this process parses; ``child(os.getpid())`` runs
+    """Record the files this process reads to parse, at ``_read_bytes``,
+    where every load reads each file once; ``child(os.getpid())`` runs
     first in a forked child."""
     parent = os.getpid()
-    real_read_table = dataset._read_table
+    real_read_bytes = dataset._read_bytes
     parsed = []
 
-    def read_table(path, *args):
+    def read_bytes(path):
         if os.getpid() == parent:
             parsed.append(path.name)
         elif child is not None:
             child(os.getpid())
-        return real_read_table(path, *args)
+        return real_read_bytes(path)
 
-    monkeypatch.setattr(dataset, "_read_table", read_table)
+    monkeypatch.setattr(dataset, "_read_bytes", read_bytes)
     return parsed
 
 
