@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, StructuralError, ValidationError
-from .normality import _special
+from .normality import ndtr
 
 NORMAL_MODEL_CONVENTION = (
     "one-probability = Phi(pair_mean / pair_std); "
@@ -48,7 +48,7 @@ def bias_normal(diff) -> np.ndarray:
         raise DegenerateDataError(
             f"pair rows with zero spread across devices: {flat.tolist()}"
         )
-    return _special().ndtr(d.mean(axis=1) / std)
+    return ndtr(d.mean(axis=1) / std)
 
 
 def entropy(probabilities) -> float:

@@ -632,9 +632,7 @@ def run_chain(dataset: str, out: str, *, layout: str = "files", meta: str | None
     (formatting, hashing, the atomic writes and the manifest) then go to a
     forked writer (``parallel.start``) while the next stages compute. The
     last dataset stage writes here, and every writer is joined, in chain
-    order, before report reads what they wrote. normality and entropy come
-    last, so that the ``scipy.special`` import in normality runs while the
-    earlier stages' tables are written.
+    order, before report reads what they wrote.
 
     A stage that fails to compute stops the chain, once the writers already
     started are joined. A writer that failed is redone at its join, here,

@@ -380,6 +380,11 @@ def _load_csv(path: Path) -> tuple[np.ndarray, tuple]:
     cells = np.column_stack([table[name] for name in CSV_HEADER[:3]])
     if cells.min() < 0:
         raise ValidationError(f"negative index in {path.name}")
+    shape = tuple(int(m) + 1 for m in cells.max(axis=0))
+    freq = table["freq_mhz"]
+    # What write_dataset writes is already the cube's positions in C order.
+    if len(cells) == math.prod(shape) and np.array_equal(cells, np.indices(shape).reshape(3, -1).T):
+        return np.ascontiguousarray(freq).reshape(shape), ((path, sha256_file(path)),)
     order, repeat = _sort_rows(cells)
     if repeat is not None:
         j, i, t = cells[repeat]
@@ -387,7 +392,6 @@ def _load_csv(path: Path) -> tuple[np.ndarray, tuple]:
             f"duplicate reading for device {j}, ro {i}, sample {t} in {path.name}"
         )
     cells = cells[order]
-    shape = tuple(int(m) + 1 for m in cells.max(axis=0))
     # Sorted, the cells must be the cube's positions 0, 1, ... in C order. The
     # first hole is among positions 0..n, so the cube is never built; an axis
     # longer than n + 1 unravels those positions as one of n + 1 does.
@@ -402,7 +406,7 @@ def _load_csv(path: Path) -> tuple[np.ndarray, tuple]:
             f"{path.name} is missing device {j}, ro {i}, sample {t} "
             f"(expected a dense {shape[0]}x{shape[1]}x{shape[2]} cube)"
         )
-    return table["freq_mhz"][order].reshape(shape), ((path, sha256_file(path)),)
+    return freq[order].reshape(shape), ((path, sha256_file(path)),)
 
 
 def load_metadata(path: str | Path, num_devices: int | None = None) -> DeviceMeta:

@@ -14,6 +14,7 @@ paths.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from pathlib import Path
@@ -54,6 +55,25 @@ def log_phi_quadrature(x: float) -> float:
     return math.log(_integrate_density(-x, -x + 40.0))
 
 
+@functools.cache
+def normal_tail_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A fixed grid over [-38.5, 9] (step 0.01) with Phi and log Phi on it,
+    each from 50-digit mpmath rounded once to a double."""
+    import mpmath
+
+    xs = np.linspace(-38.5, 9.0, 4751)
+    with mpmath.workdps(50):
+        phi = [mpmath.ncdf(mpmath.mpf(float(x))) for x in xs]
+        log_phi = [float(mpmath.log(p)) for p in phi]
+    return xs, np.array([float(p) for p in phi]), np.array(log_phi)
+
+
+def relative_error(got, want) -> np.ndarray:
+    """|got - want| / |want|, elementwise."""
+    want = np.asarray(want, dtype=np.float64)
+    return np.abs(np.asarray(got, dtype=np.float64) - want) / np.abs(want)
+
+
 def ad_statistic_reference(sample, min_n: int = 8) -> float:
     """Raw Anderson-Darling statistic, direct per-term evaluation."""
     xs = [float(v) for v in sample]
@@ -78,8 +98,11 @@ def test_rows_reference(matrix, min_samples: int = 8):
     """``normality.test_rows`` the way it was first written: one row at a
     time, each row's statistic from its own 1-D reductions, and the summary
     by nearest rank. Returns one ``(a2, a2_star, reject_at_1pct)`` tuple per
-    row and the ``(quantile_50, quantile_90, quantile_99, max)`` tuple."""
-    from scipy.special import log_ndtr
+    row and the ``(quantile_50, quantile_90, quantile_99, max)`` tuple. The
+    tails are the library's ``log_ndtr``, called on each row alone, so the
+    statistic must come out exactly; the tails' own oracles are
+    ``normal_tail_grid`` and the quadrature."""
+    from pufstat.normality import log_ndtr
 
     m = np.asarray(matrix, dtype=np.float64)
     rows = []

@@ -17,6 +17,8 @@ from pufstat.bias import (
 )
 from pufstat.errors import DegenerateDataError, StructuralError, ValidationError
 
+from oracles import relative_error
+
 
 def test_bias_binary_basic():
     bits = np.asarray([[1, 1, 1, 1], [1, 0, 1, 0], [0, 0, 0, 0]], dtype=np.uint8)
@@ -35,15 +37,25 @@ def test_bias_normal_three_sigma():
     assert bias_normal(diff)[0] == pytest.approx(0.998650101968370, abs=1e-12)
 
 
-def test_bias_report_normal_model_is_scipy_ndtr():
+def test_bias_report_normal_model_matches_mpmath():
+    # Phi(mean/std) per pair, against 50-digit mpmath: no further than
+    # scipy.special.ndtr is from it, or than one rounding, and within 2e-14
+    # of scipy's value.
+    import mpmath
     from scipy import special
 
     rng = np.random.default_rng(17)
     diff = rng.normal(0.3, 2.0, size=(24, 30))
+    diff[:4] += 9.0 * rng.normal(size=(4, 1))  # a few pairs far in a tail
     report = bias_report(diff, (diff > 0).astype(np.uint8))
-    want = special.ndtr(diff.mean(axis=1) / diff.std(axis=1, ddof=1))
-    assert report.p_normal.tobytes() == want.tobytes()
-    assert report.entropy_normal == entropy(want)
+    ratio = diff.mean(axis=1) / diff.std(axis=1, ddof=1)
+    with mpmath.workdps(50):
+        want = np.array([float(mpmath.ncdf(mpmath.mpf(float(r)))) for r in ratio])
+    theirs = special.ndtr(ratio)
+    worst = relative_error(report.p_normal, want).max()
+    assert worst <= max(relative_error(theirs, want).max(), 2.0**-52)
+    assert relative_error(report.p_normal, theirs).max() <= 2e-14
+    assert report.entropy_normal == entropy(report.p_normal)
 
 
 def test_bias_normal_degenerate_row():

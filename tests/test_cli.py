@@ -464,14 +464,29 @@ def test_odd_ro_count_exits_1_before_any_file(layout, bad_meta, tmp_path, capsys
     assert not out.exists()
 
 
-def test_import_defers_scipy():
+_NO_SCIPY = """
+import sys
+from pufstat.cli import main, run_chain
+print('scipy' in sys.modules)
+assert main(["synth", "--seed", "5", "--devices", "24", "--ros", "32", "--samples", "4",
+             "--geometry", "4x8:col", "--out", "data"]) == 0
+assert run_chain("data/dataset", "chain", meta="data/dataset/serials.csv",
+                 geometry="4x8:col", seed=1, attack_devices=8) == 0
+print('scipy' in sys.modules)
+"""
+
+
+def test_import_and_chain_never_import_scipy(tmp_path):
+    # Every stage, normality and entropy included, runs on numpy alone.
     src = Path(pufstat.cli.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, pufstat.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, check=True,
-        env={"PYTHONPATH": str(src), "PATH": ""},
+        [sys.executable, "-c", _NO_SCIPY], capture_output=True, text=True, check=True,
+        cwd=tmp_path, env={"PYTHONPATH": str(src), "PATH": ""},
     )
-    assert proc.stdout.strip() == "False"
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False", "False")
+    assert (tmp_path / "chain" / "normality_diff_summary.json").is_file()
+    assert (tmp_path / "chain" / "entropy.json").is_file()
 
 
 def test_manifest_links_all_artifacts(dataset_args, tmp_path):

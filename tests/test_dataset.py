@@ -137,6 +137,54 @@ def test_csv_duplicate_cell(tmp_path):
         load_readings(path, LayoutSpec.parse("csv"))
 
 
+def _csv_rows(values) -> list[str]:
+    return [f"{j},{i},{t},{float(v)!r}" for (j, i, t), v in np.ndenumerate(values)]
+
+
+def test_csv_shuffled_and_ordered_load_the_same_tensor(tmp_path, monkeypatch):
+    # Ordered input takes the direct check; shuffled input is sorted first.
+    sorts = []
+    real_sort_rows = dataset._sort_rows
+    monkeypatch.setattr(dataset, "_sort_rows",
+                        lambda keys: sorts.append(len(keys)) or real_sort_rows(keys))
+    values = np.random.default_rng(4).uniform(90.0, 110.0, size=(5, 6, 3))
+    rows = _csv_rows(values)
+    shuffled = [rows[k] for k in np.random.default_rng(5).permutation(len(rows))]
+    loaded = {}
+    for name, body in [("ordered", rows), ("shuffled", shuffled)]:
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join(["device,ro,sample,freq_mhz", *body]) + "\n")
+        loaded[name] = load_readings(path, LayoutSpec.parse("csv")).values
+        assert loaded[name].flags.c_contiguous
+    assert loaded["ordered"].tobytes() == loaded["shuffled"].tobytes() == values.tobytes()
+    assert sorts == [values.size]
+
+
+@pytest.mark.parametrize("order", ["ordered", "shuffled"])
+@pytest.mark.parametrize("fault, match", [
+    ("drop", "^d.csv is missing device 1, ro 2, sample 1 \\(expected a dense 3x4x2 cube\\)$"),
+    ("repeat", "^duplicate reading for device 1, ro 2, sample 1 in d.csv$"),
+    ("replace", "^duplicate reading for device 0, ro 0, sample 0 in d.csv$"),
+])
+def test_csv_cell_errors_do_not_depend_on_order(tmp_path, order, fault, match):
+    # A dropped cell, a repeated one, and one that repeats another in place of
+    # its own (so that the row count still fits the cube).
+    rows = _csv_rows(np.full((3, 4, 2), 100.0))
+    k = 1 * 8 + 2 * 2 + 1
+    if fault == "drop":
+        del rows[k]
+    elif fault == "repeat":
+        rows.append(rows[k])
+    else:
+        rows[k] = rows[0]
+    if order == "shuffled":
+        rows = [rows[i] for i in np.random.default_rng(6).permutation(len(rows))]
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join(["device,ro,sample,freq_mhz", *rows]) + "\n")
+    with pytest.raises(StructuralError, match=match):
+        load_readings(path, LayoutSpec.parse("csv"))
+
+
 def test_csv_parse_error_names_line(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("device,ro,sample,freq_mhz\n0,0,zero,100.0\n")

@@ -11,13 +11,15 @@ from pufstat.normality import (
     MIN_SAMPLES,
     REJECT_1PCT,
     anderson_darling,
+    log_ndtr,
+    ndtr,
     normal_cdf,
     sample_size_correction,
     test_rows,
 )
 
 from oracles import (ad_statistic_reference, log_phi_quadrature, nearest_rank_reference,
-                     phi_quadrature, test_rows_reference)
+                     normal_tail_grid, phi_quadrature, relative_error, test_rows_reference)
 
 
 def test_normal_cdf_against_quadrature_grid():
@@ -25,11 +27,44 @@ def test_normal_cdf_against_quadrature_grid():
         assert abs(normal_cdf(float(x)) - phi_quadrature(float(x))) <= 1e-12
 
 
-def test_tail_functions_are_scipy_values():
+def test_tail_functions_match_mpmath_no_worse_than_scipy():
+    # On each range, the largest relative error against 50-digit mpmath is no
+    # larger than scipy.special's on the same points, or than one rounding of
+    # the result (2**-52), which is as close as a double can come.
     from scipy import special
 
-    for x in (-40.0, -8.5, -1.0, -1e-3, 0.0, 0.25, 3.0, 12.0):
-        assert normal_cdf(x) == float(special.ndtr(x))
+    xs, phi, log_phi = normal_tail_grid()
+    tiny = np.finfo(np.float64).tiny
+    normal = phi >= tiny
+    with np.errstate(all="raise"):
+        ours_log, ours = log_ndtr(xs), ndtr(xs)
+    theirs_log, theirs = special.log_ndtr(xs), special.ndtr(xs)
+    for inside in (xs < 0.0, (xs >= 0.0) & (xs < 3.0), xs >= 3.0):
+        assert inside.sum() >= 300
+        want = log_phi[inside]
+        worst = relative_error(ours_log[inside], want).max()
+        assert worst <= max(relative_error(theirs_log[inside], want).max(), 2.0**-52)
+        on = inside & normal
+        worst = relative_error(ours[on], phi[on]).max()
+        assert worst <= max(relative_error(theirs[on], phi[on]).max(), 2.0**-52)
+    # Below the smallest normal double Phi is 0 or within one of it.
+    assert (~normal).sum() > 50
+    assert (np.abs(ours - phi)[~normal] < tiny).all()
+    assert (ours[~normal] == 0.0).all()
+    assert relative_error(ours_log, theirs_log).max() <= 2e-14
+    # scipy's own ndtr error grows as x**2 in the lower tail; above -10 it is
+    # below 1e-14.
+    above = xs >= -10.0
+    assert relative_error(ours[above], theirs[above]).max() <= 2e-14
+
+
+def test_tail_functions_propagate_nan_and_saturate():
+    with np.errstate(all="raise"):
+        assert np.isnan(ndtr(np.nan)) and np.isnan(log_ndtr(np.nan))
+        assert ndtr([-np.inf, np.inf]).tolist() == [0.0, 1.0]
+        assert log_ndtr([-np.inf, np.inf]).tolist() == [-np.inf, 0.0]
+        assert log_ndtr(-1e200) == -np.inf
+        assert ndtr(np.zeros((2, 3))).shape == (2, 3)
 
 
 def test_normal_cdf_known_point():
@@ -45,8 +80,6 @@ def test_normal_cdf_monotone_and_open_interval():
     # below about -37 the lower tail underflows, above about +8.2 the nearest
     # representable double is exactly 1. log_ndtr, which the statistic
     # uses for both tails, carries them.
-    from scipy.special import log_ndtr
-
     inside = (xs >= -37.0) & (xs <= 8.0)
     assert (vals[inside] > 0.0).all()
     assert (vals[inside] < 1.0).all()
@@ -56,8 +89,6 @@ def test_normal_cdf_monotone_and_open_interval():
 
 def test_log_tails_match_quadrature():
     # The statistic's tail weights: log Phi(x) and log(1 - Phi(x)) = log Phi(-x).
-    from scipy.special import log_ndtr
-
     for x in [-12.0, -8.5, -5.0, -1.0, 0.0, 1.0, 5.0, 8.5, 12.0]:
         assert log_ndtr(x) == pytest.approx(log_phi_quadrature(x), rel=1e-10)
         assert log_ndtr(-x) == pytest.approx(log_phi_quadrature(-x), rel=1e-10)
@@ -197,6 +228,43 @@ def test_rows_equal_row_by_row_reference(num_rows, num_cols, scale, offset, orde
     assert stats.tolist() == rows
     assert (summary.quantile_50, summary.quantile_90, summary.quantile_99,
             summary.max) == expected_summary
+
+
+def test_rows_match_scipy_statistic():
+    # The same statistic with scipy.special's tails, computed row by row.
+    from scipy.special import log_ndtr as scipy_log_ndtr
+
+    rng = np.random.default_rng(20261019)
+    for n in (8, 30, 193, 2000):
+        matrix = np.vstack([rng.normal(size=(6, n)), rng.exponential(size=(3, n)),
+                            rng.uniform(size=(3, n))])
+        stats, _ = test_rows(matrix)
+        for row, got in zip(matrix, stats):
+            y = np.sort((row - row.mean()) / row.std(ddof=1))
+            weights = 2.0 * np.arange(n) + 1.0
+            a2 = -np.sum(weights * (scipy_log_ndtr(y) + scipy_log_ndtr(-y)[::-1])) / n - n
+            assert got.a2 == pytest.approx(a2, rel=1e-12, abs=0.0)
+            assert got.a2_star == pytest.approx(a2 * sample_size_correction(n), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [8, 193, 20_000])
+def test_rows_extreme_outlier_raises_nothing(n):
+    # One reading far from the rest puts |y| at its largest, (n-1)/sqrt(n),
+    # on either side; no numpy floating-point event may fire, underflow
+    # included.
+    rng = np.random.default_rng(n)
+    spike = np.zeros(n)
+    spike[n // 2] = 1.0
+    far = rng.normal(size=n)
+    far[0] = 1e6
+    matrix = np.vstack([spike, -spike, far, rng.normal(size=n)])
+    with np.errstate(all="raise"):
+        stats, summary = test_rows(matrix)
+    assert np.isfinite(stats.a2).all() and np.isfinite(stats.a2_star).all()
+    assert math.isfinite(summary.max)
+    y = (n - 1) / math.sqrt(n)
+    with np.errstate(all="raise"):
+        assert np.isfinite(log_ndtr([y, -y])).all()
 
 
 def test_rows_error_names_row():
