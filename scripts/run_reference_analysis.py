@@ -5,8 +5,8 @@ Runs ingest, similarity (only with --meta), correlate, attack (8 sampled
 target devices, both modes), pca, normality and entropy, then report,
 through ``pufstat.cli.run_chain``: the dataset is parsed, hashed and
 derived once, each stage's artifacts are written by a forked writer while
-the next stages compute, and the artifacts equal those of the subcommands
-run one by one. The exit code is that of the first stage that failed.
+the next stages compute (on one CPU, once every stage has computed), and
+the artifacts equal those of the subcommands run one by one. The exit code is that of the first stage that failed.
 Usage:
 
     python3 scripts/run_reference_analysis.py --dataset /path/to/dataset \

@@ -616,11 +616,6 @@ def main(argv=None) -> int:
     return code or _mapped(writes)[0]
 
 
-def _write_behind(writes: Writes) -> parallel.Share:
-    """Start a stage's writes in the background; they give no bytes back."""
-    return parallel.start(lambda buffer: writes())
-
-
 def run_chain(dataset: str, out: str, *, layout: str = "files", meta: str | None = None,
               geometry: str, seed: int, attack_devices: int) -> int:
     """Run ingest, similarity (only with ``meta``), correlate, attack, pca,
@@ -630,14 +625,16 @@ def run_chain(dataset: str, out: str, *, layout: str = "files", meta: str | None
     dataset is parsed, hashed and derived once, and the writing runs behind
     the computing. Each stage computes in this process; its writes
     (formatting, hashing, the atomic writes and the manifest) then go to a
-    forked writer (``parallel.start``) while the next stages compute. The
-    last dataset stage writes here, and every writer is joined, in chain
-    order, before report reads what they wrote.
+    writer (``parallel.start``), a child forked while the next stages
+    compute. The last dataset stage writes here, and every writer is
+    joined, in chain order, before report reads what they wrote.
 
     A stage that fails to compute stops the chain, once the writers already
-    started are joined. A writer that failed is redone at its join, here,
-    under the stage's error mapping. The first stage that failed, in chain
-    order, gives the exit code, and report does not run. Returns 0 when
+    started are joined. A writer that failed or has no child (one CPU, a
+    failed fork) runs at its join, here, under the stage's error mapping.
+    The first stage that failed, in chain order, gives the exit code on any
+    CPU count, and report does not run. Any other exception kills the
+    writers still running and drops the writes not yet run. Returns 0 when
     every stage succeeded."""
     base = ["--dataset", dataset, "--layout", layout, "--out", out]
     if meta:
@@ -659,13 +656,18 @@ def run_chain(dataset: str, out: str, *, layout: str = "files", meta: str | None
         for step in steps:
             print(f"==> pufstat {' '.join(step)}", flush=True)
             code, writes = _run(parser.parse_args(step), loaded)
-            if code == 0 and step is steps[-1]:
-                code = _mapped(writes)[0]
-            elif code == 0:
-                code, share = _mapped(_write_behind, writes)
-                shares += [share] if share else []
             if code:
                 break
+            if step is not steps[-1]:
+                # start raises nothing; _mapped forks the writer under the
+                # numpy error state that its redo at join runs under.
+                shares.append(_mapped(parallel.start, lambda buffer, writes=writes: writes())[1])
+            else:
+                # Nothing computes beside the last writer: forked, the seed-7
+                # reference chain took 0.592 s against 0.517 s (two CPUs,
+                # medians of 12 alternating runs), and population's peak RSS
+                # rose from 121.8 to 123.9 MiB.
+                code = _mapped(writes)[0]
         joined = [_mapped(share.join, bytearray())[0] for share in shares]
         code = next((c for c in joined if c), code)
         if code == 0:

@@ -56,8 +56,9 @@ _META_DTYPE = np.dtype({"names": ("device", "serial"), "formats": ["i8", "i8"]})
 
 _LAYOUT_KINDS = ("files", "csv")
 _ROW_MEANINGS = ("ros", "samples")
-# A separator np.loadtxt cannot split on, or that a written number contains.
-_BAD_SEPARATOR = "#\r\n0123456789.+-eE"
+# A separator np.loadtxt cannot split on, that a written number contains, or
+# that separates a layout descriptor's options.
+_BAD_SEPARATOR = "#:\r\n0123456789.+-eE"
 # Bytes of device files each parsing share holds at least: a fork costs
 # about 2 ms at 32 MB RSS, a tenth of the ~17 ms 1 MiB of them takes to parse.
 _PART_BYTES = 1 << 20
@@ -77,6 +78,8 @@ class LayoutSpec:
     for the consolidated ``csv`` kind. ``delimiter=None`` means any run of
     whitespace; otherwise it is one character that is not the comment mark
     ``#``, a line break, or one a number is written with (digits, ``.+-eE``).
+    Neither it nor ``pattern`` may hold ``:``, which separates the options
+    of ``describe()``, so that ``parse`` reads every descriptor back.
     """
 
     kind: str = "files"
@@ -93,8 +96,10 @@ class LayoutSpec:
         if sep is not None and (len(sep) != 1 or sep in _BAD_SEPARATOR):
             raise ConfigurationError(
                 f"layout separator {sep!r} must be one character other than '#', "
-                "a line break, a digit or one of '.+-eE'"
+                "':', a line break, a digit or one of '.+-eE'"
             )
+        if ":" in self.pattern:
+            raise ConfigurationError(f"layout pattern {self.pattern!r} must not hold ':'")
 
     @classmethod
     def parse(cls, text: str) -> "LayoutSpec":

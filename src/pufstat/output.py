@@ -68,6 +68,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .decimals import _multiply
 from .parallel import run_parts
 
 # Filler of a chunk's byte matrix, dropped when the chunk is compacted.
@@ -398,10 +399,10 @@ def _scaled_digits(bits, scale):
     where ``v`` is normal, ``scale`` lies in 0..27 and, with ``|v| = m *
     2**e``, the shift ``-(e + scale)`` in 1..63.
 
-    The product is ``m * 5**scale`` in two uint64 words, multiplied from
-    32-bit halves, then shifted right; the bits shifted out decide the
-    rounding. A floor below 10**17 takes a shift of at most 63 at these
-    scales, and a C shift by 64 bits or more is undefined.
+    The product is ``m * 5**scale`` in two uint64 words
+    (``decimals._multiply``), then shifted right; the bits shifted out
+    decide the rounding. A floor below 10**17 takes a shift of at most 63
+    at these scales, and a C shift by 64 bits or more is undefined.
     """
     shift = ((bits >> 52) & 0x7FF).view(np.int64)
     np.subtract(1074, shift, out=shift)  # the shift less one
@@ -411,23 +412,11 @@ def _scaled_digits(bits, scale):
     exact &= shift < 63
     np.minimum(shift, 62, out=shift)
     shift += 1
-    # m * 5**k = (m_hi * 2**32 + m_lo) * (p_hi * 2**32 + p_lo); m < 2**53
-    # and 5**k < 2**63, so the middle sum stays below 2**64.
-    p_lo = np.take(_POW5_LO, scale, mode="clip")
-    p_hi = np.take(_POW5_HI, scale, mode="clip")
-    m_hi = (bits >> 32) & 0xFFFFF
-    m_hi |= 1 << 20  # the implicit bit of a normal m
-    m_lo = bits & 0xFFFFFFFF
-    word_lo = m_lo * p_lo
-    middle = np.multiply(m_lo, p_hi, out=m_lo)
-    middle += np.multiply(m_hi, p_lo, out=p_lo)
-    middle += word_lo >> 32
-    word_hi = np.multiply(m_hi, p_hi, out=m_hi)
-    word_hi += middle >> 32
-    word_lo &= 0xFFFFFFFF
-    middle <<= 32
-    word_lo |= middle
-    del middle, p_lo, p_hi
+    m = bits & 0xFFFFFFFFFFFFF
+    m |= 1 << 52  # the implicit bit of a normal m
+    word_hi, word_lo = _multiply(m, np.take(_POW5_LO, scale, mode="clip"),
+                                 np.take(_POW5_HI, scale, mode="clip"))
+    del m
     floor = word_lo >> shift
     floor |= word_hi << (64 - shift)
     floor[(word_hi >> shift) != 0] = _E17  # past 2**64: far too big

@@ -17,15 +17,16 @@ redone part overwrites them.
 ``start(part)`` is one part in the background: a forked child runs
 ``part(buffer)`` into a buffer of its own and streams it back through a
 pipe, which ``join(data)`` reads, in blocks of at most ``_PIPE_BLOCK``
-bytes, onto ``data``. Where the process may use one CPU, or cannot fork,
-``start`` runs the part at once, here. ``run_chain`` starts each stage's
-writes this way while it computes the next stages.
+bytes, onto ``data``. ``run_chain`` starts each stage's writes this way
+while it computes the next stages.
 
 Nothing bounds the processes by the affinity mask: a chain's writers run
 beside the stage the parent computes, and that stage's own job, and a
 writer's large table (``group_variance.dat``) is a job of its own in the
-writer's child. On two CPUs that nesting was no slower than a writer that
-formats alone, so nothing here stops it.
+writer's child. The nesting pays: with ``output._PART_CELLS`` above every
+table size, so that each writer formats alone, the ``population`` chain
+took 1.293 s against 1.140 s with the split on two CPUs (medians of 12
+alternating runs, the split faster in 11, the artifacts identical).
 
 An attack share calls BLAS and LAPACK in its child. Importing ``pufstat``
 sets ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` to 1 where they are
@@ -36,15 +37,17 @@ them held; a test forks right after a GEMM on two BLAS threads and gets the
 one-share cells. A BLAS on an OpenMP runtime that keeps its threads across
 a fork is not covered by that test.
 
-One failure rule: a part whose child exits non-zero or is killed is redone
-in this process by the same ``part`` call at ``join``, after the bytes it
-had streamed are dropped, and a part whose fork failed runs there too. No
-result depends on a child succeeding, and every error a part raises reaches
-the caller from this process, as a serial run raises it. A child leaves
-only by ``os._exit``: it runs no atexit handler, flushes no stdio buffer
-and unwinds none of its caller's frames, so it can neither repeat buffered
-output nor write anything but its part. It prints nothing, not even a
-traceback, since the redone part raises the error again here.
+One rule: ``start`` forks only where the process may use more than one
+CPU, and never calls the part. A part without a child (one CPU, no
+``os.fork``, a failed fork or pipe), or whose child exits non-zero or is
+killed, runs at ``join`` in this process, after any bytes the child sent
+are dropped. No result depends on a child or on the CPU count, and every
+error a part raises reaches the caller from ``join``, as a serial run
+raises it; a part ended (``Share.end``) unjoined is dropped. A child
+leaves only by ``os._exit``: it runs no atexit handler, flushes no stdio
+buffer and unwinds none of its caller's frames, so it can neither repeat
+buffered output nor write anything but its part. It prints nothing, not
+even a traceback, since the redone part raises the error again here.
 """
 
 from __future__ import annotations
@@ -84,37 +87,30 @@ def run_parts(data: bytearray, sizes: list[int], unit: int,
 
 
 def start(part: Callable[[bytearray], None]) -> Share:
-    """Start ``part(buffer)`` in a forked child, or run it here at once where
-    this process may use one CPU or cannot fork; ``Share.join`` appends its
-    bytes. A part whose fork fails runs at ``join``."""
-    if _cpus() == 1:
-        done = bytearray()
-        part(done)
-        return Share(part, done=done)
-    try:
-        return Share(part, child=_fork_part(part))
-    except OSError:
-        return Share(part)
+    """Start ``part(buffer)`` in a forked child where this process may use
+    more than one CPU, or else leave it to run at ``join``, as where the
+    fork or pipe fails; ``Share.join`` appends its bytes."""
+    if _cpus() > 1:
+        try:
+            return Share(part, _fork_part(part))
+        except OSError:
+            pass
+    return Share(part)
 
 
 class Share:
     """A part that ``start`` started: its child, a pid and the read end of
-    its pipe, until joined; or the bytes it gave here at once; or neither,
-    when its fork failed."""
+    its pipe, until joined or ended; or None, where it has no child."""
 
-    def __init__(self, part: Callable[[bytearray], None], *,
-                 child: tuple[int, int] | None = None, done: bytearray | None = None):
+    def __init__(self, part: Callable[[bytearray], None],
+                 child: tuple[int, int] | None = None):
         self._part = part
         self._child = child
-        self._done = done
 
     def join(self, data: bytearray) -> None:
         """Append the part's bytes to ``data``: the child's, or, where the
         child exited non-zero, was killed or was never forked, those of
-        ``part`` run again here, whose error then propagates."""
-        if self._done is not None:
-            data += self._done
-            return
+        ``part`` run here, whose error then propagates."""
         if self._child is None:
             self._part(data)
             return

@@ -812,11 +812,11 @@ def test_chain_prints_each_stage_once_in_order(tmp_path):
         "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
         "assert cli.main(['synth', '--seed', '5', '--devices', '24', '--ros', '32',\n"
         "                 '--samples', '4', '--geometry', '4x8:col', '--out', 'data']) == 0\n"
-        "real_write_behind = cli._write_behind\n"
-        "def write_behind(writes):\n"
+        "real_start = cli.parallel.start\n"
+        "def start(part):\n"
         "    print('writer', end=' ')\n"
-        "    return real_write_behind(writes)\n"
-        "cli._write_behind = write_behind\n"
+        "    return real_start(part)\n"
+        "cli.parallel.start = start\n"
         "print('before', end=' ')\n"
         f"sys.argv = {chain!r}\n"
         f"runpy.run_path({chain[0]!r}, run_name='__main__')\n"
@@ -865,12 +865,9 @@ def test_main_and_run_chain_leave_the_collector_unfrozen(tmp_path, monkeypatch):
     assert gc.get_freeze_count() == 0
 
 
-def test_first_failing_stage_sets_the_exit_code(tmp_path, monkeypatch, capsys):
-    # similarity's writer cannot write group_variance.dat, in its child or
-    # when redone here (an i/o error, 3); pca then fails to compute (1).
-    # similarity comes first in the chain, so the chain exits 3.
-    dataset, meta = _synth_chain_set(monkeypatch, tmp_path)
-    forks = _fork_in_writers(monkeypatch, lambda: None)
+def _refuse_group_variance(monkeypatch) -> None:
+    """similarity's writes cannot write group_variance.dat, in a child or
+    here: an i/o error."""
     real_write_dat = pufstat.output.ArtifactWriter.write_dat
 
     def write_dat(self, name, *args):
@@ -879,17 +876,44 @@ def test_first_failing_stage_sets_the_exit_code(tmp_path, monkeypatch, capsys):
         return real_write_dat(self, name, *args)
 
     monkeypatch.setattr(pufstat.output.ArtifactWriter, "write_dat", write_dat)
+
+
+SIMILARITY_THEN_PCA_FAIL = [
+    "pufstat: configuration error: geometry 4x4:col has 16 cells but there are 32 ROs",
+    "pufstat: i/o error: cannot write group_variance.dat",
+    "step failed with exit code 3",
+]
+
+
+def test_first_failing_stage_sets_the_exit_code(tmp_path, monkeypatch, capsys):
+    # similarity's writer fails (3); pca then fails to compute (1).
+    # similarity comes first in the chain, so the chain exits 3.
+    dataset, meta = _synth_chain_set(monkeypatch, tmp_path)
+    forks = _fork_in_writers(monkeypatch, lambda: None)
+    _refuse_group_variance(monkeypatch)
     capsys.readouterr()
     assert run_chain(dataset, "chain", meta=meta, geometry="4x4:col", seed=1,
                      attack_devices=8) == 3
     assert len(forks) == 4
-    assert capsys.readouterr().err.splitlines() == [
-        "pufstat: configuration error: geometry 4x4:col has 16 cells but there are 32 ROs",
-        "pufstat: i/o error: cannot write group_variance.dat",
-        "step failed with exit code 3",
-    ]
+    assert capsys.readouterr().err.splitlines() == SIMILARITY_THEN_PCA_FAIL
     assert not (tmp_path / "chain" / "similarity_manifest.json").exists()
     assert (tmp_path / "chain" / "attack_manifest.json").is_file()
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_failing_chain_does_not_depend_on_the_cpu_count(cpus, tmp_path, monkeypatch, capsys):
+    # The chain above on one CPU, where every writer runs at its join, after
+    # pca has failed, and on three, where they are forked and the failed one
+    # is redone at its join: the same exit code, errors and manifests.
+    dataset, meta = _synth_chain_set(monkeypatch, tmp_path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    _refuse_group_variance(monkeypatch)
+    capsys.readouterr()
+    assert run_chain(dataset, "chain", meta=meta, geometry="4x4:col", seed=1,
+                     attack_devices=8) == 3
+    assert capsys.readouterr().err.splitlines() == SIMILARITY_THEN_PCA_FAIL
+    assert sorted(p.name for p in (tmp_path / "chain").glob("*_manifest.json")) == [
+        "attack_manifest.json", "correlate_manifest.json", "ingest_manifest.json"]
 
 
 def test_unexpected_error_ends_the_writers(tmp_path, monkeypatch):

@@ -241,6 +241,31 @@ def test_layout_parse_variants():
     assert round_tripped == layout
 
 
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["files", "csv"]), rows=st.sampled_from(["ros", "samples"]),
+       delimiter=st.none() | st.sampled_from(":,;= \t") | st.characters(),
+       pattern=st.text(st.sampled_from("*?[]:=.ab") | st.characters(), max_size=8))
+def test_every_accepted_layout_reads_back(kind, rows, delimiter, pattern):
+    # ``:`` separates a descriptor's options, so a spec may not hold one;
+    # every other spec parses back from the descriptor its manifests record.
+    def spec():
+        return LayoutSpec(kind=kind, rows=rows, delimiter=delimiter, pattern=pattern)
+
+    if delimiter == ":" or ":" in pattern:
+        with pytest.raises(ConfigurationError, match="':'"):
+            spec()
+        return
+    try:
+        layout = spec()
+    except ConfigurationError:
+        assert delimiter in dataset._BAD_SEPARATOR
+        return
+    text = layout.describe()
+    assert LayoutSpec.parse(text).describe() == text
+    if kind == "files":
+        assert LayoutSpec.parse(text) == layout
+
+
 def test_device_order_is_lexicographic(tmp_path):
     (tmp_path / "b.txt").write_text("2.0\n2.0\n")
     (tmp_path / "a.txt").write_text("1.0\n1.0\n")

@@ -73,27 +73,55 @@ def test_started_part_joins_its_bytes(cpus, how, where, monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("cpus, fork_fails", [(1, False), (2, True)])
-def test_part_without_a_child_runs_here(cpus, fork_fails, monkeypatch):
-    # On one CPU the part runs at once, in start; where the fork fails, at
-    # join.
-    def fork():
-        raise BlockingIOError("no more processes")
+def _no_more(*args):
+    raise BlockingIOError("no more processes")
 
+
+# How a process comes to start a part without a child: CPUs, then the patch.
+WITHOUT_A_CHILD = {
+    "one-cpu": (1, lambda patch: None),
+    "no-fork": (2, lambda patch: patch.delattr(os, "fork")),
+    "fork-raises": (2, lambda patch: patch.setattr(os, "fork", _no_more)),
+    "pipe-raises": (2, lambda patch: patch.setattr(os, "pipe", _no_more)),
+}
+
+
+def _open_fds() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("without", list(WITHOUT_A_CHILD))
+def test_part_without_a_child_runs_here(without, monkeypatch):
+    # start never calls the part: it runs once, here, at join, and an error
+    # it raises propagates from there. No descriptor is left open.
+    cpus, patch = WITHOUT_A_CHILD[without]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    if fork_fails:
-        monkeypatch.setattr(os, "fork", fork)
+    patch(monkeypatch)
     ran = []
 
     def part(buffer: bytearray) -> None:
         ran.append(os.getpid())
         buffer.extend(b"x")
 
-    share = parallel.start(part)
-    assert len(ran) == (0 if fork_fails else 1)
+    def fails(buffer: bytearray) -> None:
+        ran.append("fails")
+        raise RuntimeError("part failed")
+
+    fds = _open_fds()
+    share, failing = parallel.start(part), parallel.start(fails)
+    assert ran == []
     data = bytearray()
     share.join(data)
     assert data == b"x" and ran == [os.getpid()]
+    with pytest.raises(RuntimeError, match="part failed"):
+        failing.join(data)
+    assert data == b"x" and ran == [os.getpid(), "fails"]
+    share.end()
+    failing.end()
+    assert _open_fds() == fds
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_end_kills_and_reaps_a_running_child(monkeypatch):
