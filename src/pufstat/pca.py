@@ -96,17 +96,16 @@ def pca(scaled: ScaledData, geometry: GridGeometry | None = None) -> PCAResult:
         u, s, vt = np.linalg.svd(scaled.y, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"singular value decomposition failed: {exc}") from exc
-    loadings = vt.T.copy()
-    scores = u * s[None, :]
-    # Flip each component so its largest-magnitude loading entry is positive.
-    for col in range(loadings.shape[1]):
-        anchor = np.argmax(np.abs(loadings[:, col]))
-        if loadings[anchor, col] < 0.0:
-            loadings[:, col] = -loadings[:, col]
-            scores[:, col] = -scores[:, col]
     total = float(np.sum(s * s))
     if total == 0.0:
         raise DegenerateDataError("standardized matrix is identically zero")
+    loadings = vt.T.copy()
+    scores = u * s[None, :]
+    # Flip each component so its largest-magnitude loading entry is positive.
+    anchors = np.take_along_axis(loadings, np.abs(loadings).argmax(axis=0)[None, :], axis=0)
+    signs = np.where(anchors < 0.0, -1.0, 1.0)
+    loadings *= signs
+    scores *= signs
     fractions = (s * s) / total
     return PCAResult(
         loadings=loadings,

@@ -217,6 +217,34 @@ def test_tensor_validation():
     assert ReadingsTensor(np.ones((1, 3, 1))).num_ros == 3
 
 
+# Readings the tensor refuses: non-finite, zero of either sign, or negative.
+bad_readings = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]) | st.floats(
+    max_value=0.0, exclude_max=True, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_tensor_names_its_first_bad_reading(data):
+    shape = data.draw(st.tuples(*[st.integers(1, 3)] * 3))
+    values = data.draw(arrays(np.float64, shape, elements=st.floats(
+        min_value=0.0, exclude_min=True, allow_infinity=False)))
+    for cell in data.draw(st.lists(st.tuples(*[st.integers(0, n - 1) for n in shape]),
+                                   max_size=4)):
+        values[cell] = data.draw(bad_readings)
+    # The oracle: the first bad cell in (device, ro, sample) order.
+    bad = [cell for cell in np.ndindex(shape)
+           if not (np.isfinite(values[cell]) and values[cell] > 0.0)]
+    if not bad:
+        assert np.array_equal(ReadingsTensor(values).values, values)
+        return
+    (j, i, t), value = bad[0], float(values[bad[0]])
+    fault = (f"non-positive frequency {value!r} MHz" if np.isfinite(value)
+             else "non-finite reading")
+    with pytest.raises(ValidationError) as raised:
+        ReadingsTensor(values)
+    assert str(raised.value) == f"{fault} at device {j}, ro {i}, sample {t}"
+
+
 def test_tensor_is_immutable(tiny_tensor):
     with pytest.raises(ValueError):
         tiny_tensor.values[0, 0, 0] = 5.0

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import signal
 import subprocess
@@ -184,6 +185,17 @@ def test_format_table_rejects_bad_columns():
         format_table([[0.5, None]])  # None among numbers: an object column
     with pytest.raises(ValueError, match="numeric or str"):
         format_table([np.array([1 + 2j])])
+
+
+def test_manifest_hash_covers_every_field_but_the_artifacts():
+    base = RunManifest(version="0", subcommand="t", params={})
+    changed = {"version": "1", "subcommand": "u", "params": {"k": 1}, "dataset": "d",
+               "layout": "csv", "meta": "m.csv", "geometry": "4x8:col", "seed": 0,
+               "input_sha256": "00" * 32, "artifacts": {"a.csv": "00" * 32}}
+    assert set(changed) == {f.name for f in dataclasses.fields(RunManifest)}
+    for name, value in changed.items():
+        other = dataclasses.replace(base, **{name: value})
+        assert (other.hash == base.hash) == (name == "artifacts"), name
 
 
 def test_write_dat_blocks_and_empty_rows(tmp_path):

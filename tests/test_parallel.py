@@ -204,15 +204,17 @@ BLAS_THREADS = (
     "data = bytearray()\n"
     "parallel.run_parts(data, [1, 1], 1, lambda buffer, lo, hi: buffer.extend(b'%d ' % count()))\n"
     "assert forks == [1], forks\n"
-    "print(count(), data.decode().strip())\n"
+    "print(os.environ['OPENBLAS_NUM_THREADS'], count(), data.decode().strip())\n"
 )
 
 
 @pytest.mark.parametrize("explicit, want", [(None, "1"), ("2", "2")])
 def test_import_defaults_blas_to_one_thread(explicit, want):
     # Both the process and a forked share run one BLAS thread unless the
-    # caller set OPENBLAS_NUM_THREADS; an explicit value is kept.
+    # caller set OPENBLAS_NUM_THREADS; an explicit value is kept. OpenBLAS
+    # runs no more threads than the CPUs in the affinity mask.
     library = _openblas()
+    threads = str(min(int(want), len(os.sched_getaffinity(0))))
     env = {key: value for key, value in os.environ.items()
            if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
@@ -222,4 +224,4 @@ def test_import_defaults_blas_to_one_thread(explicit, want):
     done = subprocess.run([sys.executable, "-c", BLAS_THREADS, library], capture_output=True,
                           text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == [want, want, want]
+    assert done.stdout.split() == [want, threads, threads, threads]
