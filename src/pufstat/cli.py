@@ -118,12 +118,12 @@ def _writes_into(out_dir: Path, manifest: RunManifest,
     return writes
 
 
-def _writes(args, subcommand: str, params: dict, inputs: Inputs,
+def _writes(args, params: dict, inputs: Inputs,
             fill: Callable[[ArtifactWriter], None]) -> Writes:
     """The writes of one dataset subcommand, under its run manifest."""
     manifest = RunManifest(
         version=__version__,
-        subcommand=subcommand,
+        subcommand=args.subcommand,
         params=params,
         dataset=str(args.dataset),
         layout=inputs.layout.describe(),
@@ -157,7 +157,7 @@ def cmd_ingest(args, inputs: Inputs) -> Writes:
         if packed:
             writer.write_binary("bits.bin", pack_bits(matrices.bits))
 
-    return _writes(args, "ingest", {}, inputs, fill)
+    return _writes(args, {}, inputs, fill)
 
 
 def cmd_normality(args, inputs: Inputs) -> Writes:
@@ -184,7 +184,7 @@ def cmd_normality(args, inputs: Inputs) -> Writes:
                 },
             )
 
-    return _writes(args, "normality", {"matrix": args.matrix}, inputs, fill)
+    return _writes(args, {"matrix": args.matrix}, inputs, fill)
 
 
 def cmd_similarity(args, inputs: Inputs) -> Writes:
@@ -207,8 +207,8 @@ def cmd_similarity(args, inputs: Inputs) -> Writes:
                                     for g, c in zip(args.group_sizes, corrs)]},
         )
 
-    return _writes(args, "similarity",
-                   {"min_group": args.min_group, "group_sizes": args.group_sizes}, inputs, fill)
+    return _writes(args, {"min_group": args.min_group, "group_sizes": args.group_sizes}, inputs,
+                   fill)
 
 
 def cmd_entropy(args, inputs: Inputs) -> Writes:
@@ -241,7 +241,7 @@ def cmd_entropy(args, inputs: Inputs) -> Writes:
             },
         )
 
-    return _writes(args, "entropy", {}, inputs, fill)
+    return _writes(args, {}, inputs, fill)
 
 
 def cmd_correlate(args, inputs: Inputs) -> Writes:
@@ -260,7 +260,7 @@ def cmd_correlate(args, inputs: Inputs) -> Writes:
                              "dimensionless")
         writer.write_json("correlate.json", summaries)
 
-    return _writes(args, "correlate", {}, inputs, fill)
+    return _writes(args, {}, inputs, fill)
 
 
 def cmd_attack(args, inputs: Inputs) -> Writes:
@@ -305,19 +305,9 @@ def cmd_attack(args, inputs: Inputs) -> Writes:
         writer.write_dat("attack_envelope.dat", " ".join(columns), blocks, "bits")
         writer.write_json("attack_summary.json", {"envelope": envelope})
 
-    return _writes(
-        args,
-        "attack",
-        {
-            "devices": devices,
-            "fixed_counts": fixed_counts,
-            "mode": args.mode,
-            "select": args.select,
-            "trend_magnitude": args.trend_magnitude,
-        },
-        inputs,
-        fill,
-    )
+    params = {"devices": devices, "fixed_counts": fixed_counts, "mode": args.mode,
+              "select": args.select, "trend_magnitude": args.trend_magnitude}
+    return _writes(args, params, inputs, fill)
 
 
 def cmd_pca(args, inputs: Inputs) -> Writes:
@@ -373,8 +363,7 @@ def cmd_pca(args, inputs: Inputs) -> Writes:
             },
         )
 
-    return _writes(args, "pca", {"pcs": args.pcs, "trunc_ranks": args.trunc_ranks}, inputs,
-                   fill)
+    return _writes(args, {"pcs": args.pcs, "trunc_ranks": args.trunc_ranks}, inputs, fill)
 
 
 def cmd_synth(args) -> Writes:
@@ -396,7 +385,7 @@ def cmd_synth(args) -> Writes:
     dataset_dir = out_dir / "dataset"
     manifest = RunManifest(
         version=__version__,
-        subcommand="synth",
+        subcommand=args.subcommand,
         params={"preset": args.preset, "config": config.to_dict(), "layout": layout.describe()},
         seed=args.seed,
     )
@@ -409,13 +398,22 @@ def cmd_synth(args) -> Writes:
     return writes
 
 
-REPORT_REQUIRED = (
-    *(f"normality_{name}_summary.json" for name in MATRIX_CHOICES[:3]),
-    "entropy.json",
-    "attack_summary.json",
-    "pca_summary.json",
+# The sections of report.json, in the order report reads them, so that the
+# first bad one is the error: the stage that writes each, its summary file,
+# where report.json puts it (a key, or a key and one inside it), the keys
+# report keeps (every key where none are named), and whether report also
+# runs without it.
+REPORT_SECTIONS = (
+    *(("normality", f"normality_{name}_summary.json", ("normality", name), (), False)
+      for name in MATRIX_CHOICES[:3]),
+    ("entropy", "entropy.json", ("entropy",), (), False),
+    ("attack", "attack_summary.json", ("attack",), ("envelope",), False),
+    ("pca", "pca_summary.json", ("pca",), ("variance_fractions", "truncated_agreement"), False),
+    ("similarity", "similarity.json", ("similarity",), ("serial_correlation",), True),
+    ("correlate", "correlate.json", ("correlation_profiles",), (), True),
 )
-REPORT_OPTIONAL = ("similarity.json", "correlate.json")
+REPORT_REQUIRED = tuple(summary for _, summary, _, _, optional in REPORT_SECTIONS if not optional)
+REPORT_OPTIONAL = tuple(summary for _, summary, _, _, optional in REPORT_SECTIONS if optional)
 
 
 def _read_summary(path: Path, keys=()) -> dict:
@@ -434,23 +432,21 @@ def _read_summary(path: Path, keys=()) -> dict:
     return {key: data[key] for key in keys} if keys else data
 
 
-def _stage_manifest(name: str) -> str:
-    """The manifest of the stage that wrote summary ``name``
-    (``normality_dev_summary.json`` -> ``normality_manifest.json``)."""
-    return name.split("_")[0].removesuffix(".json") + "_manifest.json"
-
-
 def cmd_report(args) -> Writes:
+    """report.json from the stages' JSON summaries in the output directory,
+    a section of ``REPORT_SECTIONS`` each, an optional one only where its
+    summary exists. Each summary read and its stage's manifest must exist,
+    and the manifests must record one ``input_sha256``."""
     out_dir = _resolve_out(args)
-    present = [name for name in REPORT_OPTIONAL if (out_dir / name).is_file()]
-    inputs = REPORT_REQUIRED + tuple(present)
-    manifests = list(dict.fromkeys(_stage_manifest(name) for name in inputs))
-    missing = [name for name in inputs + tuple(manifests) if not (out_dir / name).is_file()]
+    sections = [(stage, summary, place, keys)
+                for stage, summary, place, keys, optional in REPORT_SECTIONS
+                if not optional or (out_dir / summary).is_file()]
+    inputs = [summary for _, summary, _, _ in sections]
+    manifests = list(dict.fromkeys(f"{stage}_manifest.json" for stage, _, _, _ in sections))
+    missing = [name for name in inputs + manifests if not (out_dir / name).is_file()]
     if missing:
         raise UnavailableAnalysisError(
-            "report inputs missing from "
-            f"{out_dir}: {', '.join(sorted(missing))}"
-        )
+            f"report inputs missing from {out_dir}: {', '.join(sorted(missing))}")
     digests = [_read_summary(out_dir / name, ("input_sha256",))["input_sha256"]
                for name in manifests]
     for name, digest in zip(manifests, digests):
@@ -460,26 +456,15 @@ def cmd_report(args) -> Writes:
                 f"({digests[0]} vs {digest}): rerun the stages with the same "
                 "--dataset/--layout/--meta"
             )
-    payload = {
-        "normality": {
-            name: _read_summary(out_dir / f"normality_{name}_summary.json")
-            for name in MATRIX_CHOICES[:3]
-        },
-        "entropy": _read_summary(out_dir / "entropy.json"),
-        "attack": _read_summary(out_dir / "attack_summary.json", ("envelope",)),
-        "pca": _read_summary(out_dir / "pca_summary.json",
-                             ("variance_fractions", "truncated_agreement")),
-    }
-    if "similarity.json" in present:
-        payload["similarity"] = _read_summary(out_dir / "similarity.json",
-                                              ("serial_correlation",))
-    if "correlate.json" in present:
-        payload["correlation_profiles"] = _read_summary(out_dir / "correlate.json")
+    payload = {}
+    for _, summary, (*outer, key), keys in sections:
+        place = payload.setdefault(outer[0], {}) if outer else payload
+        place[key] = _read_summary(out_dir / summary, keys)
     manifest = RunManifest(
         version=__version__,
-        subcommand="report",
+        subcommand=args.subcommand,
         params={},
-        input_sha256=hash_input_files([out_dir / n for n in inputs]),
+        input_sha256=hash_input_files([out_dir / name for name in inputs]),
     )
     return _writes_into(out_dir, manifest, lambda writer: writer.write_json("report.json", payload))
 
@@ -590,24 +575,22 @@ def _mapped(call, *args) -> tuple[int, object]:
         return 3, None
 
 
-def _run(args, loaded: dict) -> tuple[int, Writes | None]:
+def _run(args, loaded: list) -> tuple[int, Writes | None]:
     """Compute one parsed subcommand: its exit code and, where that is 0,
-    its writes. ``loaded`` keeps the Inputs of the last (dataset, layout,
-    meta) for the next call."""
+    its writes. A dataset subcommand loads its Inputs into ``loaded``, or
+    takes them from it: a chain's stages all read one dataset."""
     def compute() -> Writes:
         if not hasattr(args, "dataset"):
             return args.func(args)
-        key = (args.dataset, args.layout, args.meta)
-        if key not in loaded:
-            loaded.clear()
-            loaded[key] = _load(args)
-        return args.func(args, loaded[key])
+        if not loaded:
+            loaded.append(_load(args))
+        return args.func(args, loaded[0])
 
     return _mapped(compute)
 
 
 def main(argv=None) -> int:
-    code, writes = _run(build_parser().parse_args(argv), {})
+    code, writes = _run(build_parser().parse_args(argv), [])
     return code or _mapped(writes)[0]
 
 
@@ -646,7 +629,7 @@ def run_chain(dataset: str, out: str, *, layout: str = "files", meta: str | None
     ]
     steps = [stage + base for stage in stages]
     parser = build_parser()
-    loaded, shares = {}, []
+    loaded, shares = [], []
     try:
         for step in steps:
             print(f"==> pufstat {' '.join(step)}", flush=True)

@@ -46,7 +46,7 @@ from .errors import (
     StructuralError,
     ValidationError,
 )
-from .output import _append_table, _columns, _format_rows, _table, sha256_file
+from .output import append_table, sha256_file, table_bytes
 from .parallel import run_parts
 
 CSV_HEADER = ("device", "ro", "sample", "freq_mhz")
@@ -79,8 +79,9 @@ _WRITE_CELLS = 2**16
 class LayoutSpec:
     """Declares how a dataset is laid out on disk.
 
-    ``rows`` states what the rows of a per-device file mean; it is ignored
-    for the consolidated ``csv`` kind. ``delimiter=None`` means any run of
+    ``rows`` states what the rows of a per-device file mean. The
+    consolidated ``csv`` kind takes no option, as it would ignore one: its
+    fields keep their defaults. ``delimiter=None`` means any run of
     whitespace; otherwise it is one character that is not the comment mark
     ``#``, a line break, or one a number is written with (digits, ``.+-eE``).
     Neither it nor ``pattern`` may hold ``:``, which separates the options
@@ -95,6 +96,10 @@ class LayoutSpec:
     def __post_init__(self):
         if self.kind not in _LAYOUT_KINDS:
             raise ConfigurationError(f"unknown layout kind {self.kind!r}")
+        for key, name in _LAYOUT_OPTIONS.items():
+            if self.kind == "csv" and getattr(self, name) != getattr(LayoutSpec, name):
+                raise ConfigurationError(f"layout option {key!r} does not apply to csv, "
+                                         "which takes none")
         if self.rows not in _ROW_MEANINGS:
             raise ConfigurationError(f"layout rows must be one of {_ROW_MEANINGS}")
         sep = self.delimiter
@@ -118,6 +123,8 @@ class LayoutSpec:
                 raise ConfigurationError(f"bad layout option {part!r} in {text!r}")
             if key not in _LAYOUT_OPTIONS:
                 raise ConfigurationError(f"unknown layout option {key!r} in {text!r}")
+            if _LAYOUT_OPTIONS[key] in kwargs:
+                raise ConfigurationError(f"layout option {key!r} given twice in {text!r}")
             kwargs[_LAYOUT_OPTIONS[key]] = value
         return cls(kind=kind, **kwargs)
 
@@ -485,7 +492,7 @@ def _write_files(values: np.ndarray, out_dir: Path, layout: LayoutSpec) -> None:
     The devices, sized in cells, are one ``parallel.run_parts`` job, each
     share at least ``_WRITE_CELLS``: this process writes the first share and
     a forked child each other one, formatting each file where it is written,
-    in one ``_format_rows`` pass. The parts append nothing to the buffer. A
+    by ``output.table_bytes``. The parts append nothing to the buffer. A
     share whose child fails is written again here, over whatever the child
     left, so an error reaches the caller as a serial write raises it, at the
     first faulty file.
@@ -505,10 +512,8 @@ def _write_files(values: np.ndarray, out_dir: Path, layout: LayoutSpec) -> None:
     def write(_buffer: bytearray, lo: int, hi: int) -> None:
         for j in range(lo, hi):
             # A file's columns are samples (rows=ros) or ROs (rows=samples).
-            columns = _columns(values[j] if layout.rows == "samples" else values[j].T)
-            data = bytearray()
-            _format_rows(data, _table(columns, sep), 0, len(columns[0]))
-            (out_dir / names[j]).write_bytes(data)
+            columns = values[j] if layout.rows == "samples" else values[j].T
+            (out_dir / names[j]).write_bytes(table_bytes(columns, sep))
 
     run_parts(bytearray(), [math.prod(values.shape[1:])] * len(names), _WRITE_CELLS, write)
 
@@ -516,7 +521,7 @@ def _write_files(values: np.ndarray, out_dir: Path, layout: LayoutSpec) -> None:
 def _write_csv(path: Path, header, columns) -> None:
     """A CSV table below its header line, lines ended by "\r\n"."""
     data = bytearray((",".join(header) + "\r\n").encode("utf-8"))
-    _append_table(data, columns, ",", "\r\n")
+    append_table(data, columns, ",", "\r\n")
     with open(path, "wb") as fh:
         fh.write(data)
 

@@ -189,7 +189,7 @@ def _scan(data: bytes, sep: str | None):
     return mantissa.reshape(-1, width), point.reshape(-1, width), ends
 
 
-def _multiply(a: np.ndarray, b_lo: np.ndarray, b_hi: np.ndarray):
+def multiply_128(a: np.ndarray, b_lo: np.ndarray, b_hi: np.ndarray):
     """The high and low words of each 128-bit product of ``a`` and the
     uint64 whose 32-bit halves are ``b_lo`` and ``b_hi``."""
     a_lo, a_hi = a & _LOW32, a >> _U64(32)
@@ -225,13 +225,13 @@ def nearest_doubles(mantissa: np.ndarray, point: np.ndarray) -> np.ndarray:
     shift -= (w >> shift) == _U64(0)
     np.subtract(_U64(63), shift, out=shift)
     w = w << shift
-    high, low = _multiply(w, np.take(_POW5[0], scale), np.take(_POW5[1], scale))
+    high, low = multiply_128(w, np.take(_POW5[0], scale), np.take(_POW5[1], scale))
     # Where the 9 bits below the 55 kept are all ones, the next 64 bits of
     # 5**q may carry into them.
     unsure = np.flatnonzero((high & _U64(0x1FF)) == _U64(0x1FF))
     if unsure.size:
-        extra = _multiply(w[unsure], np.take(_POW5[2], scale[unsure]),
-                          np.take(_POW5[3], scale[unsure]))[0]
+        extra = multiply_128(w[unsure], np.take(_POW5[2], scale[unsure]),
+                             np.take(_POW5[3], scale[unsure]))[0]
         below = low[unsure] + extra
         high[unsure] += below < extra
         low[unsure] = below

@@ -68,7 +68,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .decimals import _multiply
+from .decimals import multiply_128
 from .parallel import run_parts
 
 # Filler of a chunk's byte matrix, dropped when the chunk is compacted.
@@ -136,11 +136,11 @@ def format_table(columns, sep: str = " ", newline: str = "\n") -> str:
     """Rows of equal-length ``columns`` joined by ``sep``, each row ended by
     ``newline``. No rows give the empty string."""
     data = bytearray()
-    _append_table(data, columns, sep, newline)
+    append_table(data, columns, sep, newline)
     return data.decode("utf-8")
 
 
-def _append_table(data: bytearray, columns, sep: str, newline: str = "\n") -> None:
+def append_table(data: bytearray, columns, sep: str, newline: str = "\n") -> None:
     """Append ``format_table(columns, sep, newline)`` to ``data`` as UTF-8.
 
     The table's formatting chunks are the items of one ``run_parts`` job,
@@ -154,6 +154,15 @@ def _append_table(data: bytearray, columns, sep: str, newline: str = "\n") -> No
     run_parts(data, [chunk * width] * full + [rest * width] * (rest > 0), _PART_CELLS,
               lambda buffer, lo, hi: _format_rows(buffer, table, lo * chunk,
                                                   min(hi * chunk, num_rows)))
+
+
+def table_bytes(columns, sep: str) -> bytearray:
+    """``format_table(columns, sep)`` as UTF-8, formatted in this process
+    alone: for a part of a ``run_parts`` job, which starts no job itself."""
+    columns = _columns(columns)
+    data = bytearray()
+    _format_rows(data, _table(columns, sep), 0, len(columns[0]))
+    return data
 
 
 def _table(columns, sep: str, newline: str = "\n"):
@@ -182,7 +191,7 @@ def _columns(columns) -> list[np.ndarray]:
 
 def _append_blocks(data: bytearray, blocks, sep: str) -> None:
     """Append the ``(comment_or_None, columns)`` blocks of a table to
-    ``data``: each block's rows as ``_append_table`` formats them, after a
+    ``data``: each block's rows as ``append_table`` formats them, after a
     ``# comment`` line where it has one, with a blank line between blocks.
 
     Where every block with rows has the same column kinds, their rows are
@@ -197,7 +206,7 @@ def _append_blocks(data: bytearray, blocks, sep: str) -> None:
     filled = [columns for columns in tables if len(columns[0])]
     rows, ends = bytearray(), None  # the rows of all blocks; the end of each row
     if len(blocks) > 1 and len({k for k, cols in zip(kinds, tables) if len(cols[0])}) == 1:
-        _append_table(rows, [np.concatenate(parts) for parts in zip(*filled)], sep)
+        append_table(rows, [np.concatenate(parts) for parts in zip(*filled)], sep)
         ends = np.flatnonzero(np.frombuffer(rows, dtype=np.uint8) == ord("\n")) + 1
         if len(ends) != sum(len(columns[0]) for columns in filled):
             ends = None
@@ -208,7 +217,7 @@ def _append_blocks(data: bytearray, blocks, sep: str) -> None:
         if comment:
             data += f"# {comment}\n".encode("utf-8")
         if ends is None:
-            _append_table(data, columns, sep)
+            append_table(data, columns, sep)
         elif len(columns[0]):
             row += len(columns[0])
             data += memoryview(rows)[start:ends[row - 1]]
@@ -401,7 +410,7 @@ def _scaled_digits(bits, scale):
     2**e``, the shift ``-(e + scale)`` in 1..63.
 
     The product is ``m * 5**scale`` in two uint64 words
-    (``decimals._multiply``), then shifted right; the bits shifted out
+    (``decimals.multiply_128``), then shifted right; the bits shifted out
     decide the rounding. A floor below 10**17 takes a shift of at most 63
     at these scales, and a C shift by 64 bits or more is undefined.
     """
@@ -415,8 +424,8 @@ def _scaled_digits(bits, scale):
     shift += 1
     m = bits & 0xFFFFFFFFFFFFF
     m |= 1 << 52  # the implicit bit of a normal m
-    word_hi, word_lo = _multiply(m, np.take(_POW5_LO, scale, mode="clip"),
-                                 np.take(_POW5_HI, scale, mode="clip"))
+    word_hi, word_lo = multiply_128(m, np.take(_POW5_LO, scale, mode="clip"),
+                                    np.take(_POW5_HI, scale, mode="clip"))
     del m
     floor = word_lo >> shift
     floor |= word_hi << (64 - shift)
@@ -569,7 +578,7 @@ class ArtifactWriter:
             f"# units: {units}\n"
             f"{','.join(header)}\n".encode("utf-8")
         )
-        _append_table(data, columns, ",")
+        append_table(data, columns, ",")
         return self._record(name, data)
 
     def write_dat(self, name: str, header: str, blocks, units: str) -> Path:

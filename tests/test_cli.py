@@ -17,9 +17,10 @@ import pytest
 
 import pufstat.cli
 from oracles import report_payload_reference
-from pufstat.cli import REPORT_REQUIRED, main, run_chain
+from pufstat.cli import REPORT_OPTIONAL, REPORT_REQUIRED, main, run_chain
 from pufstat.dataset import DeviceMeta, LayoutSpec, ReadingsTensor, load_readings, write_dataset
 from pufstat.matrices import build_matrices, pack_bits, unpack_bits
+from pufstat.output import hash_input_files
 from pufstat.similarity import group_variance_map
 
 
@@ -244,7 +245,7 @@ def _report_on_edited_copy(report_inputs, tmp_path, name, edit):
     (lambda text: text[: len(text) // 2], "parse"),
     (lambda text: "[]\n", "structural"),
 ], ids=["truncated", "not-an-object"])
-@pytest.mark.parametrize("name", REPORT_REQUIRED)
+@pytest.mark.parametrize("name", REPORT_REQUIRED + REPORT_OPTIONAL)
 def test_report_malformed_input_exits_1(name, edit, category, report_inputs, tmp_path,
                                         capsys):
     assert _report_on_edited_copy(report_inputs, tmp_path, name, edit) == 1
@@ -276,6 +277,36 @@ def test_report_requires_stage_manifests(report_inputs, tmp_path, capsys):
     (out / "pca_manifest.json").unlink()
     assert main(["report", "--out", str(out)]) == 1
     assert "pca_manifest.json" in capsys.readouterr().err
+
+
+def test_report_reads_an_optional_section_only_where_its_stage_ran(report_inputs, tmp_path,
+                                                                    capsys):
+    # correlate ran and similarity did not: report.json has the one section
+    # and not the other, and correlate's manifest must agree on the input.
+    out = tmp_path / "out"
+    shutil.copytree(report_inputs, out)
+    for name in json.loads((out / "similarity_manifest.json").read_text())["artifacts"]:
+        (out / name).unlink()
+    (out / "similarity_manifest.json").unlink()
+    assert main(["report", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    correlate = json.loads((out / "correlate.json").read_text())
+    del correlate["manifest_hash"]
+    assert "similarity" not in report
+    assert report["correlation_profiles"] == correlate
+    read = [out / name for name in REPORT_REQUIRED + ("correlate.json",)]
+    manifest = json.loads((out / "report_manifest.json").read_text())
+    assert manifest["input_sha256"] == hash_input_files(read)
+
+    path = out / "correlate_manifest.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "input_sha256": "0" * 64}))
+    (out / "report.json").unlink()
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 1
+    assert not (out / "report.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("pufstat: structural error: ")
+    assert "correlate_manifest.json record different input_sha256" in err
 
 
 @pytest.mark.parametrize("name, key", [
@@ -461,6 +492,27 @@ def test_odd_ro_count_exits_1_before_any_file(layout, bad_meta, tmp_path, capsys
                  "--meta", str(tmp_path / "odd" / "serials.csv"), "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "pufstat: configuration error: RO count must be even for pairwise grouping, got 3"]
+    assert not out.exists()
+
+
+_CSV_TAKES_NONE = "does not apply to csv, which takes none"
+
+
+@pytest.mark.parametrize("layout, message", [
+    ("csv:sep=;", f"layout option 'sep' {_CSV_TAKES_NONE}"),
+    ("csv:sep=;:rows=samples", f"layout option 'rows' {_CSV_TAKES_NONE}"),
+    ("csv:pattern=*.csv", f"layout option 'pattern' {_CSV_TAKES_NONE}"),
+    ("files:rows=samples:rows=ros",
+     "layout option 'rows' given twice in 'files:rows=samples:rows=ros'"),
+    ("files:sep=,:pattern=*.txt:sep=;",
+     "layout option 'sep' given twice in 'files:sep=,:pattern=*.txt:sep=;'"),
+])
+def test_ignored_or_repeated_layout_option_exits_1(layout, message, synth_out, tmp_path,
+                                                   capsys):
+    out = tmp_path / "out"
+    assert main(["entropy", "--dataset", str(synth_out / "dataset"), "--layout", layout,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"pufstat: configuration error: {message}\n"
     assert not out.exists()
 
 

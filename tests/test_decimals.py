@@ -17,7 +17,7 @@ from oracles import decimal_table_reference, load_csv_reference
 
 from pufstat import dataset
 from pufstat.dataset import LayoutSpec, load_readings, write_dataset
-from pufstat.decimals import _multiply, parse_tables
+from pufstat.decimals import multiply_128, parse_tables
 from pufstat.errors import PufStatError
 from pufstat.geometry import GridGeometry
 from pufstat.output import hash_input_files
@@ -107,8 +107,8 @@ halves = st.integers(0, 2**32 - 1) | st.sampled_from([0, 2**32 - 1])
 def test_multiply_gives_the_exact_128_bit_product(a, b_lo, b_hi):
     # The parser's and the formatter's one product, against Python's.
     n = len(a)
-    high, low = _multiply(np.array(a, dtype=np.uint64), np.full(n, b_lo, dtype=np.uint64),
-                          np.full(n, b_hi, dtype=np.uint64))
+    high, low = multiply_128(np.array(a, dtype=np.uint64), np.full(n, b_lo, dtype=np.uint64),
+                             np.full(n, b_hi, dtype=np.uint64))
     b = b_hi << 32 | b_lo
     assert [h << 64 | w for h, w in zip(high.tolist(), low.tolist())] == [x * b for x in a]
 
