@@ -22,12 +22,13 @@ import sys
 from pathlib import Path
 
 from pufstat.cli import main as pufstat_main, run_chain
+from pufstat.syngen import PRESETS
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--preset", default="spatial", choices=("null", "spatial", "noisy"))
+    parser.add_argument("--preset", default="spatial", choices=PRESETS)
     parser.add_argument("--devices", type=int, default=None)
     parser.add_argument("--ros", type=int, default=None)
     parser.add_argument("--samples", type=int, default=None)

@@ -94,10 +94,11 @@ def key_logprob(key, probabilities) -> float:
 
 @dataclass(frozen=True)
 class BiasReport:
+    """Both one-probability estimates per pair, their total entropies in
+    bits and the device count; a pair's bias is its probability minus 0.5."""
+
     p_binary: np.ndarray
     p_normal: np.ndarray
-    bias_binary: np.ndarray
-    bias_normal: np.ndarray
     entropy_binary: float
     entropy_normal: float
     num_devices: int
@@ -105,7 +106,7 @@ class BiasReport:
 
 
 def bias_report(diff, bits) -> BiasReport:
-    """Bundle both bias estimates, centered biases, and total entropies."""
+    """Bundle both bias estimates and their total entropies."""
     p_bin = bias_binary(bits)
     p_norm = bias_normal(diff)
     if p_bin.shape != p_norm.shape:
@@ -115,22 +116,20 @@ def bias_report(diff, bits) -> BiasReport:
     return BiasReport(
         p_binary=p_bin,
         p_normal=p_norm,
-        bias_binary=p_bin - 0.5,
-        bias_normal=p_norm - 0.5,
         entropy_binary=entropy(p_bin),
         entropy_normal=entropy(p_norm),
         num_devices=int(np.asarray(bits).shape[1]),
     )
 
 
-def bias_histogram(report: BiasReport, binwidth: float = 0.1):
-    """Histogram both bias series over [-0.5, 0.5] with left-closed bins.
+def bias_histogram(report: BiasReport):
+    """Histogram both bias series, p - 0.5, in ten left-closed bins of
+    width 0.1 over [-0.5, 0.5].
 
     Returns (edges, counts_binary, counts_normal). The final bin is closed
     on both sides so a bias of exactly +0.5 is counted.
     """
-    nbins = int(round(1.0 / binwidth))
-    edges = -0.5 + binwidth * np.arange(nbins + 1)
-    counts_bin, _ = np.histogram(report.bias_binary, bins=edges)
-    counts_norm, _ = np.histogram(report.bias_normal, bins=edges)
+    edges = -0.5 + 0.1 * np.arange(11)
+    counts_bin, _ = np.histogram(report.p_binary - 0.5, bins=edges)
+    counts_norm, _ = np.histogram(report.p_normal - 0.5, bins=edges)
     return edges, counts_bin, counts_norm

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__, parallel
 from .bias import bias_histogram, bias_report
 from .correlation import fit_line, profile
-from .covfit import evaluate_attack
+from .covfit import MODES, evaluate_attack, refuse_repeats
 from .dataset import DeviceMeta, LayoutSpec, load_metadata, load_readings, write_dataset
 from .errors import ParseError, PufStatError, StructuralError, UnavailableAnalysisError
 from .geometry import DEFAULT_GEOMETRY, GridGeometry
@@ -36,7 +36,7 @@ from .normality import REJECT_1PCT, test_rows
 from .output import ArtifactWriter, RunManifest, hash_input_files
 from .pca import loading_map, pca, pc_key_correlation, standardize, truncated_bits
 from .similarity import group_variance_map, serial_correlation
-from .syngen import preset
+from .syngen import PRESETS, preset
 
 MATRIX_CHOICES = ("freq", "dev", "diff", "all")
 # "auto" spreads 8 counts over 0..7/8 of the pair count, each once; at 256
@@ -63,12 +63,6 @@ _int_list = _arg_type(lambda text: [int(tok) for tok in text.split(",") if tok.s
 _non_negative_int = _arg_type(int, "a non-negative integer", lambda v: v >= 0)
 _positive_float = _arg_type(float, "a positive finite number",
                             lambda v: v > 0 and np.isfinite(v))
-
-
-def _int_list_text(text: str) -> str:
-    """Like _int_list, but keeps the text as given (the pca manifest records it)."""
-    _int_list(text)
-    return text
 
 
 def _fixed_counts(text: str) -> str | list[int]:
@@ -192,6 +186,7 @@ def cmd_similarity(args, inputs: Inputs) -> Writes:
         raise UnavailableAnalysisError(
             "similarity needs per-device serial numbers; pass --meta"
         )
+    refuse_repeats(args.group_sizes, "group size")
     gv = group_variance_map(inputs.matrices.dev, min_group=args.min_group)
     corrs = [serial_correlation(inputs.matrices.dev, inputs.meta, g) for g in args.group_sizes]
 
@@ -277,7 +272,7 @@ def cmd_attack(args, inputs: Inputs) -> Writes:
         fixed_counts = sorted({matrices.num_pairs * k // 8 for k in range(8)})
     else:
         fixed_counts = args.fixed_counts
-    modes = ("trend", "exact") if args.mode == "both" else (args.mode,)
+    modes = MODES if args.mode == "both" else (args.mode,)
     cells = evaluate_attack(matrices.diff, devices, fixed_counts, mode=modes, seed=args.seed,
                             selection=args.select, trend_magnitude=args.trend_magnitude)
     envelope = []  # rows of attack_envelope.dat (-6.0 prints as -6) and attack_summary.json
@@ -314,16 +309,14 @@ def cmd_pca(args, inputs: Inputs) -> Writes:
     matrices = inputs.matrices
     geometry = GridGeometry.parse(args.geometry)
     scaled = standardize(matrices.freq)
-    result = pca(scaled, geometry)
+    result = pca(scaled)
     num_pcs = min(args.pcs, result.rank)
     grids = [loading_map(result, pc_num, geometry) for pc_num in range(1, num_pcs + 1)]
     histograms = [np.histogram(result.scores[:, col], bins=40) for col in range(num_pcs)]
-    if args.trunc_ranks:
-        ranks = [r for r in _int_list(args.trunc_ranks) if 1 <= r <= result.rank]
-    else:
-        ranks = sorted(
-            {1, 2, 4, 8, 16, 32, 64, 102, 128, result.rank} & set(range(1, result.rank + 1))
-        )
+    ranks = args.trunc_ranks or sorted(
+        {1, 2, 4, 8, 16, 32, 64, 102, 128, result.rank} & set(range(1, result.rank + 1))
+    )
+    refuse_repeats(ranks, "truncation rank")
     agreements = [truncated_bits(result, scaled, r)[1] for r in ranks]
     key_corr = {f"pc{pc_num}": pc_key_correlation(result, matrices.bits, pc_num)
                 for pc_num in range(1, min(3, result.rank) + 1)}
@@ -524,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fixed-counts", type=_fixed_counts, default=DEFAULT_FIXED_COUNTS,
         help="comma-separated pinned-position counts, or 'auto' for 8 even steps",
     )
-    p.add_argument("--mode", choices=("trend", "exact", "both"), default="both")
+    p.add_argument("--mode", choices=(*MODES, "both"), default="both")
     p.add_argument("--select", choices=("even", "random"), default="even")
     p.add_argument("--trend-magnitude", type=_positive_float, default=1.0)
     p.set_defaults(func=cmd_attack)
@@ -535,14 +528,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="chip grid as ROWSxCOLS:order")
     p.add_argument("--pcs", type=_non_negative_int, default=8,
                    help="components to export maps for")
-    p.add_argument("--trunc-ranks", type=_int_list_text, default=None,
-                   help="comma-separated ranks for the truncation sweep")
+    p.add_argument("--trunc-ranks", type=_int_list, default=None,
+                   help="comma-separated ranks for the truncation sweep, each once, "
+                        "in 1..the matrix rank")
     p.set_defaults(func=cmd_pca)
 
     p = sub.add_parser("synth", parents=[out_parent],
                        help="generate a synthetic dataset with ground truth")
     p.add_argument("--seed", type=_non_negative_int, required=True)
-    p.add_argument("--preset", default="spatial", help="null, spatial, or noisy")
+    p.add_argument("--preset", choices=PRESETS, default="spatial")
     p.add_argument("--devices", type=int, default=None)
     p.add_argument("--ros", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
@@ -607,7 +601,9 @@ def run_chain(dataset: str, out: str, *, layout: str = "files", meta: str | None
     compute. The last dataset stage writes here, and every writer is
     joined, in chain order, before report reads what they wrote.
 
-    A stage that fails to compute stops the chain, once the writers already
+    Every step, report included, is parsed before the dataset is read: a
+    usage error raises ``SystemExit(2)`` before ``out`` exists. A stage
+    that fails to compute stops the chain, once the writers already
     started are joined. A writer that failed or has no child (one CPU, a
     failed fork) runs at its join, here, under the stage's error mapping.
     The first stage that failed, in chain order, gives the exit code on any
@@ -628,12 +624,14 @@ def run_chain(dataset: str, out: str, *, layout: str = "files", meta: str | None
         ["entropy"],
     ]
     steps = [stage + base for stage in stages]
+    report = ["report", "--out", out]
     parser = build_parser()
+    parsed = [parser.parse_args(step) for step in steps + [report]]
     loaded, shares = [], []
     try:
-        for step in steps:
+        for step, args in zip(steps, parsed):
             print(f"==> pufstat {' '.join(step)}", flush=True)
-            code, writes = _run(parser.parse_args(step), loaded)
+            code, writes = _run(args, loaded)
             if code:
                 break
             if step is not steps[-1]:
@@ -649,9 +647,8 @@ def run_chain(dataset: str, out: str, *, layout: str = "files", meta: str | None
         joined = [_mapped(share.join, bytearray())[0] for share in shares]
         code = next((c for c in joined if c), code)
         if code == 0:
-            step = ["report", "--out", out]
-            print(f"==> pufstat {' '.join(step)}", flush=True)
-            code, writes = _run(parser.parse_args(step), loaded)
+            print(f"==> pufstat {' '.join(report)}", flush=True)
+            code, writes = _run(parsed[-1], loaded)
             code = code or _mapped(writes)[0]
     finally:
         # Only on an error: end the writers still running and reap them.

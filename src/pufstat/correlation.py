@@ -1,10 +1,9 @@
 """Pearson correlation profiles and the pair-difference covariance matrix.
 
-A correlation profile correlates every row of a matrix against one reference
-row (by default the highest-index row). On the deviation matrix this exposes
-spatial structure shared between ROs; on the pair-difference matrix the
-differencing acts as a spatial high-pass filter and the profile collapses to
-noise.
+A correlation profile correlates every row of a matrix against its last row.
+On the deviation matrix this exposes spatial structure shared between ROs; on
+the pair-difference matrix the differencing acts as a spatial high-pass
+filter and the profile collapses to noise.
 """
 
 from __future__ import annotations
@@ -13,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DegenerateDataError,
-    InsufficientSampleError,
-    StructuralError,
-)
+from .errors import DegenerateDataError, InsufficientSampleError, StructuralError
 
 
 def pearson(x, y) -> float:
@@ -48,19 +42,15 @@ class CorrelationProfile:
         self.coefficients.setflags(write=False)
 
 
-def profile(matrix, reference_index: int | None = None) -> CorrelationProfile:
-    """Correlate each row against the reference row (default: last row)."""
+def profile(matrix) -> CorrelationProfile:
+    """Correlate each row against the last row, the profile's
+    ``reference_index``."""
     m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2:
-        raise StructuralError(f"expected a 2-dimensional matrix, got {m.shape}")
-    num_rows, num_cols = m.shape
-    if num_cols < 3:
-        raise InsufficientSampleError(f"need at least 3 columns, got {num_cols}")
-    ref = num_rows - 1 if reference_index is None else reference_index
-    if not (0 <= ref < num_rows):
-        raise ConfigurationError(
-            f"reference row {ref} out of range for {num_rows} rows"
-        )
+    if m.ndim != 2 or m.shape[0] == 0:
+        raise StructuralError(f"expected a 2-dimensional matrix with rows, got {m.shape}")
+    if m.shape[1] < 3:
+        raise InsufficientSampleError(f"need at least 3 columns, got {m.shape[1]}")
+    ref = m.shape[0] - 1
     centered = m - m.mean(axis=1, keepdims=True)
     norms2 = np.einsum("ij,ij->i", centered, centered)
     flat = np.flatnonzero(norms2 == 0.0)

@@ -467,7 +467,7 @@ def evaluate_attack(
             raise ConfigurationError(
                 f"device index {device} out of range for {num_devices} devices"
             )
-    _refuse_repeats(devices, "target device")
+    refuse_repeats(devices, "target device")
     modes = (mode,) if isinstance(mode, str) else tuple(mode)
     for m in modes:
         if m not in MODES:
@@ -477,7 +477,7 @@ def evaluate_attack(
             f"trend magnitude must be positive and finite, got {trend_magnitude!r}"
         )
     counts = [int(count) for count in fixed_counts]
-    _refuse_repeats(counts, "fixed count")
+    refuse_repeats(counts, "fixed count")
     masks = []
     for count in counts:
         mask = np.zeros(num_pairs, dtype=bool)
@@ -495,7 +495,9 @@ def evaluate_attack(
     return [cell for _ in devices for cell in pickle.load(stream)]
 
 
-def _refuse_repeats(values: list[int], what: str) -> None:
+def refuse_repeats(values: list[int], what: str) -> None:
+    """Raise a ``ConfigurationError`` naming the first value that ``values``
+    repeats; ``what`` says what the values are."""
     seen = set()
     for value in values:
         if value in seen:

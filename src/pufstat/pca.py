@@ -20,7 +20,7 @@ import numpy as np
 
 from .correlation import pearson
 from .errors import ConfigurationError, DegenerateDataError, NumericError, StructuralError
-from .geometry import DEFAULT_GEOMETRY, GridGeometry
+from .geometry import GridGeometry
 from .matrices import pair_differences, response_bits
 
 
@@ -78,7 +78,6 @@ class PCAResult:
     scores: np.ndarray
     singular_values: np.ndarray
     variance_fractions: np.ndarray
-    geometry: GridGeometry
 
     def __post_init__(self):
         for name in ("loadings", "scores", "singular_values", "variance_fractions"):
@@ -89,9 +88,10 @@ class PCAResult:
         return self.singular_values.size
 
 
-def pca(scaled: ScaledData, geometry: GridGeometry | None = None) -> PCAResult:
-    """Thin SVD of the standardized matrix with a fixed sign convention."""
-    geometry = geometry or DEFAULT_GEOMETRY
+def pca(scaled: ScaledData) -> PCAResult:
+    """Thin SVD of the standardized matrix with a fixed sign convention.
+
+    The result knows nothing of the chip grid; ``loading_map`` takes it."""
     try:
         u, s, vt = np.linalg.svd(scaled.y, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -112,7 +112,6 @@ def pca(scaled: ScaledData, geometry: GridGeometry | None = None) -> PCAResult:
         scores=scores,
         singular_values=s,
         variance_fractions=fractions,
-        geometry=geometry,
     )
 
 
@@ -124,10 +123,10 @@ def _check_pc(result: PCAResult, pc: int) -> int:
     return pc - 1
 
 
-def loading_map(result: PCAResult, pc: int, geometry: GridGeometry | None = None) -> np.ndarray:
-    """Reshape one loading vector onto the chip grid. ``pc`` is 1-based."""
+def loading_map(result: PCAResult, pc: int, geometry: GridGeometry) -> np.ndarray:
+    """Reshape one loading vector onto the chip grid ``geometry``, which must
+    have one cell per RO. ``pc`` is 1-based."""
     col = _check_pc(result, pc)
-    geometry = geometry or result.geometry
     if geometry.size != result.loadings.shape[0]:
         raise ConfigurationError(
             f"geometry {geometry.describe()} has {geometry.size} cells but "

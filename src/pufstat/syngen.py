@@ -203,35 +203,37 @@ def generate(config: SynthConfig) -> tuple[ReadingsTensor, DeviceMeta, GroundTru
     return tensor, meta, truth
 
 
-# Ready-made configurations for experiments and tests.
+# Ready-made configurations for experiments and tests, by name: ``null``
+# (pure local noise, independent rows), ``spatial`` (device offsets plus x/y
+# gradients), ``noisy`` (spatial plus per-sample measurement noise).
+PRESETS = {
+    "null": dict(
+        num_devices=256, num_ros=512, num_samples=1,
+        geometry=GridGeometry(16, 32, "col"),
+        device_sigma=0.0, gradient_x_sigma=0.0, gradient_y_sigma=0.0,
+        local_sigma=1.0, meas_sigma=0.0,
+    ),
+    "spatial": dict(
+        num_devices=128, num_ros=128, num_samples=10,
+        geometry=GridGeometry(8, 16, "col"),
+        device_sigma=5.0, gradient_x_sigma=0.3, gradient_y_sigma=0.4,
+        local_sigma=0.5, meas_sigma=0.05,
+    ),
+    "noisy": dict(
+        num_devices=64, num_ros=128, num_samples=25,
+        geometry=GridGeometry(8, 16, "col"),
+        device_sigma=5.0, gradient_x_sigma=0.3, gradient_y_sigma=0.4,
+        local_sigma=0.5, meas_sigma=0.5,
+    ),
+}
+
+
 def preset(name: str, seed: int, **overrides) -> SynthConfig:
-    """Named starting points: ``null`` (pure local noise, independent rows),
-    ``spatial`` (device offsets plus x/y gradients), ``noisy`` (spatial plus
-    per-sample measurement noise)."""
-    presets = {
-        "null": dict(
-            num_devices=256, num_ros=512, num_samples=1,
-            geometry=GridGeometry(16, 32, "col"),
-            device_sigma=0.0, gradient_x_sigma=0.0, gradient_y_sigma=0.0,
-            local_sigma=1.0, meas_sigma=0.0,
-        ),
-        "spatial": dict(
-            num_devices=128, num_ros=128, num_samples=10,
-            geometry=GridGeometry(8, 16, "col"),
-            device_sigma=5.0, gradient_x_sigma=0.3, gradient_y_sigma=0.4,
-            local_sigma=0.5, meas_sigma=0.05,
-        ),
-        "noisy": dict(
-            num_devices=64, num_ros=128, num_samples=25,
-            geometry=GridGeometry(8, 16, "col"),
-            device_sigma=5.0, gradient_x_sigma=0.3, gradient_y_sigma=0.4,
-            local_sigma=0.5, meas_sigma=0.5,
-        ),
-    }
-    if name not in presets:
+    """The ``PRESETS`` configuration ``name`` with ``seed``, each field of
+    ``overrides`` replacing the preset's. An unknown name is a
+    ``ConfigurationError``."""
+    if name not in PRESETS:
         raise ConfigurationError(
-            f"unknown preset {name!r}; choose from {sorted(presets)}"
+            f"unknown preset {name!r}; choose from {sorted(PRESETS)}"
         )
-    params = dict(presets[name])
-    params.update(overrides)
-    return SynthConfig(seed=seed, **params)
+    return SynthConfig(seed=seed, **{**PRESETS[name], **overrides})

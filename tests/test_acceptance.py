@@ -91,7 +91,7 @@ def test_criterion_03_serial_correlation(reference_dataset, reference_matrices):
 
 def _reference_pca(matrices):
     scaled = standardize(matrices.freq)
-    return scaled, pca(scaled, GridGeometry(16, 32, "col"))
+    return scaled, pca(scaled)
 
 
 def test_criterion_04_pca_fractions(reference_matrices):
@@ -249,13 +249,13 @@ def test_criterion_11_covfit_oracles():
 
 def test_criterion_12_pca_invariants(small_matrices):
     scaled = standardize(small_matrices.freq)
-    result = pca(scaled, GridGeometry(8, 8, "col"))
+    result = pca(scaled)
     ortho_gap = float(np.max(np.abs(
         result.loadings.T @ result.loadings - np.eye(result.rank)
     )))
     recon_gap = float(np.max(np.abs(result.scores @ result.loadings.T - scaled.y)))
     _, agreement = truncated_bits(result, scaled, result.rank)
-    again = pca(standardize(small_matrices.freq), GridGeometry(8, 8, "col"))
+    again = pca(standardize(small_matrices.freq))
     deterministic = (
         result.loadings.tobytes() == again.loadings.tobytes()
         and result.scores.tobytes() == again.scores.tobytes()
@@ -275,7 +275,7 @@ def test_criterion_13_synthetic_ground_truth():
     )
     readings, _, truth = generate(config)
     scaled = standardize(build_matrices(readings).freq)
-    result = pca(scaled, config.geometry)
+    result = pca(scaled)
     yc = truth.coord_y - truth.coord_y.mean()
     yc = yc / np.linalg.norm(yc)
     cosine = max(
@@ -289,7 +289,7 @@ def test_criterion_13_synthetic_ground_truth():
         null_config = preset("null", seed=seed)
         null_readings, _, _ = generate(null_config)
         matrices = build_matrices(null_readings)
-        null_result = pca(standardize(matrices.freq), null_config.geometry)
+        null_result = pca(standardize(matrices.freq))
         null_values.append(abs(pc_key_correlation(null_result, matrices.bits, 3)))
     null_worst = max(null_values)
 

@@ -152,7 +152,6 @@ def test_key_logprob_single_flip_direction():
 def test_bias_report_and_histogram(small_matrices):
     report = bias_report(small_matrices.diff, small_matrices.bits)
     assert report.p_binary.shape == report.p_normal.shape
-    assert np.allclose(report.bias_binary, report.p_binary - 0.5)
     assert report.entropy_binary <= small_matrices.num_pairs
     assert report.entropy_normal <= small_matrices.num_pairs
     assert report.num_devices == small_matrices.num_devices
@@ -163,9 +162,10 @@ def test_bias_report_and_histogram(small_matrices):
 
 
 def test_histogram_bin_edges_left_closed():
+    # Biases -0.5, -0.44, 0.01, 0.44 and 0.5, and five of 0.
     class FakeReport:
-        bias_binary = np.asarray([-0.5, -0.44, 0.01, 0.44, 0.5])
-        bias_normal = np.asarray([0.0, 0.0, 0.0, 0.0, 0.0])
+        p_binary = np.asarray([0.0, 0.06, 0.51, 0.94, 1.0])
+        p_normal = np.full(5, 0.5)
 
     edges, counts_bin, counts_norm = bias_histogram(FakeReport())
     assert counts_bin.tolist() == [2, 0, 0, 0, 0, 1, 0, 0, 0, 2]

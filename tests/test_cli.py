@@ -177,13 +177,18 @@ def test_repeated_runs_are_byte_identical(dataset_args, tmp_path):
     out1, out2 = tmp_path / "one", tmp_path / "two"
     for out in (out1, out2):
         assert main(["ingest"] + dataset_args + ["--out", str(out)]) == 0
-        assert main(["pca", "--geometry", "8x8:col", "--pcs", "1"]
+        assert main(["pca", "--geometry", "8x8:col", "--pcs", "1", "--trunc-ranks", "1,2"]
                     + dataset_args + ["--out", str(out)]) == 0
     names1 = sorted(p.name for p in out1.iterdir())
     names2 = sorted(p.name for p in out2.iterdir())
     assert names1 == names2
     for name in names1:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    # The sweep runs the ranks given, and the manifest records that list.
+    manifest = json.loads((out1 / "pca_manifest.json").read_text())
+    assert manifest["params"]["trunc_ranks"] == [1, 2]
+    rows = (out1 / "trunc_agreement.csv").read_text().splitlines()[3:]
+    assert [row.split(",")[0] for row in rows] == ["1", "2"]
 
 
 def test_usage_error_exits_2(capsys):
@@ -383,6 +388,23 @@ def test_attack_refuses_a_repeated_value(dataset_args, tmp_path, monkeypatch, ca
     assert main(["attack", "--seed", "3", option, value, "--out", str(out)] + dataset_args) == 1
     assert capsys.readouterr().err.splitlines() == [f"pufstat: configuration error: {message}"]
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["pca", "--geometry", "8x8:col", "--trunc-ranks", "0,5000"], "rank 0 out of range 1..40"),
+    (["pca", "--geometry", "8x8:col", "--trunc-ranks", "2,5000"],
+     "rank 5000 out of range 1..40"),
+    (["pca", "--geometry", "8x8:col", "--trunc-ranks", "2,4,2"],
+     "truncation rank 2 is repeated"),
+    (["similarity", "--group-sizes", "5,10,5"], "group size 5 is repeated"),
+], ids=["rank-0", "rank-above", "rank-repeated", "group-size-repeated"])
+def test_list_flag_refuses_a_value_it_cannot_run_once(argv, message, dataset_args, tmp_path,
+                                                      capsys):
+    # A value is refused, not dropped or run twice, and nothing is written.
+    out = tmp_path / "out"
+    assert main(argv + dataset_args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"pufstat: configuration error: {message}"]
+    assert not out.exists()
 
 
 def _overflowing_dataset(tmp_path) -> Path:
@@ -662,6 +684,23 @@ def _run_script(name, argv, monkeypatch):
     return excinfo.value.code
 
 
+@pytest.mark.parametrize("script", [None, "make_synthetic_dataset.py"], ids=["synth", "script"])
+def test_unknown_preset_is_usage_error(script, tmp_path, monkeypatch, capsys):
+    # Both take their choices from syngen.PRESETS.
+    argv = ["--seed", "1", "--preset", "bogus", "--out", str(tmp_path / "out")]
+    if script:
+        code = _run_script(script, argv, monkeypatch)
+    else:
+        with pytest.raises(SystemExit) as excinfo:
+            main(["synth", *argv])
+        code = excinfo.value.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "argument --preset: invalid choice: 'bogus'" in err
+    assert all(name in err.split("choose from")[1] for name in ("null", "spatial", "noisy"))
+    assert not (tmp_path / "out").exists()
+
+
 def test_synthetic_script_analyzes_on_the_preset_geometry(tmp_path, monkeypatch):
     # Without --geometry, pca runs on the geometry the preset drew: 16x32
     # for the 512 ROs of "null".
@@ -835,6 +874,19 @@ def test_chain_failure_joins_the_writers_in_flight(tmp_path, monkeypatch, capsys
         assert main(stage + base) == 0
     assert not (tmp_path / "chain" / "report.json").exists()
     assert _digests(tmp_path / "chain") == _digests(tmp_path / "stages")
+
+
+def test_chain_usage_error_exits_2_before_out_exists(tmp_path, monkeypatch, capsys):
+    # Every step is parsed before the dataset is read: attack's --seed -1
+    # stops the chain script before ingest runs.
+    dataset, meta = _synth_chain_set(monkeypatch, tmp_path)
+    assert _run_script("run_reference_analysis.py",
+                       ["--dataset", dataset, "--meta", meta, "--geometry", "4x8:col",
+                        "--seed", "-1", "--out", "chain"], monkeypatch) == 2
+    out, err = capsys.readouterr()
+    assert "==>" not in out
+    assert "argument --seed: expected a non-negative integer, got '-1'" in err
+    assert not (tmp_path / "chain").exists()
 
 
 def test_killed_writer_is_redone(tmp_path, monkeypatch):

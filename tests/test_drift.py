@@ -57,7 +57,7 @@ def drift_values() -> dict:
     serial = {str(g): abs(serial_correlation(matrices.dev, meta, g))  # criterion 3
               for g in (5, 10, 20)}
     scaled = standardize(matrices.freq)  # criteria 4-6
-    result = pca(scaled, GEOMETRY)
+    result = pca(scaled)
     _, agreement = truncated_bits(result, scaled, 102)
 
     rng = np.random.default_rng(ATTACK_SEED)  # criterion 7

@@ -27,7 +27,7 @@ def _scaled_from(matrix):
 def test_hand_checked_singular_values():
     # Columns are already orthogonal with norms 2 and 1.
     y = np.asarray([[0.0, 1.0], [2.0, 0.0], [0.0, 0.0]])
-    result = pca(_scaled_from(y), geometry=GridGeometry(1, 2, "row"))
+    result = pca(_scaled_from(y))
     assert result.singular_values == pytest.approx([2.0, 1.0])
     assert result.variance_fractions == pytest.approx([0.8, 0.2])
     assert result.rank == 2
@@ -60,7 +60,7 @@ def test_standardize_guards():
 
 def test_loadings_orthonormal_and_reconstruction(small_matrices):
     scaled = standardize(small_matrices.freq)
-    result = pca(scaled, geometry=GridGeometry(8, 8, "col"))
+    result = pca(scaled)
     gram = result.loadings.T @ result.loadings
     assert np.max(np.abs(gram - np.eye(result.rank))) < 1e-8
     recon = result.scores @ result.loadings.T
@@ -70,7 +70,7 @@ def test_loadings_orthonormal_and_reconstruction(small_matrices):
 
 
 def test_variance_fractions_normalized(small_matrices):
-    result = pca(standardize(small_matrices.freq), GridGeometry(8, 8, "col"))
+    result = pca(standardize(small_matrices.freq))
     fr = result.variance_fractions
     assert float(fr.sum()) == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(fr) <= 1e-15)
@@ -81,8 +81,8 @@ def test_variance_fractions_normalized(small_matrices):
 
 def test_pca_deterministic_bytes(small_matrices):
     scaled = standardize(small_matrices.freq)
-    a = pca(scaled, GridGeometry(8, 8, "col"))
-    b = pca(standardize(small_matrices.freq), GridGeometry(8, 8, "col"))
+    a = pca(scaled)
+    b = pca(standardize(small_matrices.freq))
     assert a.loadings.tobytes() == b.loadings.tobytes()
     assert a.scores.tobytes() == b.scores.tobytes()
     assert a.singular_values.tobytes() == b.singular_values.tobytes()
@@ -90,7 +90,7 @@ def test_pca_deterministic_bytes(small_matrices):
 
 
 def test_sign_convention_fixes_svd_ambiguity(small_matrices):
-    result = pca(standardize(small_matrices.freq), GridGeometry(8, 8, "col"))
+    result = pca(standardize(small_matrices.freq))
     for col in range(result.rank):
         anchor = np.argmax(np.abs(result.loadings[:, col]))
         assert result.loadings[anchor, col] > 0.0
@@ -98,7 +98,7 @@ def test_sign_convention_fixes_svd_ambiguity(small_matrices):
 
 def test_full_rank_truncation_agrees_exactly(small_matrices):
     scaled = standardize(small_matrices.freq)
-    result = pca(scaled, GridGeometry(8, 8, "col"))
+    result = pca(scaled)
     bits_hat, agreement = truncated_bits(result, scaled, result.rank)
     assert agreement == 1.0
     assert bits_hat.shape == (small_matrices.num_pairs, small_matrices.num_devices)
@@ -107,7 +107,7 @@ def test_full_rank_truncation_agrees_exactly(small_matrices):
 
 def test_truncation_agreement_monotone_trend(small_matrices):
     scaled = standardize(small_matrices.freq)
-    result = pca(scaled, GridGeometry(8, 8, "col"))
+    result = pca(scaled)
     agreements = [truncated_bits(result, scaled, r)[1] for r in (1, 8, 24, result.rank)]
     assert agreements[-1] == 1.0
     assert all(0.0 <= a <= 1.0 for a in agreements)
@@ -117,7 +117,7 @@ def test_truncation_agreement_monotone_trend(small_matrices):
 
 def test_truncated_bits_rank_guards(small_matrices):
     scaled = standardize(small_matrices.freq)
-    result = pca(scaled, GridGeometry(8, 8, "col"))
+    result = pca(scaled)
     for bad in (0, result.rank + 1, -3):
         with pytest.raises(ConfigurationError):
             truncated_bits(result, scaled, bad)
@@ -126,7 +126,7 @@ def test_truncated_bits_rank_guards(small_matrices):
 def test_truncated_bits_odd_ro_count_is_the_pairing_error():
     # Five ROs cannot be paired; the sweep fails as build_matrices does.
     scaled = _scaled_from(np.random.default_rng(3).normal(size=(6, 5)))
-    result = pca(scaled, GridGeometry(1, 5, "row"))
+    result = pca(scaled)
     with pytest.raises(ConfigurationError,
                        match="^RO count must be even for pairwise grouping, got 5$"):
         truncated_bits(result, scaled, 2)
@@ -134,8 +134,8 @@ def test_truncated_bits_odd_ro_count_is_the_pairing_error():
 
 def test_loading_map_reshape():
     y = np.asarray([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
-    result = pca(_scaled_from(y), geometry=GridGeometry(2, 2, "row"))
-    grid = loading_map(result, 1)
+    result = pca(_scaled_from(y))
+    grid = loading_map(result, 1, GridGeometry(2, 2, "row"))
     vec = result.loadings[:, 0]
     assert grid.shape == (2, 2)
     assert grid[0, 0] == vec[0] and grid[0, 1] == vec[1]
@@ -147,9 +147,9 @@ def test_loading_map_reshape():
 
 
 def test_loading_map_guards(small_matrices):
-    result = pca(standardize(small_matrices.freq), GridGeometry(8, 8, "col"))
+    result = pca(standardize(small_matrices.freq))
     with pytest.raises(ConfigurationError, match="out of range"):
-        loading_map(result, 0)
+        loading_map(result, 0, GridGeometry(8, 8, "col"))
     with pytest.raises(ConfigurationError, match="cells"):
         loading_map(result, 1, GridGeometry(4, 4, "row"))
 
@@ -170,7 +170,7 @@ def test_planted_gradient_recovered_in_loadings():
     readings, _, truth = generate(config)
     matrices = build_matrices(readings)
     scaled = standardize(matrices.freq)
-    result = pca(scaled, config.geometry)
+    result = pca(scaled)
     yc = truth.coord_y - truth.coord_y.mean()
     yc = yc / np.linalg.norm(yc)
     best = max(
@@ -189,7 +189,7 @@ def test_pc_key_correlation_null_small():
         config = preset("null", seed=seed)
         readings, _, _ = generate(config)
         matrices = build_matrices(readings)
-        result = pca(standardize(matrices.freq), config.geometry)
+        result = pca(standardize(matrices.freq))
         values.append(abs(pc_key_correlation(result, matrices.bits, 3)))
     assert max(values) < 0.2
 
@@ -205,12 +205,12 @@ def test_pc_key_correlation_detects_device_bias():
         size=(num_ros, num_devices)
     )
     bits = (freq[1::2] - freq[0::2] > 0.0).astype(np.uint8)
-    result = pca(standardize(freq), GridGeometry(8, 8, "col"))
+    result = pca(standardize(freq))
     assert abs(pc_key_correlation(result, bits, 1)) > 0.8
 
 
 def test_pc_key_correlation_guards(small_matrices):
-    result = pca(standardize(small_matrices.freq), GridGeometry(8, 8, "col"))
+    result = pca(standardize(small_matrices.freq))
     with pytest.raises(StructuralError):
         pc_key_correlation(result, small_matrices.bits[:, :10], 1)
     with pytest.raises(ConfigurationError):
@@ -219,7 +219,7 @@ def test_pc_key_correlation_guards(small_matrices):
 
 def test_results_write_protected(small_matrices):
     scaled = standardize(small_matrices.freq)
-    result = pca(scaled, GridGeometry(8, 8, "col"))
+    result = pca(scaled)
     with pytest.raises(ValueError):
         result.loadings[0, 0] = 9.9
     with pytest.raises(ValueError):
