@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Run the full analysis pipeline against a measured RO frequency dataset.
 
-Runs ingest, similarity (only with --meta), correlate, attack (8 sampled
-target devices, both modes), pca, normality and entropy, then report,
-through ``pufstat.cli.run_chain``: the dataset is parsed, hashed and
-derived once, each stage's artifacts are written by a forked writer while
-the next stages compute (on one CPU, once every stage has computed), and
-the artifacts equal those of the subcommands run one by one. The exit code is that of the first stage that failed.
-Usage:
+Runs ingest, similarity (only with --meta), correlate, attack, pca,
+normality and entropy, then report, through ``pufstat.cli.run_chain``:
+each stage on its subcommand's defaults, except attack's --seed and pca's
+--geometry, which this script passes (1 and the reference grid, 16x32:col,
+unless given). The dataset is parsed, hashed and derived once, each
+stage's artifacts are written by a forked writer while the next stages
+compute (on one CPU, once every stage has computed), and the artifacts
+equal those of the subcommands run one by one. The exit code is that of
+the first stage that failed. Usage:
 
     python3 scripts/run_reference_analysis.py --dataset /path/to/dataset \
         --meta /path/to/serials.csv --out results/
@@ -18,6 +20,7 @@ import gc
 import sys
 
 from pufstat.cli import run_chain
+from pufstat.geometry import DEFAULT_GEOMETRY
 
 
 def main() -> int:
@@ -26,11 +29,11 @@ def main() -> int:
     parser.add_argument("--layout", default="files")
     parser.add_argument("--meta", default=None, help="device,serial CSV (enables similarity)")
     parser.add_argument("--out", required=True)
-    parser.add_argument("--geometry", default="16x32:col")
+    parser.add_argument("--geometry", default=DEFAULT_GEOMETRY.describe())
     parser.add_argument("--seed", type=int, default=1, help="attack device/position seed")
     args = parser.parse_args()
     return run_chain(args.dataset, args.out, layout=args.layout, meta=args.meta,
-                     geometry=args.geometry, seed=args.seed, attack_devices=8)
+                     geometry=args.geometry, seed=args.seed)
 
 
 if __name__ == "__main__":

@@ -58,9 +58,11 @@ def _arg_type(convert, wanted: str, valid=lambda value: True):
     return parse
 
 
-_int_list = _arg_type(lambda text: [int(tok) for tok in text.split(",") if tok.strip() != ""],
-                      "comma-separated integers", lambda values: len(values) > 0)
+# An empty field ("5,,10", "5,", ",5") is not an integer.
+_int_list = _arg_type(lambda text: [int(tok) for tok in text.split(",")],
+                      "comma-separated integers")
 _non_negative_int = _arg_type(int, "a non-negative integer", lambda v: v >= 0)
+_positive_int = _arg_type(int, "a positive integer", lambda v: v > 0)
 _positive_float = _arg_type(float, "a positive finite number",
                             lambda v: v > 0 and np.isfinite(v))
 
@@ -308,6 +310,9 @@ def cmd_attack(args, inputs: Inputs) -> Writes:
 def cmd_pca(args, inputs: Inputs) -> Writes:
     matrices = inputs.matrices
     geometry = GridGeometry.parse(args.geometry)
+    # A grid that cannot hold the ROs is refused before anything is
+    # computed, whatever --pcs is.
+    geometry.check_ros(matrices.num_ros)
     scaled = standardize(matrices.freq)
     result = pca(scaled)
     num_pcs = min(args.pcs, result.rank)
@@ -509,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="leave-one-out covariance-fitting attack")
     p.add_argument("--seed", type=_non_negative_int, required=True,
                    help="seed for device/position selection")
-    p.add_argument("--devices", type=_non_negative_int, default=8,
+    p.add_argument("--devices", type=_positive_int, default=8,
                    help="number of target devices to sample")
     p.add_argument("--device-indices", type=_int_list, default=None,
                    help="explicit comma-separated targets")
@@ -589,9 +594,11 @@ def main(argv=None) -> int:
 
 
 def run_chain(dataset: str, out: str, *, layout: str = "files", meta: str | None = None,
-              geometry: str, seed: int, attack_devices: int) -> int:
+              geometry: str, seed: int) -> int:
     """Run ingest, similarity (only with ``meta``), correlate, attack, pca,
     normality and entropy on one dataset, then report, all into ``out``.
+    Each stage runs on its subcommand's defaults, except that attack takes
+    ``seed`` and pca takes ``geometry``.
 
     The artifacts are those of running the subcommands one by one, but the
     dataset is parsed, hashed and derived once, and the writing runs behind
@@ -618,9 +625,9 @@ def run_chain(dataset: str, out: str, *, layout: str = "files", meta: str | None
         stages.append(["similarity"])
     stages += [
         ["correlate"],
-        ["attack", "--seed", str(seed), "--devices", str(attack_devices), "--mode", "both"],
+        ["attack", "--seed", str(seed)],
         ["pca", "--geometry", geometry],
-        ["normality", "--matrix", "all"],
+        ["normality"],
         ["entropy"],
     ]
     steps = [stage + base for stage in stages]

@@ -279,11 +279,8 @@ def load_readings(path: str | Path, layout: LayoutSpec | None = None) -> Reading
 
 
 def dataset_files(path: str | Path, layout: LayoutSpec) -> list[Path]:
-    """The files a dataset is read from: the device files in device order,
-    or the consolidated CSV."""
+    """The device files of a ``files`` dataset, in device order."""
     path = Path(path)
-    if layout.kind != "files":
-        return [path]
     if not path.is_dir():
         raise FileNotFoundError(f"dataset directory not found: {path}")
     files = sorted(

@@ -52,13 +52,17 @@ _E8 = _U64(10**8)
 _E16 = _U64(10**16)
 
 
+def word_table(rows) -> np.ndarray:
+    """Rows of 24 bytes as three little-endian uint64 words, word-major: row
+    ``r`` of the bytes is column ``r`` of the result."""
+    return np.frombuffer(b"".join(rows), "<u8").reshape(-1, 3).T.copy()
+
+
 def _frame_masks(keep) -> np.ndarray:
     """For a token of ``24 - n`` bytes whose "." is frame byte ``d`` (-1:
-    none), the bytes ``keep(n, d, b)`` holds, as three little-endian words:
-    column ``n * 25 + d + 1``."""
-    rows = [bytes(0xFF if keep(n, d, b) else 0 for b in range(_FRAME))
-            for n in range(_FRAME) for d in range(-1, _FRAME)]
-    return np.frombuffer(b"".join(rows), "<u8").reshape(-1, 3).T.copy()
+    none), the bytes ``keep(n, d, b)`` holds: column ``n * 25 + d + 1``."""
+    return word_table(bytes(0xFF if keep(n, d, b) else 0 for b in range(_FRAME))
+                      for n in range(_FRAME) for d in range(-1, _FRAME))
 
 
 # The token's digits before its "." (which move one byte up) and after it;

@@ -54,6 +54,13 @@ class GridGeometry:
     def describe(self) -> str:
         return f"{self.rows}x{self.cols}:{self.order}"
 
+    def check_ros(self, num_ros: int) -> None:
+        """Refuse ``num_ros`` ROs unless the grid has one cell per RO."""
+        if self.size != num_ros:
+            raise ConfigurationError(
+                f"geometry {self.describe()} has {self.size} cells but there are {num_ros} ROs"
+            )
+
     def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-index (x, y) positions: x is the column, y is the row."""
         idx = np.arange(self.size)

@@ -68,7 +68,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .decimals import multiply_128
+from .decimals import multiply_128, word_table
 from .parallel import run_parts
 
 # Filler of a chunk's byte matrix, dropped when the chunk is compacted.
@@ -96,20 +96,14 @@ def _byte_table(rows) -> np.ndarray:
     return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), -1)
 
 
-def _word_table(rows) -> np.ndarray:
-    """Rows of 24 bytes as three little-endian uint64 words, word-major: row
-    ``r`` of the bytes is column ``r`` of the result."""
-    return _byte_table(rows).view("<u8").T.copy()
-
-
 # A float's 16 digits after its first sit in the 24 bytes of three words.
 # The "." goes before digit p, p in 0..16 (16: none): bytes below p keep
 # their digit and bytes above p take the digit one below. _TAIL_FILL[p * 17
 # + t] then puts the "." at byte p if more than p of the 16 digits show,
 # and _PAD wherever no digit shows: from digit t on, and past the last.
-_TAIL_LOW = _word_table([bytes(_PAD * (b < p) for b in range(24)) for p in range(17)])
-_TAIL_HIGH = _word_table([bytes(_PAD * (b > p) for b in range(24)) for p in range(17)])
-_TAIL_FILL = _word_table([
+_TAIL_LOW = word_table([bytes(_PAD * (b < p) for b in range(24)) for p in range(17)])
+_TAIL_HIGH = word_table([bytes(_PAD * (b > p) for b in range(24)) for p in range(17)])
+_TAIL_FILL = word_table([
     bytes(_PAD if b - (b > p) >= t or b == p >= t else ord(".") if b == p else 0
           for b in range(24))
     for p in range(17) for t in range(17)

@@ -127,11 +127,7 @@ def loading_map(result: PCAResult, pc: int, geometry: GridGeometry) -> np.ndarra
     """Reshape one loading vector onto the chip grid ``geometry``, which must
     have one cell per RO. ``pc`` is 1-based."""
     col = _check_pc(result, pc)
-    if geometry.size != result.loadings.shape[0]:
-        raise ConfigurationError(
-            f"geometry {geometry.describe()} has {geometry.size} cells but "
-            f"there are {result.loadings.shape[0]} ROs"
-        )
+    geometry.check_ros(result.loadings.shape[0])
     return geometry.to_grid(result.loadings[:, col])
 
 

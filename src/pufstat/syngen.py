@@ -29,7 +29,7 @@ import numpy as np
 
 from .dataset import DeviceMeta, ReadingsTensor
 from .errors import ConfigurationError, ParseError, StructuralError
-from .geometry import GridGeometry
+from .geometry import DEFAULT_GEOMETRY, GridGeometry
 from .output import ArtifactWriter
 
 
@@ -55,11 +55,7 @@ class SynthConfig:
             raise ConfigurationError(
                 f"RO count must be even for pairwise grouping, got {self.num_ros}"
             )
-        if self.geometry.size != self.num_ros:
-            raise ConfigurationError(
-                f"geometry {self.geometry.describe()} has {self.geometry.size} "
-                f"cells but num_ros is {self.num_ros}"
-            )
+        self.geometry.check_ros(self.num_ros)
         for name in ("device_sigma", "gradient_x_sigma", "gradient_y_sigma",
                      "local_sigma", "meas_sigma"):
             if getattr(self, name) < 0.0:
@@ -209,7 +205,7 @@ def generate(config: SynthConfig) -> tuple[ReadingsTensor, DeviceMeta, GroundTru
 PRESETS = {
     "null": dict(
         num_devices=256, num_ros=512, num_samples=1,
-        geometry=GridGeometry(16, 32, "col"),
+        geometry=DEFAULT_GEOMETRY,
         device_sigma=0.0, gradient_x_sigma=0.0, gradient_y_sigma=0.0,
         local_sigma=1.0, meas_sigma=0.0,
     ),

@@ -407,6 +407,20 @@ def test_list_flag_refuses_a_value_it_cannot_run_once(argv, message, dataset_arg
     assert not out.exists()
 
 
+@pytest.mark.parametrize("pcs", ["0", "2"])
+def test_pca_refuses_a_grid_that_cannot_hold_the_ros(pcs, dataset_args, tmp_path, monkeypatch,
+                                                     capsys):
+    # Refused before anything is computed, whatever --pcs is, and nothing is
+    # written: no pca_summary.json records the grid.
+    monkeypatch.setattr(pufstat.cli, "standardize", None)
+    out = tmp_path / "out"
+    assert main(["pca", "--geometry", "4x4:col", "--pcs", pcs] + dataset_args
+                + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "pufstat: configuration error: geometry 4x4:col has 16 cells but there are 64 ROs"]
+    assert not out.exists()
+
+
 def _overflowing_dataset(tmp_path) -> Path:
     """6 devices x 8 ROs of finite, positive readings near 1e300 MHz whose
     pair differences (+-5e299) overflow when squared."""
@@ -545,7 +559,7 @@ print('scipy' in sys.modules)
 assert main(["synth", "--seed", "5", "--devices", "24", "--ros", "32", "--samples", "4",
              "--geometry", "4x8:col", "--out", "data"]) == 0
 assert run_chain("data/dataset", "chain", meta="data/dataset/serials.csv",
-                 geometry="4x8:col", seed=1, attack_devices=8) == 0
+                 geometry="4x8:col", seed=1) == 0
 print('scipy' in sys.modules)
 """
 
@@ -586,6 +600,12 @@ def test_manifest_links_all_artifacts(dataset_args, tmp_path):
     (["attack", "--seed", "1", "--fixed-counts", ","], "--fixed-counts"),
     (["similarity", "--group-sizes", ","], "--group-sizes"),
     (["pca", "--trunc-ranks", ","], "--trunc-ranks"),
+    # An empty field anywhere in the list.
+    *(([*argv, text], argv[-1])
+      for argv in (["attack", "--seed", "1", "--device-indices"],
+                   ["attack", "--seed", "1", "--fixed-counts"],
+                   ["similarity", "--group-sizes"], ["pca", "--trunc-ranks"])
+      for text in ("5,,10", "5,", ",5")),
 ])
 def test_malformed_int_list_is_usage_error(argv, flag, dataset_args, tmp_path, capsys):
     out = tmp_path / "out"
@@ -607,6 +627,7 @@ def test_malformed_int_list_is_usage_error(argv, flag, dataset_args, tmp_path, c
     (["attack", "--seed", "1", "--trend-magnitude", "0"], "--trend-magnitude"),
     (["attack", "--seed", "1", "--trend-magnitude", "nan"], "--trend-magnitude"),
     (["attack", "--seed", "1", "--trend-magnitude", "inf"], "--trend-magnitude"),
+    (["attack", "--seed", "1", "--devices", "0"], "--devices"),
 ])
 def test_negative_count_is_usage_error(argv, flag, dataset_args, tmp_path, capsys):
     out = tmp_path / "out"
@@ -615,8 +636,8 @@ def test_negative_count_is_usage_error(argv, flag, dataset_args, tmp_path, capsy
         main(argv + extra + ["--out", str(out)])
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
-    wanted = ("a positive finite number" if flag == "--trend-magnitude"
-              else "a non-negative integer")
+    wanted = {"--trend-magnitude": "a positive finite number",
+              "--devices": "a positive integer"}.get(flag, "a non-negative integer")
     assert f"argument {flag}: expected {wanted}" in err
     assert "Traceback" not in err
     assert not out.exists()
@@ -648,8 +669,9 @@ CHAIN_MANIFESTS = {
 }
 
 
-def _run_stages(dataset, layout, meta, out, geometry, seed, attack_devices):
-    """The chain's stages as separate main() calls: the oracle for run_chain."""
+def _run_stages(dataset, layout, meta, out, geometry, seed):
+    """The chain's stages as separate main() calls, each default spelled out:
+    the oracle for run_chain."""
     base = ["--dataset", dataset, "--layout", layout, "--meta", meta, "--out", out]
     for argv in (
         ["ingest"] + base,
@@ -657,8 +679,7 @@ def _run_stages(dataset, layout, meta, out, geometry, seed, attack_devices):
         ["similarity"] + base,
         ["entropy"] + base,
         ["correlate"] + base,
-        ["attack", "--seed", str(seed), "--devices", str(attack_devices),
-         "--mode", "both"] + base,
+        ["attack", "--seed", str(seed), "--devices", "8", "--mode", "both"] + base,
         ["pca", "--geometry", geometry] + base,
         ["report", "--out", out],
     ):
@@ -684,34 +705,15 @@ def _run_script(name, argv, monkeypatch):
     return excinfo.value.code
 
 
-@pytest.mark.parametrize("script", [None, "make_synthetic_dataset.py"], ids=["synth", "script"])
-def test_unknown_preset_is_usage_error(script, tmp_path, monkeypatch, capsys):
-    # Both take their choices from syngen.PRESETS.
-    argv = ["--seed", "1", "--preset", "bogus", "--out", str(tmp_path / "out")]
-    if script:
-        code = _run_script(script, argv, monkeypatch)
-    else:
-        with pytest.raises(SystemExit) as excinfo:
-            main(["synth", *argv])
-        code = excinfo.value.code
-    assert code == 2
+def test_unknown_preset_is_usage_error(tmp_path, capsys):
+    # synth takes its choices from syngen.PRESETS.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["synth", "--seed", "1", "--preset", "bogus", "--out", str(tmp_path / "out")])
+    assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert "argument --preset: invalid choice: 'bogus'" in err
     assert all(name in err.split("choose from")[1] for name in ("null", "spatial", "noisy"))
     assert not (tmp_path / "out").exists()
-
-
-def test_synthetic_script_analyzes_on_the_preset_geometry(tmp_path, monkeypatch):
-    # Without --geometry, pca runs on the geometry the preset drew: 16x32
-    # for the 512 ROs of "null".
-    monkeypatch.chdir(tmp_path)
-    assert _run_script("make_synthetic_dataset.py",
-                       ["--seed", "3", "--preset", "null", "--devices", "24", "--out", "syn",
-                        "--analyze"], monkeypatch) == 0
-    summary = json.loads((tmp_path / "syn" / "pca_summary.json").read_text())
-    manifest = json.loads((tmp_path / "syn" / "pca_manifest.json").read_text())
-    assert manifest["geometry"] == "16x32:col"
-    assert len(summary["variance_fractions"]) == 24
 
 
 @pytest.mark.parametrize("layout", ["files", "csv"])
@@ -726,12 +728,11 @@ def test_chain_loads_once_and_matches_stages(layout, tmp_path, monkeypatch, caps
     # Relative paths keep the manifests, and so every artifact, comparable
     # across output directories.
     monkeypatch.chdir(tmp_path)
-    synth = ["synth", "--seed", "5", "--devices", "24", "--ros", "32", "--samples", "4",
-             "--geometry", "4x8:col"]
-    assert main(synth + ["--layout", layout, "--out", "data"]) == 0
+    assert main(["synth", "--seed", "5", "--devices", "24", "--ros", "32", "--samples", "4",
+                 "--geometry", "4x8:col", "--layout", layout, "--out", "data"]) == 0
     dataset = "data/dataset/readings.csv" if layout == "csv" else "data/dataset"
     meta = "data/dataset/serials.csv"
-    _run_stages(dataset, layout, meta, "stages", "4x8:col", 1, 8)
+    _run_stages(dataset, layout, meta, "stages", "4x8:col", 1)
     expected = _digests(tmp_path / "stages")
     assert CHAIN_MANIFESTS == {name for name in expected if name.endswith("_manifest.json")}
 
@@ -753,7 +754,7 @@ def test_chain_loads_once_and_matches_stages(layout, tmp_path, monkeypatch, caps
 
     monkeypatch.setattr(pufstat.cli, "load_readings", counting_load)
     assert run_chain(dataset, "chain", layout=layout, meta=meta, geometry="4x8:col",
-                     seed=1, attack_devices=8) == 0
+                     seed=1) == 0
     assert len(loads) == 1
     assert _digests(tmp_path / "chain") == expected
 
@@ -763,23 +764,6 @@ def test_chain_loads_once_and_matches_stages(layout, tmp_path, monkeypatch, caps
                         "--geometry", "4x8:col", "--out", "script"], monkeypatch) == 0
     assert len(loads) == 1
     assert _digests(tmp_path / "script") == expected
-
-    if layout == "files":
-        # make_synthetic_dataset.py writes its own files dataset into --out;
-        # run it and the stages in two directories under the same names.
-        (tmp_path / "one").mkdir()
-        (tmp_path / "two").mkdir()
-        monkeypatch.chdir(tmp_path / "one")
-        monkeypatch.setattr(pufstat.cli, "load_readings", real_load)
-        assert main(synth + ["--preset", "spatial", "--out", "syn"]) == 0
-        _run_stages("syn/dataset", "files", "syn/dataset/serials.csv", "syn", "4x8:col", 5, 4)
-        monkeypatch.chdir(tmp_path / "two")
-        monkeypatch.setattr(pufstat.cli, "load_readings", counting_load)
-        loads.clear()
-        assert _run_script("make_synthetic_dataset.py",
-                           synth[1:] + ["--out", "syn", "--analyze"], monkeypatch) == 0
-        assert len(loads) == 1
-        assert _digests(tmp_path / "two" / "syn") == _digests(tmp_path / "one" / "syn")
 
 
 def test_compare_manifests_reports_each_artifact_that_differs(dataset_args, tmp_path,
@@ -857,8 +841,7 @@ def test_chain_failure_joins_the_writers_in_flight(tmp_path, monkeypatch, capsys
     dataset, meta = _synth_chain_set(monkeypatch, tmp_path)
     forks = _fork_in_writers(monkeypatch, lambda: time.sleep(0.3))
     capsys.readouterr()
-    assert run_chain(dataset, "chain", meta=meta, geometry="4x4:col", seed=1,
-                     attack_devices=8) == 1
+    assert run_chain(dataset, "chain", meta=meta, geometry="4x4:col", seed=1) == 1
     assert len(forks) == 4
     out, err = capsys.readouterr()
     assert re.findall(r"==> pufstat (\w+)", out) == CHAIN_ORDER[:5]
@@ -894,10 +877,9 @@ def test_killed_writer_is_redone(tmp_path, monkeypatch):
     # and before its manifest; each is redone at its join, over the files
     # it had written, and the chain writes what its stages write one by one.
     dataset, meta = _synth_chain_set(monkeypatch, tmp_path)
-    _run_stages(dataset, "files", meta, "stages", "4x8:col", 1, 8)
+    _run_stages(dataset, "files", meta, "stages", "4x8:col", 1)
     forks = _fork_in_writers(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
-    assert run_chain(dataset, "chain", meta=meta, geometry="4x8:col", seed=1,
-                     attack_devices=8) == 0
+    assert run_chain(dataset, "chain", meta=meta, geometry="4x8:col", seed=1) == 0
     assert len(forks) == 6
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -950,7 +932,7 @@ def test_chain_and_cli_processes_end_frozen(tmp_path, monkeypatch):
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
     assert chain.returncode == 0, chain.stderr
     assert chain.stdout.endswith("all artifacts in chain\n")
-    _run_stages(dataset, "files", meta, "stages", "4x8:col", 1, 8)
+    _run_stages(dataset, "files", meta, "stages", "4x8:col", 1)
     assert _digests(tmp_path / "chain") == _digests(tmp_path / "stages")
     entropy = ["entropy", "--dataset", dataset, "--out"]
     done = subprocess.run([sys.executable, "-m", "pufstat.cli", *entropy, "process"],
@@ -964,8 +946,7 @@ def test_main_and_run_chain_leave_the_collector_unfrozen(tmp_path, monkeypatch):
     dataset, meta = _synth_chain_set(monkeypatch, tmp_path)
     assert main(["entropy", "--dataset", dataset, "--out", "out"]) == 0
     assert gc.get_freeze_count() == 0
-    assert run_chain(dataset, "chain", meta=meta, geometry="4x8:col", seed=1,
-                     attack_devices=8) == 0
+    assert run_chain(dataset, "chain", meta=meta, geometry="4x8:col", seed=1) == 0
     assert gc.get_freeze_count() == 0
 
 
@@ -996,8 +977,7 @@ def test_first_failing_stage_sets_the_exit_code(tmp_path, monkeypatch, capsys):
     forks = _fork_in_writers(monkeypatch, lambda: None)
     _refuse_group_variance(monkeypatch)
     capsys.readouterr()
-    assert run_chain(dataset, "chain", meta=meta, geometry="4x4:col", seed=1,
-                     attack_devices=8) == 3
+    assert run_chain(dataset, "chain", meta=meta, geometry="4x4:col", seed=1) == 3
     assert len(forks) == 4
     assert capsys.readouterr().err.splitlines() == SIMILARITY_THEN_PCA_FAIL
     assert not (tmp_path / "chain" / "similarity_manifest.json").exists()
@@ -1013,8 +993,7 @@ def test_failing_chain_does_not_depend_on_the_cpu_count(cpus, tmp_path, monkeypa
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     _refuse_group_variance(monkeypatch)
     capsys.readouterr()
-    assert run_chain(dataset, "chain", meta=meta, geometry="4x4:col", seed=1,
-                     attack_devices=8) == 3
+    assert run_chain(dataset, "chain", meta=meta, geometry="4x4:col", seed=1) == 3
     assert capsys.readouterr().err.splitlines() == SIMILARITY_THEN_PCA_FAIL
     assert sorted(p.name for p in (tmp_path / "chain").glob("*_manifest.json")) == [
         "attack_manifest.json", "correlate_manifest.json", "ingest_manifest.json"]
@@ -1032,7 +1011,7 @@ def test_unexpected_error_ends_the_writers(tmp_path, monkeypatch):
     monkeypatch.setattr(pufstat.cli, "pca", pca)
     started = time.monotonic()
     with pytest.raises(RuntimeError, match="pca failed"):
-        run_chain(dataset, "chain", meta=meta, geometry="4x8:col", seed=1, attack_devices=8)
+        run_chain(dataset, "chain", meta=meta, geometry="4x8:col", seed=1)
     assert time.monotonic() - started < 30
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
