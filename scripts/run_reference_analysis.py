@@ -3,9 +3,9 @@
 
 Runs ingest, similarity (only with --meta), correlate, attack, pca,
 normality and entropy, then report, through ``pufstat.cli.run_chain``:
-each stage on its subcommand's defaults, except attack's --seed and pca's
---geometry, which this script passes (1 and the reference grid, 16x32:col,
-unless given). The dataset is parsed, hashed and derived once, each
+each stage on its subcommand's defaults, except attack's --seed, which this
+script passes (1 unless given), and --layout and pca's --geometry where
+they are given. The dataset is parsed, hashed and derived once, each
 stage's artifacts are written by a forked writer while the next stages
 compute (on one CPU, once every stage has computed), and the artifacts
 equal those of the subcommands run one by one. The exit code is that of
@@ -20,16 +20,15 @@ import gc
 import sys
 
 from pufstat.cli import run_chain
-from pufstat.geometry import DEFAULT_GEOMETRY
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dataset", required=True)
-    parser.add_argument("--layout", default="files")
+    parser.add_argument("--layout", default=None)
     parser.add_argument("--meta", default=None, help="device,serial CSV (enables similarity)")
     parser.add_argument("--out", required=True)
-    parser.add_argument("--geometry", default=DEFAULT_GEOMETRY.describe())
+    parser.add_argument("--geometry", default=None)
     parser.add_argument("--seed", type=int, default=1, help="attack device/position seed")
     args = parser.parse_args()
     return run_chain(args.dataset, args.out, layout=args.layout, meta=args.meta,

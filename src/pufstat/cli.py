@@ -478,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     dataset_parent = argparse.ArgumentParser(add_help=False)
     dataset_parent.add_argument("--dataset", required=True, help="dataset directory or CSV file")
     dataset_parent.add_argument(
-        "--layout", default="files",
+        "--layout", default=LayoutSpec.kind,
         help="dataset layout descriptor (files[:rows=...|:sep=...|:pattern=...] or csv)",
     )
     dataset_parent.add_argument("--meta", default=None, help="device,serial CSV")
@@ -542,11 +542,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="generate a synthetic dataset with ground truth")
     p.add_argument("--seed", type=_non_negative_int, required=True)
     p.add_argument("--preset", choices=PRESETS, default="spatial")
-    p.add_argument("--devices", type=int, default=None)
-    p.add_argument("--ros", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--devices", type=_positive_int, default=None)
+    p.add_argument("--ros", type=_positive_int, default=None)
+    p.add_argument("--samples", type=_positive_int, default=None)
     p.add_argument("--geometry", default=None)
-    p.add_argument("--layout", default="files", help="layout for the written dataset")
+    p.add_argument("--layout", default=LayoutSpec.kind, help="layout for the written dataset")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("report", parents=[out_parent],
@@ -593,12 +593,12 @@ def main(argv=None) -> int:
     return code or _mapped(writes)[0]
 
 
-def run_chain(dataset: str, out: str, *, layout: str = "files", meta: str | None = None,
-              geometry: str, seed: int) -> int:
+def run_chain(dataset: str, out: str, *, layout: str | None = None, meta: str | None = None,
+              geometry: str | None = None, seed: int) -> int:
     """Run ingest, similarity (only with ``meta``), correlate, attack, pca,
     normality and entropy on one dataset, then report, all into ``out``.
-    Each stage runs on its subcommand's defaults, except that attack takes
-    ``seed`` and pca takes ``geometry``.
+    Each stage runs on its subcommand's defaults but for attack's ``seed``
+    and, where given, ``layout`` and pca's ``geometry``.
 
     The artifacts are those of running the subcommands one by one, but the
     dataset is parsed, hashed and derived once, and the writing runs behind
@@ -617,7 +617,7 @@ def run_chain(dataset: str, out: str, *, layout: str = "files", meta: str | None
     CPU count, and report does not run. Any other exception kills the
     writers still running and drops the writes not yet run. Returns 0 when
     every stage succeeded."""
-    base = ["--dataset", dataset, "--layout", layout, "--out", out]
+    base = ["--dataset", dataset, *(["--layout", layout] if layout else []), "--out", out]
     if meta:
         base += ["--meta", meta]
     stages = [["ingest"]]
@@ -626,7 +626,7 @@ def run_chain(dataset: str, out: str, *, layout: str = "files", meta: str | None
     stages += [
         ["correlate"],
         ["attack", "--seed", str(seed)],
-        ["pca", "--geometry", geometry],
+        ["pca", *(["--geometry", geometry] if geometry else [])],
         ["normality"],
         ["entropy"],
     ]

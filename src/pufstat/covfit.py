@@ -319,12 +319,20 @@ def fit(problem: CovFitProblem, fixed_mask, fixed_values,
     coordinates never move, free coordinates follow the negative gradient
     with an exact line search (module docstring). Descent is monotone; the
     result's objective can never exceed the starting objective.
+
+    The stop reasons: ``max_iter reached (N)`` after N iterations;
+    ``gradient tolerance`` when the scaled projected gradient falls below
+    ``grad_tol``; ``objective tolerance`` when a step lowers the scaled
+    objective by less than ``objective_tol`` of it (at least 1); ``line
+    search stalled`` when no step above 1e-20 passes the Armijo test; and
+    ``stationary start`` when the first projected gradient is exactly 0, so
+    no step is taken: every coordinate is pinned, or none is and the start
+    is the row means (``d = 0``), where the optimum is ``+-sqrt(lambda_1)
+    v_1`` and no sign is picked.
     """
     options = options or FitOptions()
     mask, values = _pins(problem, fixed_mask, fixed_values)
     num_free = mask.size - int(mask.sum())
-    if not num_free:
-        raise ConfigurationError("no free coordinates; nothing to optimize")
     scale = 1.0 / (problem.n_train + 1.0) ** 2
     start = np.zeros(num_free) if options.start_free is None else options.start_free
     d = _assemble(problem, mask, values, start)
@@ -340,6 +348,9 @@ def fit(problem: CovFitProblem, fixed_mask, fixed_values,
     for _ in range(options.max_iter):
         grad = _gradient(d, cd, dd, mask)
         gnorm2 = float(np.dot(grad, grad))
+        if gnorm2 == 0.0 and iterations == 0:
+            stop_reason = "stationary start"
+            break
         if np.sqrt(gnorm2) * scale < options.grad_tol:
             stop_reason = "gradient tolerance"
             break
@@ -416,9 +427,12 @@ def choose_fixed_positions(
 
 @dataclass(frozen=True)
 class AttackCell:
-    """One (target, mode, fixed count) cell of an attack sweep. A cell with
-    every position pinned stops on ``"all pinned"``. ``evaluate_attack``
-    raises rather than record a failed cell, so it leaves ``error`` None."""
+    """One (target, mode, fixed count) cell of an attack sweep: one ``fit``
+    and its stop reason, each explained by ``fit``: ``max_iter reached
+    (N)``, ``gradient tolerance``, ``objective tolerance``, ``line search
+    stalled``, or ``stationary start`` (no step, as with nothing or every
+    position pinned). ``evaluate_attack`` raises rather than record a
+    failed cell, so it leaves ``error`` None."""
 
     device_index: int
     mode: str
@@ -509,7 +523,6 @@ def _attack_target(d: np.ndarray, device_index: int, masks, modes,
                    trend_magnitude: float) -> list[AttackCell]:
     """The cells of one target, in (mode, fixed count) order, for the
     checked arguments of ``evaluate_attack``."""
-    num_pairs = d.shape[0]
     truth = d[:, device_index]
     train = np.delete(d, device_index, axis=1)
     problem = CovFitProblem(covariance_matrix(train), train.mean(axis=1), train.shape[1],
@@ -520,12 +533,6 @@ def _attack_target(d: np.ndarray, device_index: int, masks, modes,
             values = truth[mask]
         else:
             values = np.where(truth[mask] > 0.0, trend_magnitude, -trend_magnitude)
-        if count == num_pairs:
-            # Everything pinned: nothing to optimize, bits match by construction.
-            residual = expanded_cov_residual(problem.cov, problem.row_means, values,
-                                             problem.n_train)
-            value = float(np.sum(residual * residual))
-            return AttackCell(device_index, m, count, 0, value, 0, "all pinned", value)
         result = fit(problem, mask, values)
         return AttackCell(device_index, m, count, result.delta_correct, result.objective,
                           result.iterations, result.stop_reason, result.start_objective)

@@ -46,7 +46,7 @@ from .errors import (
     StructuralError,
     ValidationError,
 )
-from .output import append_table, sha256_file, table_bytes
+from .output import append_table, sha256_file
 from .parallel import run_parts
 
 CSV_HEADER = ("device", "ro", "sample", "freq_mhz")
@@ -489,7 +489,7 @@ def _write_files(values: np.ndarray, out_dir: Path, layout: LayoutSpec) -> None:
     The devices, sized in cells, are one ``parallel.run_parts`` job, each
     share at least ``_WRITE_CELLS``: this process writes the first share and
     a forked child each other one, formatting each file where it is written,
-    by ``output.table_bytes``. The parts append nothing to the buffer. A
+    by ``output.append_table``. The parts append nothing to the buffer. A
     share whose child fails is written again here, over whatever the child
     left, so an error reaches the caller as a serial write raises it, at the
     first faulty file.
@@ -509,8 +509,9 @@ def _write_files(values: np.ndarray, out_dir: Path, layout: LayoutSpec) -> None:
     def write(_buffer: bytearray, lo: int, hi: int) -> None:
         for j in range(lo, hi):
             # A file's columns are samples (rows=ros) or ROs (rows=samples).
-            columns = values[j] if layout.rows == "samples" else values[j].T
-            (out_dir / names[j]).write_bytes(table_bytes(columns, sep))
+            table = bytearray()
+            append_table(table, values[j] if layout.rows == "samples" else values[j].T, sep)
+            (out_dir / names[j]).write_bytes(table)
 
     run_parts(bytearray(), [math.prod(values.shape[1:])] * len(names), _WRITE_CELLS, write)
 

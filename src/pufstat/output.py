@@ -150,16 +150,7 @@ def append_table(data: bytearray, columns, sep: str, newline: str = "\n") -> Non
                                                   min(hi * chunk, num_rows)))
 
 
-def table_bytes(columns, sep: str) -> bytearray:
-    """``format_table(columns, sep)`` as UTF-8, formatted in this process
-    alone: for a part of a ``run_parts`` job, which starts no job itself."""
-    columns = _columns(columns)
-    data = bytearray()
-    _format_rows(data, _table(columns, sep), 0, len(columns[0]))
-    return data
-
-
-def _table(columns, sep: str, newline: str = "\n"):
+def _table(columns, sep: str, newline: str):
     """1-dimensional ``columns`` of one length as ``_format_rows`` takes
     them: runs of adjacent columns of one kind, each run formatted as one
     block, and the separator and newline as UTF-8."""

@@ -260,14 +260,13 @@ def _bits(values) -> np.ndarray:
 def fit_reference(problem, fixed_mask, fixed_values, options=None):
     """The covariance-fit descent with a plain backtracking Armijo search:
     every iteration tries steps from four times the last accepted one,
-    halving until one passes. ``pufstat.covfit.fit`` must do no worse."""
+    halving until one passes, and a start whose projected gradient is all
+    zeros takes no step. ``pufstat.covfit.fit`` must do no worse."""
     options = options or FitOptions()
     k = problem.num_pairs
     mask = np.asarray(fixed_mask, dtype=bool)
     values = np.asarray(fixed_values, dtype=np.float64)
     free = ~mask
-    if not free.any():
-        raise ConfigurationError("no free coordinates; nothing to optimize")
     scale = 1.0 / (problem.n_train + 1.0) ** 2
 
     d = np.zeros(k)
@@ -300,6 +299,9 @@ def fit_reference(problem, fixed_mask, fixed_values, options=None):
     for _ in range(options.max_iter):
         grad = 4.0 * (dd * d - cd)
         grad[mask] = 0.0
+        if iterations == 0 and not grad.any():
+            stop_reason = "stationary start"
+            break
         gnorm2 = float(np.dot(grad, grad))
         if np.sqrt(gnorm2) * scale < options.grad_tol:
             stop_reason = "gradient tolerance"

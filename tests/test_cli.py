@@ -127,10 +127,8 @@ def test_full_chain_exit_codes_and_artifacts(synth_out, dataset_args, tmp_path):
     assert len(attack_lines) == 1 + 3 * 2 * 3
     for row in (ln.split(",") for ln in attack_lines[1:]):
         assert float(row[4]) <= float(row[7])  # objective <= start_objective
-        if row[2] == "0":  # d = 0 is stationary: no step, no delta
-            assert (row[3], row[5], row[6]) == ("0", "0", "gradient tolerance")
-        if row[2] == "32":
-            assert (row[5], row[6]) == ("0", "all pinned")
+        if row[2] in ("0", "32"):  # nothing or everything pinned: no step, no delta
+            assert (row[3], row[5], row[6]) == ("0", "0", "stationary start")
     envelope = (out / "attack_envelope.dat").read_text()
     assert "# mode: trend" in envelope and "# mode: exact" in envelope
     summary = json.loads((out / "attack_summary.json").read_text())
@@ -628,6 +626,9 @@ def test_malformed_int_list_is_usage_error(argv, flag, dataset_args, tmp_path, c
     (["attack", "--seed", "1", "--trend-magnitude", "nan"], "--trend-magnitude"),
     (["attack", "--seed", "1", "--trend-magnitude", "inf"], "--trend-magnitude"),
     (["attack", "--seed", "1", "--devices", "0"], "--devices"),
+    (["synth", "--seed", "1", "--devices", "0"], "--devices"),
+    (["synth", "--seed", "1", "--ros", "-2"], "--ros"),
+    (["synth", "--seed", "1", "--samples", "0"], "--samples"),
 ])
 def test_negative_count_is_usage_error(argv, flag, dataset_args, tmp_path, capsys):
     out = tmp_path / "out"
@@ -637,7 +638,8 @@ def test_negative_count_is_usage_error(argv, flag, dataset_args, tmp_path, capsy
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     wanted = {"--trend-magnitude": "a positive finite number",
-              "--devices": "a positive integer"}.get(flag, "a non-negative integer")
+              **dict.fromkeys(("--devices", "--ros", "--samples"), "a positive integer")
+              }.get(flag, "a non-negative integer")
     assert f"argument {flag}: expected {wanted}" in err
     assert "Traceback" not in err
     assert not out.exists()
@@ -917,6 +919,28 @@ def test_chain_prints_each_stage_once_in_order(tmp_path):
     assert done.stdout.count("writer") == 6
     assert done.stdout.endswith("all artifacts in chain\n")
     assert done.stdout.count("all artifacts") == 1
+
+
+@pytest.mark.parametrize("layout", [None, "csv"])
+def test_chain_passes_layout_and_geometry_only_where_given(layout, monkeypatch, capsys):
+    # Each stage parses its steps as given; a flag the caller left out
+    # takes the subcommand's own default and is not printed.
+    parsed = []
+
+    def record(args, loaded):
+        parsed.append(args)
+        return 0, lambda: None
+
+    monkeypatch.setattr(pufstat.cli, "_run", record)
+    assert run_chain("data", "chain", layout=layout, meta="serials.csv", seed=1) == 0
+    steps = re.findall(r"==> pufstat (.*)", capsys.readouterr().out)
+    assert [step.split()[0] for step in steps] == CHAIN_ORDER
+    for step in steps[:-1]:
+        assert ("--layout" in step) == (layout is not None)
+        assert layout is None or f"--layout {layout} " in step
+        assert "--geometry" not in step
+    assert [args.layout for args in parsed[:-1]] == [layout or "files"] * 7
+    assert parsed[CHAIN_ORDER.index("pca")].geometry == "16x32:col"
 
 
 def test_chain_and_cli_processes_end_frozen(tmp_path, monkeypatch):

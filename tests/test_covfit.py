@@ -176,10 +176,28 @@ def test_fit_matches_grid_search_oracle():
     assert np.max(np.abs(d_free - np.asarray(best_point))) < 0.02
 
 
-def test_fit_requires_free_coordinates():
-    problem = CovFitProblem(cov=np.eye(3), row_means=np.zeros(3), n_train=5)
-    with pytest.raises(ConfigurationError, match="no free coordinates"):
-        fit(problem, np.ones(3, dtype=bool), np.asarray([1.0, -1.0, 1.0]))
+def test_degenerate_cells_stop_on_stationary_start(small_matrices):
+    # With every pair pinned, or with none pinned from the row means (d = 0),
+    # the first projected gradient is exactly 0: no step, and no sign picked
+    # for the unpinned optimum +-sqrt(lambda_1) v_1.
+    diff = small_matrices.diff
+    truth, train = diff[:, 5], np.delete(diff, 5, axis=1)
+    problem = CovFitProblem(covariance_matrix(train), train.mean(axis=1), train.shape[1],
+                            truth)
+    k = problem.num_pairs
+    unpinned = fit(problem, np.zeros(k, dtype=bool), np.zeros(0))
+    for pins in (truth, np.where(truth > 0.0, 1.0, -1.0)):  # exact and trend
+        pinned = fit(problem, np.ones(k, dtype=bool), pins)
+        for result, b_hat in ((pinned, pins), (unpinned, problem.row_means)):
+            assert (result.iterations, result.stop_reason) == (0, "stationary start")
+            assert result.objective == result.start_objective
+            assert result.delta_correct == 0
+            assert np.array_equal(result.b_hat, b_hat)
+        # The all-pinned objective is the rank-one identity's residual norm.
+        residual = expanded_cov_residual(problem.cov, problem.row_means, pins,
+                                         problem.n_train)
+        want = float(np.sum(residual * residual))
+        assert abs(pinned.objective - want) <= 1e-12 * want
 
 
 def test_fixed_positions_pinned_exactly():
@@ -692,11 +710,6 @@ def _oracle_cells(diff, device, fixed_counts, mode, seed, selection, solve):
             values = truth[mask]
         else:
             values = np.where(truth[mask] > 0.0, 1.0, -1.0)
-        if count == num_pairs:
-            residual = expanded_cov_residual(cov, mu, values, train.shape[1])
-            value = float(np.sum(residual * residual))
-            cells.append(AttackCell(device, mode, count, 0, value, 0, "all pinned", value))
-            continue
         problem = CovFitProblem(cov=cov, row_means=mu, n_train=train.shape[1], truth=truth)
         result = solve(problem, mask, values)
         cells.append(AttackCell(device, mode, count, result.delta_correct, result.objective,
@@ -731,8 +744,8 @@ def test_attack_sweep_no_worse_than_plain_loop(small_matrices, selection):
     cells = evaluate_attack(diff, devices, counts, mode=MODES, seed=5, selection=selection)
     want = [cell for device in devices for mode in MODES
             for cell in _oracle_cells(diff, device, counts, mode, 5, selection, fit_reference)]
-    assert ([c.stop_reason for c in cells if c.fixed_count == 0]
-            == ["gradient tolerance"] * 2 * len(devices))
+    assert ([c.stop_reason for c in cells if c.fixed_count in (0, diff.shape[0])]
+            == ["stationary start"] * 4 * len(devices))
     for got, ref in zip(cells, want, strict=True):
         _assert_no_worse_cell(got, ref)
 
@@ -753,8 +766,7 @@ def _count_calls(monkeypatch, module, name):
 def test_attack_checks_training_covariance_once_per_target(monkeypatch):
     # One Cholesky (the PSD check; these targets pass it, so no eigvalsh)
     # and one ||C||_F^2 (np.sum over a k x k matrix) per target, however
-    # many cells it has; no count here pins every position, so no residual
-    # is summed.
+    # many cells it has.
     chol_calls = _count_calls(monkeypatch, np.linalg, "cholesky")
     eig_calls = _count_calls(monkeypatch, np.linalg, "eigvalsh")
     sum_calls = _count_calls(monkeypatch, np, "sum")

@@ -968,11 +968,12 @@ def test_parallel_write_raises_the_serial_error(tmp_path, monkeypatch):
     assert len(forks) == 2
 
 
-def test_parallel_write_does_not_nest(tmp_path, monkeypatch):
-    # Files of 8200 rows format in many shares as tables of their own, but a
-    # share of a write formats each of its files where it runs: a write in
-    # three shares forks twice in all, and one file written alone not at all.
-    monkeypatch.setattr(output, "_PART_CELLS", 1)
+def test_parallel_write_nests_only_large_files(tmp_path, monkeypatch):
+    # A share of a write formats each of its files by append_table, which
+    # splits only a table of at least 2 * output._PART_CELLS cells: files of
+    # 16 x 8200 cells written in three shares fork twice in all, and one
+    # file written alone not at all. Files split as tables of their own
+    # inside the write's shares come out the same.
     values = np.random.default_rng(105).uniform(90.0, 110.0, size=(3, 16, 8200))
     layout = LayoutSpec(rows="samples")
     write_dataset_reference(values, tmp_path / "slow", rows="samples")
@@ -984,6 +985,11 @@ def test_parallel_write_does_not_nest(tmp_path, monkeypatch):
     assert len(forks) == 2
     assert (tmp_path / "one" / "device_0000.txt").read_bytes() == \
         (tmp_path / "slow" / "device_0000.txt").read_bytes()
+    monkeypatch.setattr(output, "_PART_CELLS", 1)
+    write_dataset(ReadingsTensor(values), tmp_path / "nested", layout)
+    # The write's two shares, and two more for the file this process writes.
+    assert len(forks) == 6
+    _assert_tree(tmp_path / "nested", tmp_path / "slow")
 
 
 def test_synth_refuses_to_mix_datasets(tmp_path, capsys):
