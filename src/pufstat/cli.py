@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__, parallel
 from .bias import bias_histogram, bias_report
 from .correlation import fit_line, profile
-from .covfit import MODES, evaluate_attack, refuse_repeats
+from .covfit import MODES, SELECTIONS, evaluate_attack, refuse_repeats
 from .dataset import DeviceMeta, LayoutSpec, load_metadata, load_readings, write_dataset
 from .errors import ParseError, PufStatError, StructuralError, UnavailableAnalysisError
 from .geometry import DEFAULT_GEOMETRY, GridGeometry
@@ -61,6 +61,9 @@ def _arg_type(convert, wanted: str, valid=lambda value: True):
 # An empty field ("5,,10", "5,", ",5") is not an integer.
 _int_list = _arg_type(lambda text: [int(tok) for tok in text.split(",")],
                       "comma-separated integers")
+_group_sizes = _arg_type(_int_list, "comma-separated integers of at least 2",
+                         lambda v: min(v) >= 2)
+_group_size = _arg_type(int, "an integer of at least 2", lambda v: v >= 2)
 _non_negative_int = _arg_type(int, "a non-negative integer", lambda v: v >= 0)
 _positive_int = _arg_type(int, "a positive integer", lambda v: v > 0)
 _positive_float = _arg_type(float, "a positive finite number",
@@ -193,8 +196,7 @@ def cmd_similarity(args, inputs: Inputs) -> Writes:
     corrs = [serial_correlation(inputs.matrices.dev, inputs.meta, g) for g in args.group_sizes]
 
     def fill(writer: ArtifactWriter) -> None:
-        writer.write_dat("group_variance.dat", "a b s2", [(None, [gv.first, gv.last, gv.values])],
-                         "MHz^2")
+        writer.write_dat("group_variance.dat", "a b s2", [gv.first, gv.last, gv.values], "MHz^2")
         writer.write_csv(
             "serial_corr.csv", ["group_size", "corr"], [args.group_sizes, corrs], "dimensionless"
         )
@@ -224,7 +226,7 @@ def cmd_entropy(args, inputs: Inputs) -> Writes:
         writer.write_dat(
             "bias_hist.dat",
             "bin_left bin_center count_binary count_normal",
-            [(None, [edges[:-1], centers, counts_bin, counts_norm])],
+            [edges[:-1], centers, counts_bin, counts_norm],
             "bias (dimensionless)",
         )
         writer.write_json(
@@ -253,8 +255,7 @@ def cmd_correlate(args, inputs: Inputs) -> Writes:
     def fill(writer: ArtifactWriter) -> None:
         for name, prof in zip(("coco_D.dat", "coco_B.dat"), profiles.values()):
             index = np.arange(prof.coefficients.size)
-            writer.write_dat(name, "index r", [(None, [index, prof.coefficients])],
-                             "dimensionless")
+            writer.write_dat(name, "index r", [index, prof.coefficients], "dimensionless")
         writer.write_json("correlate.json", summaries)
 
     return _writes(args, {}, inputs, fill)
@@ -285,10 +286,7 @@ def cmd_attack(args, inputs: Inputs) -> Writes:
                 envelope.append({"mode": mode, "fixed_count": count,
                                  "min_delta": float(min(deltas)), "max_delta": float(max(deltas))})
     columns = ("fixed_count", "min_delta", "max_delta")
-    blocks = [
-        (f"mode: {mode}", [[e[k] for e in envelope if e["mode"] == mode] for k in columns])
-        for mode in modes
-    ]
+    blocks = [(f"mode: {mode}", sum(e["mode"] == mode for e in envelope)) for mode in modes]
 
     def fill(writer: ArtifactWriter) -> None:
         fields = ["device_index", "mode", "fixed_count", "delta_correct", "objective",
@@ -299,7 +297,8 @@ def cmd_attack(args, inputs: Inputs) -> Writes:
             [[getattr(c, f) for c in cells] for f in fields],
             "bits (delta_correct), MHz^2 scaled (objective, start_objective)",
         )
-        writer.write_dat("attack_envelope.dat", " ".join(columns), blocks, "bits")
+        writer.write_dat("attack_envelope.dat", " ".join(columns),
+                         [[e[k] for e in envelope] for k in columns], "bits", blocks)
         writer.write_json("attack_summary.json", {"envelope": envelope})
 
     params = {"devices": devices, "fixed_counts": fixed_counts, "mode": args.mode,
@@ -333,15 +332,15 @@ def cmd_pca(args, inputs: Inputs) -> Writes:
             [np.arange(1, result.rank + 1), result.singular_values, result.variance_fractions],
             "dimensionless",
         )
-        y = np.arange(geometry.rows)
+        # The grid a column at a time: a block of its rows per x.
+        x, y = np.divmod(np.arange(geometry.size), geometry.rows)
         for pc_num, grid, (counts, edges) in zip(range(1, num_pcs + 1), grids, histograms):
-            blocks = [(None, [np.full_like(y, x), y, grid[:, x]]) for x in range(geometry.cols)]
-            writer.write_dat(
-                f"loading_pc{pc_num}.dat", "x y loading", blocks, "dimensionless"
-            )
+            writer.write_dat(f"loading_pc{pc_num}.dat", "x y loading",
+                             [x, y, grid.ravel(order="F")], "dimensionless",
+                             [(None, geometry.rows)] * geometry.cols)
             writer.write_dat(
                 f"scores_hist_pc{pc_num}.dat", "score count",
-                [(None, [(edges[:-1] + edges[1:]) / 2.0, counts])], "score (dimensionless)",
+                [(edges[:-1] + edges[1:]) / 2.0, counts], "score (dimensionless)",
             )
         writer.write_csv(
             "trunc_agreement.csv", ["r", "agreement"], [ranks, agreements], "fraction"
@@ -498,8 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("similarity", parents=[dataset_parent, out_parent],
                        help="group variance vs. serial numbers")
-    p.add_argument("--min-group", type=int, default=5)
-    p.add_argument("--group-sizes", type=_int_list, default="5,10,20")
+    p.add_argument("--min-group", type=_group_size, default=5)
+    p.add_argument("--group-sizes", type=_group_sizes, default="5,10,20")
     p.set_defaults(func=cmd_similarity)
 
     p = sub.add_parser("entropy", parents=[dataset_parent, out_parent],
@@ -523,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated pinned-position counts, or 'auto' for 8 even steps",
     )
     p.add_argument("--mode", choices=(*MODES, "both"), default="both")
-    p.add_argument("--select", choices=("even", "random"), default="even")
+    p.add_argument("--select", choices=SELECTIONS, default="even")
     p.add_argument("--trend-magnitude", type=_positive_float, default=1.0)
     p.set_defaults(func=cmd_attack)
 

@@ -58,6 +58,7 @@ from .matrices import response_bits
 from .parallel import run_parts
 
 MODES = ("trend", "exact")
+SELECTIONS = ("even", "random")
 
 # Armijo sufficient-decrease constant, and the factor that shrinks a step
 # which fails the test.

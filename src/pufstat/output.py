@@ -44,9 +44,8 @@ scalar at a time, and the tests compare the two cell by cell.
 
 ``ArtifactWriter`` appends each chunk's bytes to one buffer as soon as
 it is formatted, so a large table (``group_variance.dat`` is 57 MB at 2000
-devices) is held once, as that buffer. The blocks of a ``write_dat`` table
-are formatted as one table where their column kinds agree, and the table is
-cut at the newlines that end each block (``_append_blocks``).
+devices) is held once, as that buffer. A ``write_dat`` table is formatted
+in one pass too, then cut into blocks by row count (``_append_blocks``).
 
 A table of at least ``2 * _PART_CELLS`` cells is formatted on every CPU in
 the process's affinity mask: its chunks, sized in cells, are one job of
@@ -174,39 +173,38 @@ def _columns(columns) -> list[np.ndarray]:
     return columns
 
 
-def _append_blocks(data: bytearray, blocks, sep: str) -> None:
-    """Append the ``(comment_or_None, columns)`` blocks of a table to
-    ``data``: each block's rows as ``append_table`` formats them, after a
-    ``# comment`` line where it has one, with a blank line between blocks.
+def _append_blocks(data: bytearray, columns, blocks, sep: str) -> None:
+    """Append the table ``columns`` to ``data``, cut into ``blocks`` of
+    ``(comment_or_None, row_count)`` that cover its rows in order (``None``
+    is one block with no comment): each after a ``# comment`` line where it
+    has one, with a blank line between blocks.
 
-    Where every block with rows has the same column kinds, their rows are
-    formatted as one table, in one pass of the kernels, and cut at the
-    newlines that end each block's last row: a str cell that holds a
-    newline shows as too many of them, and the blocks are then formatted
-    one at a time. The one pass formats the eight 16x32 loading maps of a
-    reference pca in 8 ms, against 96 ms a block at a time (medians of 30).
+    The table is formatted in one pass. For more than one block, its text is
+    cut at the newlines that end the rows, so a str column is refused there.
     """
-    tables = [_columns(columns) for _, columns in blocks]
-    kinds = [tuple(map(_cell_kind, columns)) for columns in tables]
-    filled = [columns for columns in tables if len(columns[0])]
-    rows, ends = bytearray(), None  # the rows of all blocks; the end of each row
-    if len(blocks) > 1 and len({k for k, cols in zip(kinds, tables) if len(cols[0])}) == 1:
-        append_table(rows, [np.concatenate(parts) for parts in zip(*filled)], sep)
-        ends = np.flatnonzero(np.frombuffer(rows, dtype=np.uint8) == ord("\n")) + 1
-        if len(ends) != sum(len(columns[0]) for columns in filled):
-            ends = None
-    start = row = 0
-    for index, ((comment, _), columns) in enumerate(zip(blocks, tables)):
+    columns = _columns(columns)
+    num_rows = len(columns[0])
+    blocks = [(None, num_rows)] if blocks is None else blocks
+    counts = [count for _, count in blocks]
+    if min(counts, default=0) < 0 or sum(counts) != num_rows:
+        raise ValueError(f"block row counts {counts} do not cover {num_rows} rows")
+    if len(blocks) > 1:
+        if "U" in map(_cell_kind, columns):
+            raise ValueError("a table of more than one block has no str column")
+        rows = bytearray()
+        append_table(rows, columns, sep)
+        starts = np.zeros(num_rows + 1, dtype=np.intp)  # where each row starts, and the end
+        starts[1:] = np.flatnonzero(np.frombuffer(rows, dtype=np.uint8) == ord("\n")) + 1
+        cuts = starts[np.cumsum([0, *counts])]
+    for index, (comment, _) in enumerate(blocks):
         if index:
             data += b"\n"
         if comment:
             data += f"# {comment}\n".encode("utf-8")
-        if ends is None:
+        if len(blocks) > 1:
+            data += memoryview(rows)[cuts[index]:cuts[index + 1]]
+        else:
             append_table(data, columns, sep)
-        elif len(columns[0]):
-            row += len(columns[0])
-            data += memoryview(rows)[start:ends[row - 1]]
-            start = ends[row - 1]
 
 
 def _cell_kind(col: np.ndarray) -> str:
@@ -566,15 +564,16 @@ class ArtifactWriter:
         append_table(data, columns, ",")
         return self._record(name, data)
 
-    def write_dat(self, name: str, header: str, blocks, units: str) -> Path:
-        """Whitespace table for plotting. ``blocks`` is a list of
-        (comment_or_None, columns); blocks are separated by blank lines."""
+    def write_dat(self, name: str, header: str, columns, units: str, blocks=None) -> Path:
+        """Whitespace table for plotting: the table ``columns``, cut into
+        ``blocks`` of (comment_or_None, row_count) separated by blank lines;
+        ``None`` is one block with no comment."""
         data = bytearray(
             f"# manifest: {self.manifest.hash}\n"
             f"# units: {units}\n"
             f"# columns: {header}\n".encode("utf-8")
         )
-        _append_blocks(data, blocks, " ")
+        _append_blocks(data, columns, blocks, " ")
         return self._record(name, data)
 
     def write_binary(self, name: str, data: bytes) -> Path:

@@ -16,11 +16,13 @@ import numpy as np
 import pytest
 
 import pufstat.cli
-from oracles import report_payload_reference
+from oracles import format_rows_reference, report_payload_reference
 from pufstat.cli import REPORT_OPTIONAL, REPORT_REQUIRED, main, run_chain
 from pufstat.dataset import DeviceMeta, LayoutSpec, ReadingsTensor, load_readings, write_dataset
 from pufstat.matrices import build_matrices, pack_bits, unpack_bits
+from pufstat.geometry import GridGeometry
 from pufstat.output import hash_input_files
+from pufstat.pca import loading_map, pca, standardize
 from pufstat.similarity import group_variance_map
 
 
@@ -629,6 +631,10 @@ def test_malformed_int_list_is_usage_error(argv, flag, dataset_args, tmp_path, c
     (["synth", "--seed", "1", "--devices", "0"], "--devices"),
     (["synth", "--seed", "1", "--ros", "-2"], "--ros"),
     (["synth", "--seed", "1", "--samples", "0"], "--samples"),
+    (["similarity", "--min-group", "1"], "--min-group"),
+    (["similarity", "--min-group", "0"], "--min-group"),
+    (["similarity", "--group-sizes", "1"], "--group-sizes"),
+    (["similarity", "--group-sizes", "5,1,10"], "--group-sizes"),
 ])
 def test_negative_count_is_usage_error(argv, flag, dataset_args, tmp_path, capsys):
     out = tmp_path / "out"
@@ -638,11 +644,33 @@ def test_negative_count_is_usage_error(argv, flag, dataset_args, tmp_path, capsy
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     wanted = {"--trend-magnitude": "a positive finite number",
+              "--min-group": "an integer of at least 2",
+              "--group-sizes": "comma-separated integers of at least 2",
               **dict.fromkeys(("--devices", "--ros", "--samples"), "a positive integer")
               }.get(flag, "a non-negative integer")
     assert f"argument {flag}: expected {wanted}" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("geometry", ["4x16:row", "16x4:col"])
+def test_loading_maps_are_the_grid_a_column_at_a_time(geometry, synth_out, dataset_args,
+                                                      tmp_path):
+    # A block per grid column x of (x, y, loading at y, x), whatever order
+    # the grid's ROs are laid out in.
+    out = tmp_path / "pca"
+    assert main(["pca", "--geometry", geometry, "--pcs", "3"] + dataset_args
+                + ["--out", str(out)]) == 0
+    grid = GridGeometry.parse(geometry)
+    result = pca(standardize(build_matrices(
+        load_readings(synth_out / "dataset", LayoutSpec())).freq))
+    y = np.arange(grid.rows)
+    for pc_num in range(1, 4):
+        loading = loading_map(result, pc_num, grid)
+        want = "\n".join(format_rows_reference([np.full_like(y, x), y, loading[y, x]], " ")
+                         for x in range(grid.cols))
+        body = (out / f"loading_pc{pc_num}.dat").read_text().split("\n", 3)[3]
+        assert body == want
 
 
 @pytest.mark.parametrize("min_group", [2, 5, 13])

@@ -200,98 +200,109 @@ def test_manifest_hash_covers_every_field_but_the_artifacts():
 
 def test_write_dat_blocks_and_empty_rows(tmp_path):
     writer = ArtifactWriter(tmp_path, RunManifest(version="0", subcommand="t", params={}))
-    writer.write_dat("t.dat", "x y", [
-        ("mode: a", [[1, 2], [0.5, 0.25]]),
-        ("mode: b", [[], []]),
-        (None, [[3], ["z"]]),
-    ], "u")
+    writer.write_dat("t.dat", "x y", [[1, 2, 3], [0.5, 0.25, 4.0]], "u",
+                     [("mode: a", 2), ("mode: b", 0), (None, 1)])
     lines = (tmp_path / "t.dat").read_text().split("\n")
     assert lines[1:] == [
         "# units: u", "# columns: x y",
         "# mode: a", "1 0.5", "2 0.25",
         "", "# mode: b",
-        "", "3 z", "",
+        "", "3 4", "",
     ]
 
 
-def _dat_body(tmp_path, blocks) -> str:
+def _dat_body(tmp_path, columns, blocks=None) -> str:
     """What ``write_dat`` writes below its three header lines."""
     writer = ArtifactWriter(tmp_path, RunManifest(version="0", subcommand="t", params={}))
-    writer.write_dat("t.dat", "h", blocks, "u")
+    writer.write_dat("t.dat", "h", columns, "u", blocks)
     return (tmp_path / "t.dat").read_bytes().decode("utf-8").split("\n", 3)[3]
 
 
-def _dat_reference(blocks) -> str:
-    """The blocks one at a time, each row by ``format_rows_reference``."""
-    return "\n".join((f"# {comment}\n" if comment else "") + format_rows_reference(columns, " ")
-                     for comment, columns in blocks)
+def _dat_reference(columns, blocks) -> str:
+    """The table's slices one block at a time, each row by
+    ``format_rows_reference``."""
+    cuts = np.cumsum([0, *(count for _, count in blocks)])
+    return "\n".join((f"# {comment}\n" if comment else "")
+                     + format_rows_reference([np.asarray(col)[lo:hi] for col in columns], " ")
+                     for (comment, _), lo, hi in zip(blocks, cuts, cuts[1:]))
 
 
-# Block shapes of one table: a signature of column kinds per block, some of
-# them shared by every block, some that mix kinds from block to block.
+# Column kinds of a table cut into blocks. A table of more than one block
+# takes no str column.
 BLOCK_SIGNATURES = [
-    [("int64", "int64", "float64")],
-    [("uint8", "bool", "float32"), ("int64", "int64", "float64")],
-    [("str", "float64")],
-    [("int64", "float64"), ("int64", "str"), ("uint64", "float64")],
+    ("int64", "int64", "float64"),
+    ("uint8", "bool", "float32"),
+    ("int64", "float64"),
+    ("uint64", "float64"),
 ]
 
 
 @st.composite
-def dat_blocks(draw):
-    signatures = draw(st.sampled_from(BLOCK_SIGNATURES))
-    blocks = []
-    for _ in range(draw(st.integers(0, 6))):
-        kinds = draw(st.sampled_from(signatures))
-        n = draw(st.integers(0, 5))
-        comment = draw(st.one_of(st.none(), st.just(""), st.text(alphabet="ab: ", max_size=6)))
-        blocks.append((comment, [draw(_column(kind, n)) for kind in kinds]))
-    return blocks
+def dat_tables(draw):
+    """A table of one signature, and blocks of row counts that cover it."""
+    counts = draw(st.lists(st.integers(0, 5), max_size=6))
+    columns = [draw(_column(kind, sum(counts)))
+               for kind in draw(st.sampled_from(BLOCK_SIGNATURES))]
+    comments = st.one_of(st.none(), st.just(""), st.text(alphabet="ab: ", max_size=6))
+    return columns, [(draw(comments), count) for count in counts]
 
 
 @settings(max_examples=200, deadline=None)
-@given(dat_blocks())
-def test_write_dat_blocks_match_per_block_oracle(blocks):
-    # Comments, empty blocks, kinds shared or mixed across blocks, and str
-    # cells that may hold a newline: the bytes of formatting block by block.
+@given(dat_tables())
+def test_write_dat_blocks_match_per_block_oracle(table):
+    # Comments and empty blocks: the bytes of formatting the table's slices
+    # block by block.
+    columns, blocks = table
     with tempfile.TemporaryDirectory() as tmp:
-        assert _dat_body(Path(tmp), blocks) == _dat_reference(blocks)
+        assert _dat_body(Path(tmp), columns, blocks) == _dat_reference(columns, blocks)
 
 
 def test_write_dat_formats_blocks_of_one_kind_in_one_pass(monkeypatch, tmp_path):
     # A loading_pc*.dat shape: 32 blocks of 16 rows, (x, y, loading), with
-    # empty blocks (a float64 column each) and comments among them.
+    # empty blocks and comments among them.
     calls = []
     for kind, kernel in list(output._CELLS.items()):
         monkeypatch.setitem(output._CELLS, kind, lambda values, kind=kind, kernel=kernel: (
             calls.append(kind), kernel(values))[1])
     grid = np.random.default_rng(8).normal(size=(16, 32))
-    y = np.arange(16)
-    blocks = [(f"x: {x}" if x % 5 == 0 else None, [np.full_like(y, x), y, grid[:, x]])
-              for x in range(32)]
-    blocks[3:3] = [("none here", [[], [], []])]
-    blocks.append((None, [[], [], []]))
-    assert _dat_body(tmp_path, blocks) == _dat_reference(blocks)
+    x, y = np.divmod(np.arange(grid.size), 16)
+    columns = [x, y, grid.ravel(order="F")]
+    blocks = [(f"x: {col}" if col % 5 == 0 else None, 16) for col in range(32)]
+    blocks[3:3] = [("none here", 0)]
+    blocks.append((None, 0))
+    assert _dat_body(tmp_path, columns, blocks) == _dat_reference(columns, blocks)
     assert calls == ["i", "f"]
-    # Kinds that differ between blocks with rows: one pass per block.
+    # A str column, whose cells may hold a newline, is refused in a table
+    # of more than one block before any cell is formatted, and written as
+    # it is in a table of one.
     calls.clear()
-    mixed = [(None, [y, grid[:, 0]]), (None, [y, y.astype(str)])]
-    assert _dat_body(tmp_path, mixed) == _dat_reference(mixed)
-    assert calls == ["i", "f", "i", "U"]
-    # A newline in a str cell: one pass, then one per block.
-    calls.clear()
-    lines = [(None, [np.array(["a\nb", "c"])]), ("d", [np.array(["e"])])]
-    assert _dat_body(tmp_path, lines) == "a\nb\nc\n\n# d\ne\n"
-    assert calls == ["U", "U", "U"]
+    for strings in ([y[:2], y[:2].astype(str)], [np.array(["a\nb", "c"])]):
+        with pytest.raises(ValueError, match="str column"):
+            _dat_body(tmp_path, strings, [(None, 1), ("d", 1)])
+    assert calls == []
+    assert _dat_body(tmp_path, [np.array(["a\nb", "c"])]) == "a\nb\nc\n"
+    assert calls == ["U"]
 
 
 def test_write_dat_checks_every_block(tmp_path):
-    # An empty block's columns are checked as a block with rows would be.
+    # Bad columns, a str column in more than one block, and row counts that
+    # do not cover the table: each refused before any file is written.
     writer = ArtifactWriter(tmp_path, RunManifest(version="0", subcommand="t", params={}))
-    for bad in ([np.array([], dtype=object)], [[], [1.0]], []):
+    numbers = [[1, 2], [2.0, 3.0]]
+    for columns, blocks in [
+        ([np.array([], dtype=object)], None),
+        ([np.array([], dtype=object)], [(None, 0), (None, 0)]),
+        ([[1], [1.0, 2.0]], None),
+        ([], None),
+        ([[1, 2], ["a", "b"]], [(None, 1), (None, 1)]),
+        (numbers, [(None, 1)]),
+        (numbers, [(None, 1), (None, 2)]),
+        (numbers, [("a", 3), ("b", -1)]),
+        (numbers, []),
+    ]:
         with pytest.raises(ValueError):
-            writer.write_dat("t.dat", "h", [(None, [[1], [2.0]]), (None, bad)], "u")
-    assert not (tmp_path / "t.dat").exists()
+            writer.write_dat("t.dat", "h", columns, "u", blocks)
+    assert list(tmp_path.iterdir()) == []
 
 
 positive = st.one_of(
@@ -380,7 +391,7 @@ def test_parallel_format_matches_oracle(parts, monkeypatch, tmp_path):
     first = CHUNK_ROWS * -(-PARALLEL_ROWS // (parts * CHUNK_ROWS))
     assert rows == [(0, min(first, PARALLEL_ROWS))]
     writer = ArtifactWriter(tmp_path, RunManifest(version="0", subcommand="t", params={}))
-    writer.write_dat("t.dat", "i x b", [(None, columns)], "u")
+    writer.write_dat("t.dat", "i x b", columns, "u")
     assert (tmp_path / "t.dat").read_text().split("\n", 3)[3] == want
     assert len(forks) == 2 * (parts - 1)
 
@@ -398,7 +409,7 @@ def test_failed_format_child_is_redone(how, monkeypatch, tmp_path):
     rows = _record_parent_rows(monkeypatch, fail)
     columns = _parallel_table()
     writer = ArtifactWriter(tmp_path, RunManifest(version="0", subcommand="t", params={}))
-    writer.write_dat("t.dat", "i x b", [(None, columns)], "u")
+    writer.write_dat("t.dat", "i x b", columns, "u")
     assert len(forks) == 2
     # Shares of 5, 4 and 4 chunks: the first ends where a third of the cells is reached.
     assert rows == [(0, 5 * CHUNK_ROWS), (5 * CHUNK_ROWS, 9 * CHUNK_ROWS),
