@@ -9,11 +9,15 @@ underflowing the standard normal CDF.
 The raw statistic is rescaled by a small-sample correction factor
 ``1 + 4/N + 25/N**2`` before comparison against the 1% critical value.
 
-Every row of a matrix is tested in one numpy pass over a C-contiguous
-copy. On a Fortran-ordered view (``build_matrices`` returns ``freq`` as
-one) reductions along a row add in another order, which moves the
-statistic in its last bits; on the copy each row adds exactly as it does
-alone.
+The rows of a matrix are tested in blocks of whole rows, at most
+``_BLOCK_CELLS`` cells each (one row if a row is longer), and each block is
+copied C-contiguous on its own, so the pass holds one block's temporaries,
+not the whole matrix's. On a Fortran-ordered view (``build_matrices``
+returns ``freq`` as one) reductions along a row add in another order, which
+moves the statistic in its last bits; on a C-contiguous block each row adds
+exactly as it does alone, so the statistics do not depend on where the
+blocks are cut. Before any arithmetic on a block, a row holding a value
+that is not finite fails as such.
 
 The normal tails come from numpy alone: ``ndtr`` and ``log_ndtr`` share one
 kernel, W. J. Cody's rational Chebyshev approximations ("Rational Chebyshev
@@ -48,6 +52,10 @@ REJECT_1PCT = 1.047
 
 # Below this many observations the corrected statistic is not meaningful.
 MIN_SAMPLES = 8
+
+# Cells per block of rows: a block's dozen temporaries stay near 1.5 MiB,
+# which keeps the pass off the peak of a chain at the reference shape.
+_BLOCK_CELLS = 2**14
 
 
 # Cody's coefficients, in the order of his DATA statements: erf on
@@ -185,34 +193,56 @@ def sample_size_correction(n: int) -> float:
     return 1.0 + 4.0 / n + 25.0 / (n * n)
 
 
-def _row_statistics(matrix, min_samples: int) -> np.recarray:
-    """``a2``, ``a2_star`` and ``reject_at_1pct`` of every row of a matrix.
-
-    Raises for the first failing row: InsufficientSampleError below
-    ``min_samples`` columns, DegenerateDataError for a row with zero
-    variance or a statistic that is not finite.
-    """
-    m = np.ascontiguousarray(matrix, dtype=np.float64)
-    if m.ndim != 2:
-        raise DegenerateDataError(f"expected a 2-dimensional matrix, got {m.shape}")
-    n = m.shape[1]
-    if n < min_samples:
-        raise InsufficientSampleError(
-            f"row 0: need at least {min_samples} observations, got {n}"
-        )
+def _block_a2(block, weights, first: int) -> np.ndarray:
+    """``a2`` of every row of a C-contiguous block whose first row is row
+    ``first`` of the matrix; raises for the block's first failing row."""
+    bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
+    stop = bad[0] if bad.size else len(block)
+    m, n = block[:stop], block.shape[1]
     std = m.std(axis=1, ddof=1, keepdims=True)
     flat = ~(std[:, 0] > 0.0)
     # Flat rows are divided by 1, not 0, and fail below.
     y = np.sort((m - m.mean(axis=1, keepdims=True)) / np.where(flat[:, None], 1.0, std), axis=1)
-    weights = 2.0 * np.arange(n) + 1.0
     log_cdf, log_sf = _log_tails(y)
     a2 = -np.sum(weights * (log_cdf + log_sf[:, ::-1]), axis=1) / n - n
-    a2_star = a2 * sample_size_correction(n)
-    failed = np.flatnonzero(flat | ~(np.isfinite(a2) & np.isfinite(a2_star)))
+    # a2_star = a2 * (1 + 4/n + 25/n**2) is finite where a2 is: |a2| is
+    # of order n**2 at most, as |y| <= (n-1)/sqrt(n).
+    failed = np.flatnonzero(flat | ~np.isfinite(a2))
     if failed.size:
         i = failed[0]
         reason = "sample has zero standard deviation" if flat[i] else "statistic is not finite"
-        raise DegenerateDataError(f"row {i}: {reason}")
+        raise DegenerateDataError(f"row {first + i}: {reason}")
+    if bad.size:
+        raise DegenerateDataError(f"row {first + stop}: sample is not finite")
+    return a2
+
+
+def _row_statistics(matrix, min_samples: int) -> np.recarray:
+    """``a2``, ``a2_star`` and ``reject_at_1pct`` of every row of a matrix,
+    computed block by block.
+
+    Raises for the first failing row: InsufficientSampleError below
+    ``min_samples`` columns, DegenerateDataError for a row with a value that
+    is not finite, zero variance or a statistic that is not finite, and
+    DegenerateDataError for a matrix with no rows.
+    """
+    m = np.asarray(matrix, dtype=np.float64)
+    if m.ndim != 2:
+        raise DegenerateDataError(f"expected a 2-dimensional matrix, got {m.shape}")
+    rows, n = m.shape
+    if rows == 0:
+        raise DegenerateDataError("matrix has no rows")
+    if n < min_samples:
+        raise InsufficientSampleError(
+            f"row 0: need at least {min_samples} observations, got {n}"
+        )
+    weights = 2.0 * np.arange(n) + 1.0
+    step = max(1, _BLOCK_CELLS // max(n, 1))
+    a2 = np.empty(rows)
+    for first in range(0, rows, step):
+        block = np.ascontiguousarray(m[first:first + step])
+        a2[first:first + step] = _block_a2(block, weights, first)
+    a2_star = a2 * sample_size_correction(n)
     return np.rec.fromarrays([a2, a2_star, a2_star > REJECT_1PCT],
                              names="a2,a2_star,reject_at_1pct")
 

@@ -15,6 +15,7 @@ positive. Repeated runs on identical input produce bit-identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,13 @@ class ScaledData:
     @property
     def num_ros(self) -> int:
         return self.y.shape[1]
+
+    @cached_property
+    def bits(self) -> np.ndarray:
+        """Read-only response bits of the unreduced data, derived once."""
+        bits = response_bits(pair_differences(self.unscale()))
+        bits.setflags(write=False)
+        return bits
 
     def unscale(self, y=None) -> np.ndarray:
         """Map (a reconstruction of) y back to an RO-by-device matrix in MHz."""
@@ -142,8 +150,7 @@ def truncated_bits(result: PCAResult, scaled: ScaledData, r: int) -> tuple[np.nd
         raise ConfigurationError(f"rank {r} out of range 1..{result.rank}")
     y_r = result.scores[:, :r] @ result.loadings[:, :r].T
     bits_hat = response_bits(pair_differences(scaled.unscale(y_r)))
-    bits_full = response_bits(pair_differences(scaled.unscale()))
-    agreement = float((bits_hat == bits_full).mean())
+    agreement = float((bits_hat == scaled.bits).mean())
     return bits_hat, agreement
 
 

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pufstat import normality
 from pufstat.errors import DegenerateDataError, InsufficientSampleError
 from pufstat.normality import (
     ADSummary,
@@ -230,6 +233,69 @@ def test_rows_equal_row_by_row_reference(num_rows, num_cols, scale, offset, orde
             summary.max) == expected_summary
 
 
+def _laid_out(rng, num_rows, num_cols, order):
+    if order == "transposed view":  # how build_matrices returns freq
+        return (203.0 + 1.7 * rng.normal(size=(num_cols, num_rows))).T
+    return np.asarray(203.0 + 1.7 * rng.normal(size=(num_rows, num_cols)), order=order)
+
+
+def _assert_rows_equal_reference(matrix):
+    stats, summary = test_rows(matrix)
+    rows, expected_summary = test_rows_reference(matrix)
+    a2, a2_star, reject = zip(*rows)
+    assert stats.a2.tobytes() == np.array(a2).tobytes()
+    assert stats.a2_star.tobytes() == np.array(a2_star).tobytes()
+    assert stats.reject_at_1pct.tolist() == list(reject)
+    assert (summary.quantile_50, summary.quantile_90, summary.quantile_99,
+            summary.max) == expected_summary
+
+
+_STEP_193 = normality._BLOCK_CELLS // 193  # rows of 193 cells per block
+
+
+@pytest.mark.parametrize("order", ["C", "F", "transposed view"])
+@pytest.mark.parametrize("num_rows, num_cols", [
+    (2 * _STEP_193 + 5, 193),             # two full blocks, then a partial one
+    (3 * _STEP_193, 193),                 # full blocks only
+    (1, normality._BLOCK_CELLS + 7),      # one row longer than a block
+    (3, normality._BLOCK_CELLS + 7),      # one such row per block
+    (2, normality._BLOCK_CELLS // 2 + 1),  # rows that do not share a block
+])
+def test_rows_across_blocks_equal_row_by_row_reference(num_rows, num_cols, order):
+    matrix = _laid_out(np.random.default_rng(num_rows * num_cols), num_rows, num_cols, order)
+    assert num_rows * num_cols > normality._BLOCK_CELLS or num_rows == 1
+    _assert_rows_equal_reference(matrix)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    block_cells=st.integers(1, 400),
+    num_rows=st.integers(1, 30),
+    num_cols=st.integers(MIN_SAMPLES, 60),
+    order=st.sampled_from(["C", "F", "transposed view"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rows_equal_reference_wherever_blocks_are_cut(block_cells, num_rows, num_cols,
+                                                       order, seed):
+    matrix = _laid_out(np.random.default_rng(seed), num_rows, num_cols, order)
+    with mock.patch.object(normality, "_BLOCK_CELLS", block_cells):
+        _assert_rows_equal_reference(matrix)
+
+
+def test_rows_traced_peak_is_one_block():
+    # One pass over the whole matrix peaks near 11.4 MiB on this matrix;
+    # one block's temporaries stay near 2 MiB.
+    matrix = np.random.default_rng(20140512).normal(size=(512, 193))
+    test_rows(matrix)
+    tracemalloc.start()
+    try:
+        test_rows(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+
+
 def test_rows_match_scipy_statistic():
     # The same statistic with scipy.special's tails, computed row by row.
     from scipy.special import log_ndtr as scipy_log_ndtr
@@ -279,6 +345,48 @@ def test_rows_error_names_row():
     with pytest.raises(InsufficientSampleError,
                        match="^row 0: need at least 8 observations, got 5$"):
         test_rows(matrix[:, :5])
+
+
+def _failing(matrix, message):
+    with np.errstate(all="raise"):
+        with pytest.raises(DegenerateDataError, match=f"^{message}$"):
+            test_rows(matrix)
+
+
+def test_rows_first_failing_row_in_a_later_block():
+    matrix = np.random.default_rng(2).normal(size=(3 * _STEP_193, 193))
+    last = 3 * _STEP_193 - 1
+    matrix[last, :] = 2.0
+    _failing(matrix, f"row {last}: sample has zero standard deviation")
+    matrix[_STEP_193 + 4, :] = -1.5
+    _failing(matrix, f"row {_STEP_193 + 4}: sample has zero standard deviation")
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("gap", [1, _STEP_193])  # the same block, or the next
+def test_rows_first_failing_row_wins_whatever_its_reason(bad, gap):
+    # No numpy warning fires (the test configuration makes one an error),
+    # and none under errstate(all="raise") either.
+    def flat_and_bad(flat_row, bad_row):
+        matrix = np.random.default_rng(3).normal(size=(3 * _STEP_193, 193))
+        matrix[flat_row, :] = 7.0
+        matrix[bad_row, 100] = bad
+        return matrix
+
+    _failing(flat_and_bad(5, 5 + gap), "row 5: sample has zero standard deviation")
+    _failing(flat_and_bad(5 + gap, 5), "row 5: sample is not finite")
+
+
+def test_rows_non_finite_row_is_named_as_such():
+    for bad in (np.inf, np.nan):
+        _failing(np.array([[1.0] * 9 + [bad]]), "row 0: sample is not finite")
+        with pytest.raises(DegenerateDataError, match="^row 0: sample is not finite$"):
+            anderson_darling([bad] + [1.0, 2.0, 3.0] * 4)
+
+
+def test_rows_empty_matrix_is_degenerate():
+    for shape in ((0, 10), (0, 3)):
+        _failing(np.zeros(shape), "matrix has no rows")
 
 
 def test_rejection_rate_calibrated_on_normal_rows():

@@ -3,7 +3,7 @@ import pytest
 
 from pufstat.errors import ConfigurationError, DegenerateDataError, StructuralError
 from pufstat.geometry import GridGeometry
-from pufstat.matrices import build_matrices
+from pufstat.matrices import build_matrices, pair_differences, response_bits
 from pufstat.pca import (
     ScaledData,
     loading_map,
@@ -113,6 +113,22 @@ def test_truncation_agreement_monotone_trend(small_matrices):
     assert all(0.0 <= a <= 1.0 for a in agreements)
     # More retained structure cannot hurt much; the tail must recover fully.
     assert agreements[2] >= agreements[0] - 0.05
+
+
+def test_unreduced_bits_derived_once_and_read_only(small_matrices):
+    scaled = standardize(small_matrices.freq)
+    bits = scaled.bits
+    assert scaled.bits is bits
+    assert not bits.flags.writeable
+    with pytest.raises(ValueError):
+        bits[0, 0] = 1 - bits[0, 0]
+    assert np.array_equal(bits, response_bits(pair_differences(scaled.unscale())))
+    assert np.array_equal(bits, small_matrices.bits)
+    result = pca(scaled)
+    for r in (1, 3):
+        bits_hat, agreement = truncated_bits(result, scaled, r)
+        assert agreement == float((bits_hat == small_matrices.bits).mean())
+    assert scaled.bits is bits
 
 
 def test_truncated_bits_rank_guards(small_matrices):
