@@ -11,10 +11,14 @@ analysis, and a seeded synthetic dataset generator for calibration.
 __version__ = "0.1.0"
 
 import os
+import sys
 
 # One BLAS thread unless the caller chose otherwise: the work is already cut
 # across the CPUs by forked shares, and BLAS threads beside them only contend.
-# This must come before numpy is imported.
+# BLAS reads these as numpy loads: BLAS_PINNED is false where numpy loaded
+# first with neither set, and the attack then forks no shares.
+BLAS_PINNED = "numpy" not in sys.modules or any(
+    name in os.environ for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 

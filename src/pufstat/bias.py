@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, StructuralError, ValidationError
+from .matrices import as_matrix
 from .normality import ndtr
 
 NORMAL_MODEL_CONVENTION = (
@@ -29,17 +30,12 @@ NORMAL_MODEL_CONVENTION = (
 
 def bias_binary(bits) -> np.ndarray:
     """Empirical one-probability per pair: ones count / device count."""
-    b = np.asarray(bits)
-    if b.ndim != 2:
-        raise StructuralError(f"bit matrix must be 2-dimensional, got {b.shape}")
-    return b.mean(axis=1, dtype=np.float64)
+    return as_matrix(bits, "bit matrix").mean(axis=1, dtype=np.float64)
 
 
 def bias_normal(diff) -> np.ndarray:
     """Normal-model one-probability per pair from the difference matrix."""
-    d = np.asarray(diff, dtype=np.float64)
-    if d.ndim != 2:
-        raise StructuralError(f"difference matrix must be 2-dimensional, got {d.shape}")
+    d = as_matrix(diff, "difference matrix", np.float64)
     if d.shape[1] < 2:
         raise DegenerateDataError("need at least 2 devices to estimate a spread")
     std = d.std(axis=1, ddof=1)

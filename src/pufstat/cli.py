@@ -27,7 +27,8 @@ import numpy as np
 from . import __version__, parallel
 from .bias import bias_histogram, bias_report
 from .correlation import fit_line, profile
-from .covfit import MODES, SELECTIONS, evaluate_attack, refuse_repeats
+from .covfit import (DEFAULT_SELECTION, DEFAULT_TREND_MAGNITUDE, MODES, SELECTIONS,
+                     evaluate_attack, refuse_repeats)
 from .dataset import DeviceMeta, LayoutSpec, load_metadata, load_readings, write_dataset
 from .errors import ParseError, PufStatError, StructuralError, UnavailableAnalysisError
 from .geometry import DEFAULT_GEOMETRY, GridGeometry
@@ -35,8 +36,8 @@ from .matrices import PufMatrices, build_matrices, pack_bits
 from .normality import REJECT_1PCT, test_rows
 from .output import ArtifactWriter, RunManifest, hash_input_files
 from .pca import loading_map, pca, pc_key_correlation, standardize, truncated_bits
-from .similarity import group_variance_map, serial_correlation
-from .syngen import PRESETS, preset
+from .similarity import DEFAULT_MIN_GROUP, group_variance_map, serial_correlation
+from .syngen import PRESETS, generate, preset
 
 MATRIX_CHOICES = ("freq", "dev", "diff", "all")
 # "auto" spreads 8 counts over 0..7/8 of the pair count, each once; at 256
@@ -375,8 +376,6 @@ def cmd_synth(args) -> Writes:
     if args.geometry is not None:
         overrides["geometry"] = GridGeometry.parse(args.geometry)
     config = preset(args.preset, seed=args.seed, **overrides)
-    from .syngen import generate
-
     tensor, meta, truth = generate(config)
     out_dir = _resolve_out(args)
     dataset_dir = out_dir / "dataset"
@@ -497,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("similarity", parents=[dataset_parent, out_parent],
                        help="group variance vs. serial numbers")
-    p.add_argument("--min-group", type=_group_size, default=5)
+    p.add_argument("--min-group", type=_group_size, default=DEFAULT_MIN_GROUP)
     p.add_argument("--group-sizes", type=_group_sizes, default="5,10,20")
     p.set_defaults(func=cmd_similarity)
 
@@ -522,8 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated pinned-position counts, or 'auto' for 8 even steps",
     )
     p.add_argument("--mode", choices=(*MODES, "both"), default="both")
-    p.add_argument("--select", choices=SELECTIONS, default="even")
-    p.add_argument("--trend-magnitude", type=_positive_float, default=1.0)
+    p.add_argument("--select", choices=SELECTIONS, default=DEFAULT_SELECTION)
+    p.add_argument("--trend-magnitude", type=_positive_float, default=DEFAULT_TREND_MAGNITUDE)
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("pca", parents=[dataset_parent, out_parent],

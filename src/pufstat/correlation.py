@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, InsufficientSampleError, StructuralError
+from .matrices import as_matrix
 
 
 def pearson(x, y) -> float:
@@ -45,9 +46,9 @@ class CorrelationProfile:
 def profile(matrix) -> CorrelationProfile:
     """Correlate each row against the last row, the profile's
     ``reference_index``."""
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] == 0:
-        raise StructuralError(f"expected a 2-dimensional matrix with rows, got {m.shape}")
+    m = as_matrix(matrix, "matrix", np.float64)
+    if m.shape[0] == 0:
+        raise StructuralError("matrix has no rows")
     if m.shape[1] < 3:
         raise InsufficientSampleError(f"need at least 3 columns, got {m.shape[1]}")
     ref = m.shape[0] - 1
@@ -75,9 +76,7 @@ def covariance_matrix(diff) -> np.ndarray:
     Uses the population divisor (the device count), which is what makes the
     one-new-device update identity in the covariance-fitting attack exact.
     """
-    d = np.asarray(diff, dtype=np.float64)
-    if d.ndim != 2:
-        raise StructuralError(f"difference matrix must be 2-dimensional, got {d.shape}")
+    d = as_matrix(diff, "difference matrix", np.float64)
     if d.shape[1] < 2:
         raise InsufficientSampleError("need at least 2 devices for a covariance")
     # Finite differences too large to square overflow to inf or nan here

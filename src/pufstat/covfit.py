@@ -52,13 +52,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import BLAS_PINNED
 from .correlation import covariance_matrix
 from .errors import ConfigurationError, NumericError, StructuralError
-from .matrices import response_bits
+from .matrices import as_matrix, response_bits
 from .parallel import run_parts
 
 MODES = ("trend", "exact")
 SELECTIONS = ("even", "random")
+DEFAULT_SELECTION = "even"
+DEFAULT_TREND_MAGNITUDE = 1.0  # MHz
 
 # Armijo sufficient-decrease constant, and the factor that shrinks a step
 # which fails the test.
@@ -404,7 +407,7 @@ def fit(problem: CovFitProblem, fixed_mask, fixed_values,
 def choose_fixed_positions(
     num_pairs: int,
     count: int,
-    selection: str = "even",
+    selection: str = DEFAULT_SELECTION,
     seed: int | None = None,
 ) -> np.ndarray:
     """Pick which pair indices the attacker pins.
@@ -452,8 +455,8 @@ def evaluate_attack(
     fixed_counts,
     mode: str | Sequence[str] = "trend",
     seed: int | None = None,
-    selection: str = "even",
-    trend_magnitude: float = 1.0,
+    selection: str = DEFAULT_SELECTION,
+    trend_magnitude: float = DEFAULT_TREND_MAGNITUDE,
 ) -> list[AttackCell]:
     """Leave-one-out attack sweep against each target device of ``devices``.
 
@@ -467,14 +470,13 @@ def evaluate_attack(
     out of the sweep, the first such target in device order.
 
     The targets are the items of one ``parallel.run_parts`` job, sized in
-    cells times pairs squared, each share at least ``_PART_WORK``. A share
+    cells times pairs squared, each share at least ``_PART_WORK``, or all
+    the work where ``pufstat.BLAS_PINNED`` is false. A share
     appends one pickle of each of its targets' cells, read back here in
     order: the bytes come from this process or its own forks, and pickle
     gives back every float exactly.
     """
-    d = np.asarray(diff, dtype=np.float64)
-    if d.ndim != 2:
-        raise StructuralError(f"difference matrix must be 2-dimensional, got {d.shape}")
+    d = as_matrix(diff, "difference matrix", np.float64)
     num_pairs, num_devices = d.shape
     devices = list(devices)
     for device in devices:
@@ -504,8 +506,9 @@ def evaluate_attack(
             buffer += pickle.dumps(_attack_target(d, device, masks, modes, trend_magnitude))
 
     data = bytearray()
-    run_parts(data, [len(modes) * len(masks) * num_pairs**2] * len(devices), _PART_WORK,
-              part)
+    sizes = [len(modes) * len(masks) * num_pairs**2] * len(devices)
+    # A unit above all the work makes one share, run in this process.
+    run_parts(data, sizes, _PART_WORK if BLAS_PINNED else sum(sizes) + 1, part)
     stream = io.BytesIO(data)
     return [cell for _ in devices for cell in pickle.load(stream)]
 

@@ -71,7 +71,7 @@ _PART_BYTES = 1 << 20
 # alternating runs, groups faster in 12).
 _KERNEL_BYTES = 1 << 18
 # Cells of device files each writing share holds at least: formatting them
-# takes about 40 ms, ten times what a fork takes at 100 MB RSS.
+# takes 8-12 ms in one process, four to six times a fork at 100 MB RSS.
 _WRITE_CELLS = 2**16
 
 

@@ -47,6 +47,15 @@ class PufMatrices:
         return self.diff.shape[0]
 
 
+def as_matrix(value, name: str, dtype=None) -> np.ndarray:
+    """``value`` as a 2-D array (of ``dtype``, where given), or a
+    StructuralError that names the matrix ``name``."""
+    array = np.asarray(value, dtype=dtype)
+    if array.ndim != 2:
+        raise StructuralError(f"{name} must be 2-dimensional, got {array.shape}")
+    return array
+
+
 def pair_differences(freq) -> np.ndarray:
     """The response pairing: row k is ``freq[2k+1] - freq[2k]``, one column
     per device. The RO count (rows of ``freq``) must be even."""
@@ -88,9 +97,7 @@ def pack_bits(bits: np.ndarray) -> bytes:
     allowed because it would change the byte stream that downstream
     compressors see.
     """
-    bits = np.asarray(bits)
-    if bits.ndim != 2:
-        raise StructuralError(f"bit matrix must be 2-dimensional, got {bits.shape}")
+    bits = as_matrix(bits, "bit matrix")
     num_pairs, num_devices = bits.shape
     if num_pairs % 8 != 0:
         raise ConfigurationError(

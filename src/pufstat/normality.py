@@ -46,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, InsufficientSampleError
+from .matrices import as_matrix
 
 # 1% critical value for the corrected statistic with estimated mean/variance.
 REJECT_1PCT = 1.047
@@ -223,12 +224,10 @@ def _row_statistics(matrix, min_samples: int) -> np.recarray:
 
     Raises for the first failing row: InsufficientSampleError below
     ``min_samples`` columns, DegenerateDataError for a row with a value that
-    is not finite, zero variance or a statistic that is not finite, and
-    DegenerateDataError for a matrix with no rows.
+    is not finite, zero variance or a statistic that is not finite,
+    DegenerateDataError for no rows, and StructuralError for a non-2-D one.
     """
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2:
-        raise DegenerateDataError(f"expected a 2-dimensional matrix, got {m.shape}")
+    m = as_matrix(matrix, "matrix", np.float64)
     rows, n = m.shape
     if rows == 0:
         raise DegenerateDataError("matrix has no rows")

@@ -30,7 +30,8 @@ alternating runs, the split faster in 11, the artifacts identical).
 
 An attack share calls BLAS and LAPACK in its child. Importing ``pufstat``
 sets ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` to 1 where they are
-unset, so BLAS threads do not contend with the shares for the CPUs. The
+unset, so BLAS threads do not contend with the shares for the CPUs; where
+numpy loaded first (``pufstat.BLAS_PINNED`` false), the attack forks none. The
 OpenBLAS numpy ships is a pthreads build, which stops its worker threads in
 a fork handler before every fork, so a child never waits on a lock one of
 them held; a test forks right after a GEMM on two BLAS threads and gets the

@@ -22,7 +22,7 @@ import numpy as np
 from .correlation import pearson
 from .errors import ConfigurationError, DegenerateDataError, NumericError, StructuralError
 from .geometry import GridGeometry
-from .matrices import pair_differences, response_bits
+from .matrices import as_matrix, pair_differences, response_bits
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,7 @@ def standardize(freq) -> ScaledData:
     Input is the RO-by-device frequency matrix; the result's rows are
     devices. Uses the sample standard deviation (N-1 divisor).
     """
-    f = np.asarray(freq, dtype=np.float64)
-    if f.ndim != 2:
-        raise StructuralError(f"frequency matrix must be 2-dimensional, got {f.shape}")
+    f = as_matrix(freq, "frequency matrix", np.float64)
     if f.shape[1] < 2:
         raise DegenerateDataError("need at least 2 devices to standardize")
     means = f.mean(axis=1)
@@ -157,8 +155,8 @@ def truncated_bits(result: PCAResult, scaled: ScaledData, r: int) -> tuple[np.nd
 def pc_key_correlation(result: PCAResult, bits, pc: int) -> float:
     """Correlate per-device ones counts with a component's scores. 1-based."""
     col = _check_pc(result, pc)
-    b = np.asarray(bits)
-    if b.ndim != 2 or b.shape[1] != result.scores.shape[0]:
+    b = as_matrix(bits, "bit matrix")
+    if b.shape[1] != result.scores.shape[0]:
         raise StructuralError(
             f"bit matrix shape {b.shape} does not cover {result.scores.shape[0]} devices"
         )

@@ -19,6 +19,9 @@ import numpy as np
 from .correlation import pearson
 from .dataset import DeviceMeta
 from .errors import ConfigurationError, DegenerateDataError, UnavailableAnalysisError
+from .matrices import as_matrix
+
+DEFAULT_MIN_GROUP = 5
 
 
 @dataclass(frozen=True)
@@ -51,13 +54,11 @@ def _centred(dev) -> np.ndarray:
     Window variances do not change under a per-row shift, and summing
     centred values keeps the digits that a per-RO offset would cost.
     """
-    d = np.asarray(dev, dtype=np.float64)
-    if d.ndim != 2:
-        raise ConfigurationError(f"deviation matrix must be 2-dimensional, got {d.shape}")
+    d = as_matrix(dev, "deviation matrix", np.float64)
     return d - d.mean(axis=1, keepdims=True)
 
 
-def group_variance_map(dev, min_group: int = 5) -> GroupVarianceMap:
+def group_variance_map(dev, min_group: int = DEFAULT_MIN_GROUP) -> GroupVarianceMap:
     """Compute all windows from prefix sums of the centred rows,
     O(rows * devices^2), one slice of the table per first device.
 

@@ -51,10 +51,6 @@ class SynthConfig:
     def __post_init__(self):
         if self.num_devices < 1 or self.num_ros < 1 or self.num_samples < 1:
             raise ConfigurationError("device, RO and sample counts must be positive")
-        if self.num_ros % 2 != 0:
-            raise ConfigurationError(
-                f"RO count must be even for pairwise grouping, got {self.num_ros}"
-            )
         self.geometry.check_ros(self.num_ros)
         for name in ("device_sigma", "gradient_x_sigma", "gradient_y_sigma",
                      "local_sigma", "meas_sigma"):
@@ -147,11 +143,7 @@ def generate(config: SynthConfig) -> tuple[ReadingsTensor, DeviceMeta, GroundTru
     """Draw a full dataset plus metadata and ground truth from one seed."""
     num_j, num_i, num_t = config.num_devices, config.num_ros, config.num_samples
     xc, yc = config.geometry.centered_coordinates()
-    ro_offs = (
-        np.zeros(num_i)
-        if config.ro_mean_offsets is None
-        else np.asarray(config.ro_mean_offsets, dtype=np.float64)
-    )
+    ro_offs = np.zeros(num_i) if config.ro_mean_offsets is None else config.ro_mean_offsets
 
     readings = np.empty((num_j, num_i, num_t))
     true_freq = np.empty((num_i, num_j))

@@ -2,6 +2,11 @@ import os
 import sys
 from pathlib import Path
 
+# One BLAS thread, set before numpy loads, as importing pufstat first would
+# set it: the attack's targets then run in forked shares here too.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

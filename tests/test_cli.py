@@ -18,6 +18,7 @@ import pytest
 import pufstat.cli
 from oracles import format_rows_reference, report_payload_reference
 from pufstat.cli import REPORT_OPTIONAL, REPORT_REQUIRED, main, run_chain
+from pufstat.covfit import evaluate_attack
 from pufstat.dataset import DeviceMeta, LayoutSpec, ReadingsTensor, load_readings, write_dataset
 from pufstat.matrices import build_matrices, pack_bits, unpack_bits
 from pufstat.geometry import GridGeometry
@@ -374,6 +375,28 @@ def test_attack_exits_1_on_failed_covariance_check(dataset_args, tmp_path, monke
         "pufstat: configuration error: "
         "covariance matrix is not positive semidefinite (eigmin -1)"]
     assert not (out / "attack.csv").exists()
+
+
+def test_attack_select_random_runs_the_library_selection(synth_out, dataset_args, tmp_path):
+    out = tmp_path / "random"
+    assert main(["attack", "--seed", "3", "--device-indices", "2,5", "--fixed-counts", "0,8,24",
+                 "--select", "random", "--out", str(out)] + dataset_args) == 0
+    params = json.loads((out / "attack_manifest.json").read_text())["params"]
+    assert params["select"] == "random"
+    diff = build_matrices(load_readings(synth_out / "dataset", LayoutSpec())).diff
+    fields = ["device_index", "mode", "fixed_count", "delta_correct", "objective",
+              "iterations", "stop_reason", "start_objective"]
+
+    def rows(cells):
+        return format_rows_reference([[getattr(c, f) for c in cells] for f in fields], ",")
+
+    args = (diff, [2, 5], [0, 8, 24], ("trend", "exact"), 3)
+    want = rows(evaluate_attack(*args, selection="random"))
+    header, *body = [ln for ln in (out / "attack.csv").read_text().splitlines()
+                     if not ln.startswith("#")]
+    assert header == ",".join(["device", *fields[1:]])
+    assert "".join(ln + "\n" for ln in body) == want
+    assert want != rows(evaluate_attack(*args, selection="even"))
 
 
 @pytest.mark.parametrize("option, value, message", [

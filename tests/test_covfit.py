@@ -470,6 +470,42 @@ def test_attack_shares_fork_while_blas_threads_run():
     assert done.stdout == "same cells\n"
 
 
+IMPORT_ORDER = (
+    "import os, pickle, sys\n"
+    "first = sys.argv[1]\n"
+    "__import__(first)\n"
+    "import numpy as np\n"
+    "from pufstat import covfit\n"
+    "os.sched_getaffinity = lambda pid: {0, 1}\n"
+    "covfit._PART_WORK = 1\n"
+    "forks = []\n"
+    "real_fork = os.fork\n"
+    "os.fork = lambda: forks.append(1) or real_fork()\n"
+    "diff = np.random.default_rng(93).normal(size=(96, 64))\n"
+    "cells = covfit.evaluate_attack(diff, range(8), [0, 24, 48], mode=covfit.MODES, seed=4)\n"
+    "print(len(forks), pickle.dumps(cells).hex())\n"
+)
+
+
+def test_attack_forks_only_where_blas_was_pinned_before_numpy_loaded():
+    # Importing numpy before pufstat, with no BLAS thread count set, leaves
+    # BLAS a thread per CPU: the targets then run in this process, and give
+    # the cells a pinned process gives from its forked shares.
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(covfit.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    runs = {}
+    for first in ("numpy", "pufstat"):
+        done = subprocess.run([sys.executable, "-c", IMPORT_ORDER, first], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        runs[first] = done.stdout.split()
+    assert runs["numpy"][0] == "0"
+    assert runs["pufstat"][0] == "1"
+    assert runs["numpy"][1] == runs["pufstat"][1]
+
+
 # --- the exact line search against the plain loop and the root oracle -----
 
 

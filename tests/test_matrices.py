@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pufstat.bias import bias_binary, bias_normal
+from pufstat.correlation import covariance_matrix, profile
+from pufstat.covfit import evaluate_attack
 from pufstat.dataset import ReadingsTensor
 from pufstat.errors import ConfigurationError, StructuralError
 from pufstat.matrices import build_matrices, pack_bits, response_bits, unpack_bits
+from pufstat.normality import test_rows
+from pufstat.pca import pc_key_correlation, pca, standardize
+from pufstat.similarity import group_variance_map
 
 
 def tensor_from(values):
@@ -134,3 +140,29 @@ def test_pack_unpack_round_trip(pairs, devices, seed):
     rng = np.random.default_rng(seed)
     bits = (rng.random((pairs, devices)) > 0.5).astype(np.uint8)
     assert np.array_equal(unpack_bits(pack_bits(bits), pairs, devices), bits)
+
+
+def _pc_key_correlation(bits):
+    freq = np.random.default_rng(5).normal(200.0, 1.0, size=(8, 6))
+    return pc_key_correlation(pca(standardize(freq)), bits, 1)
+
+
+@pytest.mark.parametrize("call, name", [
+    (bias_binary, "bit matrix"),
+    (bias_normal, "difference matrix"),
+    (profile, "matrix"),
+    (covariance_matrix, "difference matrix"),
+    (lambda diff: evaluate_attack(diff, [0], [0]), "difference matrix"),
+    (pack_bits, "bit matrix"),
+    (test_rows, "matrix"),
+    (standardize, "frequency matrix"),
+    (_pc_key_correlation, "bit matrix"),
+    (group_variance_map, "deviation matrix"),
+], ids=["bias_binary", "bias_normal", "profile", "covariance_matrix", "evaluate_attack",
+        "pack_bits", "test_rows", "standardize", "pc_key_correlation", "group_variance_map"])
+@pytest.mark.parametrize("shape", [(8,), (8, 6, 2)], ids=["1-D", "3-D"])
+def test_analysis_input_that_is_not_a_matrix_is_structural(call, name, shape):
+    # Every statistic takes its matrices through matrices.as_matrix.
+    with pytest.raises(StructuralError) as excinfo:
+        call(np.zeros(shape, dtype=np.uint8))
+    assert str(excinfo.value) == f"{name} must be 2-dimensional, got {shape}"

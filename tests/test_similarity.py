@@ -7,6 +7,7 @@ from pufstat.dataset import DeviceMeta
 from pufstat.errors import (
     ConfigurationError,
     DegenerateDataError,
+    StructuralError,
     UnavailableAnalysisError,
 )
 from pufstat.similarity import (
@@ -132,7 +133,7 @@ def test_serial_correlation_guards():
         serial_correlation(dev, None, group_size=5)
     with pytest.raises(ConfigurationError):
         serial_correlation(dev, DeviceMeta(serials=serials), group_size=1)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(StructuralError, match="^deviation matrix must be 2-dimensional"):
         serial_correlation(dev[0], DeviceMeta(serials=serials), group_size=5)
     with pytest.raises(ConfigurationError):
         serial_correlation(dev, DeviceMeta(serials=np.arange(9, dtype=np.int64)), 5)

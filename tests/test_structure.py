@@ -41,3 +41,14 @@ def test_private_import_check_sees_every_form():
     )
     assert _private_imports(source) == [(".", "_cpus"), (".output", "_columns"),
                                         ("pufstat.decimals", "_E8"), ("..x.y", "_z")]
+
+
+def test_only_matrices_raises_the_matrix_shape_error():
+    # The rule that an analysis input is a 2-D matrix has one owner,
+    # matrices.as_matrix.
+    raisers = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and "2-dimensional" in ast.unparse(node):
+                raisers.add(path.name)
+    assert raisers == {"matrices.py"}

@@ -7,6 +7,7 @@ from scipy.special import ndtr
 from pufstat.bias import bias_normal
 from pufstat.correlation import fit_line, profile
 from pufstat.cli import main
+from pufstat.dataset import LayoutSpec, write_dataset
 from pufstat.errors import ConfigurationError, ParseError, StructuralError
 from pufstat.geometry import GridGeometry
 from pufstat.matrices import build_matrices
@@ -103,9 +104,6 @@ def test_config_validation():
     geo = GridGeometry(2, 2, "row")
     with pytest.raises(ConfigurationError, match="positive"):
         SynthConfig(num_devices=0, num_ros=4, num_samples=1, geometry=geo, seed=1)
-    with pytest.raises(ConfigurationError, match="even"):
-        SynthConfig(num_devices=2, num_ros=3, num_samples=1,
-                    geometry=GridGeometry(1, 3, "row"), seed=1)
     with pytest.raises(ConfigurationError, match="cells"):
         SynthConfig(num_devices=2, num_ros=8, num_samples=1, geometry=geo, seed=1)
     with pytest.raises(ConfigurationError, match="non-negative"):
@@ -117,6 +115,20 @@ def test_config_validation():
     with pytest.raises(ConfigurationError, match="ro_mean_offsets"):
         SynthConfig(num_devices=2, num_ros=4, num_samples=1, geometry=geo,
                     seed=1, ro_mean_offsets=[1.0, 2.0])
+
+
+def test_odd_ro_config_builds_and_ingest_refuses_its_dataset(tmp_path, capsys):
+    # Only the pairing knows its parity: synth writes an odd-RO set, and the
+    # stages refuse it when they pair its ROs.
+    config = SynthConfig(num_devices=3, num_ros=3, num_samples=2,
+                         geometry=GridGeometry(1, 3, "row"), seed=1, local_sigma=0.5)
+    readings, meta, _ = generate(config)
+    assert readings.values.shape == (3, 3, 2)
+    write_dataset(readings, tmp_path / "dataset", LayoutSpec(), meta=meta)
+    assert main(["ingest", "--dataset", str(tmp_path / "dataset"),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "pufstat: configuration error: RO count must be even for pairwise grouping, got 3"]
 
 
 def test_generated_rows_pass_normality_at_expected_rate():
