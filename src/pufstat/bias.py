@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, StructuralError, ValidationError
-from .matrices import as_matrix
+from .errors import StructuralError, ValidationError
+from .matrices import as_matrix, row_stds
 from .normality import ndtr
 
 NORMAL_MODEL_CONVENTION = (
@@ -36,15 +36,7 @@ def bias_binary(bits) -> np.ndarray:
 def bias_normal(diff) -> np.ndarray:
     """Normal-model one-probability per pair from the difference matrix."""
     d = as_matrix(diff, "difference matrix", np.float64)
-    if d.shape[1] < 2:
-        raise DegenerateDataError("need at least 2 devices to estimate a spread")
-    std = d.std(axis=1, ddof=1)
-    flat = np.flatnonzero(~(std > 0.0))
-    if flat.size:
-        raise DegenerateDataError(
-            f"pair rows with zero spread across devices: {flat.tolist()}"
-        )
-    return ndtr(d.mean(axis=1) / std)
+    return ndtr(d.mean(axis=1) / row_stds(d, "pair rows"))
 
 
 def entropy(probabilities) -> float:

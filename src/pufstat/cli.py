@@ -307,6 +307,14 @@ def cmd_attack(args, inputs: Inputs) -> Writes:
     return _writes(args, params, inputs, fill)
 
 
+def _histogram(values, bins: int = 40):
+    """``np.histogram``, but values too close for ``bins`` distinct edges (the
+    last component's scores where J <= components) are binned as a zero range."""
+    if (np.diff(np.linspace(values.min(), values.max(), bins + 1)) <= 0.0).any():
+        values = np.full_like(values, values.min())
+    return np.histogram(values, bins=bins)
+
+
 def cmd_pca(args, inputs: Inputs) -> Writes:
     matrices = inputs.matrices
     geometry = GridGeometry.parse(args.geometry)
@@ -317,7 +325,7 @@ def cmd_pca(args, inputs: Inputs) -> Writes:
     result = pca(scaled)
     num_pcs = min(args.pcs, result.rank)
     grids = [loading_map(result, pc_num, geometry) for pc_num in range(1, num_pcs + 1)]
-    histograms = [np.histogram(result.scores[:, col], bins=40) for col in range(num_pcs)]
+    histograms = [_histogram(result.scores[:, col]) for col in range(num_pcs)]
     ranks = args.trunc_ranks or sorted(
         {1, 2, 4, 8, 16, 32, 64, 102, 128, result.rank} & set(range(1, result.rank + 1))
     )

@@ -65,6 +65,8 @@ def profile(matrix) -> CorrelationProfile:
 def fit_line(values) -> tuple[float, float]:
     """Least-squares slope and intercept of a series against its index."""
     y = np.asarray(values, dtype=np.float64).ravel()
+    if y.size < 2:
+        raise InsufficientSampleError(f"need at least 2 points for a line, got {y.size}")
     x = np.arange(y.size, dtype=np.float64)
     slope, intercept = np.polyfit(x, y, 1)
     return float(slope), float(intercept)

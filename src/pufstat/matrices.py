@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ReadingsTensor
-from .errors import ConfigurationError, StructuralError
+from .errors import (ConfigurationError, DegenerateDataError, InsufficientSampleError,
+                     StructuralError, ValidationError)
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,19 @@ def as_matrix(value, name: str, dtype=None) -> np.ndarray:
     if array.ndim != 2:
         raise StructuralError(f"{name} must be 2-dimensional, got {array.shape}")
     return array
+
+
+def row_stds(matrix: np.ndarray, rows: str) -> np.ndarray:
+    """Each row's sample std (N-1 divisor) across the devices (columns) of
+    a 2-D float matrix: an InsufficientSampleError below 2 devices, a
+    DegenerateDataError that names the ``rows`` without spread."""
+    if matrix.shape[1] < 2:
+        raise InsufficientSampleError(f"a spread needs at least 2 devices, got {matrix.shape[1]}")
+    stds = matrix.std(axis=1, ddof=1)
+    flat = np.flatnonzero(~(stds > 0.0))
+    if flat.size:
+        raise DegenerateDataError(f"{rows} with zero spread across devices: {flat.tolist()}")
+    return stds
 
 
 def pair_differences(freq) -> np.ndarray:
@@ -105,7 +119,7 @@ def pack_bits(bits: np.ndarray) -> bytes:
             f"got {num_pairs}"
         )
     if not np.isin(bits, (0, 1)).all():
-        raise ValueError("bit matrix entries must be 0 or 1")
+        raise ValidationError("bit matrix entries must be 0 or 1")
     return np.packbits(bits.T.astype(np.uint8), bitorder="big").tobytes()
 
 

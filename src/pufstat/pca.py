@@ -22,7 +22,7 @@ import numpy as np
 from .correlation import pearson
 from .errors import ConfigurationError, DegenerateDataError, NumericError, StructuralError
 from .geometry import GridGeometry
-from .matrices import as_matrix, pair_differences, response_bits
+from .matrices import as_matrix, pair_differences, response_bits, row_stds
 
 
 @dataclass(frozen=True)
@@ -65,15 +65,8 @@ def standardize(freq) -> ScaledData:
     devices. Uses the sample standard deviation (N-1 divisor).
     """
     f = as_matrix(freq, "frequency matrix", np.float64)
-    if f.shape[1] < 2:
-        raise DegenerateDataError("need at least 2 devices to standardize")
+    stds = row_stds(f, "ROs")
     means = f.mean(axis=1)
-    stds = f.std(axis=1, ddof=1)
-    dead = np.flatnonzero(~(stds > 0.0))
-    if dead.size:
-        raise DegenerateDataError(
-            f"ROs with zero variance across devices: {dead.tolist()}"
-        )
     y = ((f - means[:, None]) / stds[:, None]).T
     return ScaledData(y=np.ascontiguousarray(y), col_means=means, col_stds=stds)
 

@@ -5,9 +5,11 @@ rows of the within-window sample variance of the deviation matrix. If
 devices that left the fab close together were more alike, windows of nearby
 devices would show systematically smaller variance, and the group variance
 would correlate with how far apart the window endpoints' serial numbers are.
-``group_variance_map`` lists every window as one table, the rows of
-``group_variance.dat``; ``serial_correlation`` computes only the windows
-the claim reads.
+One kernel computes the windows of one length from prefix sums of the
+centred rows. ``group_variance_map`` calls it for every length and lists
+every window as one table, the rows of ``group_variance.dat``;
+``serial_correlation`` calls it for the windows the claim reads alone, so
+``serial_corr.csv`` can be recomputed from ``group_variance.dat``.
 """
 
 from __future__ import annotations
@@ -48,52 +50,48 @@ class GroupVarianceMap:
         return int(self.last[-1]) + 1
 
 
-def _centred(dev) -> np.ndarray:
-    """``dev`` as a 2-D float64 array with each row's mean subtracted.
-
-    Window variances do not change under a per-row shift, and summing
-    centred values keeps the digits that a per-RO offset would cost.
-    """
+def _prefix_sums(dev) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix sums over the devices of each row of ``dev``, less its mean,
+    and of their squares summed over rows. Window variances do not change
+    under a per-row shift, and centred sums keep the digits that a per-RO
+    offset would cost."""
     d = as_matrix(dev, "deviation matrix", np.float64)
-    return d - d.mean(axis=1, keepdims=True)
+    c = d - d.mean(axis=1, keepdims=True)
+    prefix = np.zeros((c.shape[0], c.shape[1] + 1))
+    np.cumsum(c, axis=1, out=prefix[:, 1:])
+    squares = np.concatenate([[0.0], np.cumsum(np.einsum("ij,ij->j", c, c))])
+    return prefix, squares
+
+
+def _window_variances(prefix: np.ndarray, squares: np.ndarray, n: int) -> np.ndarray:
+    """The group variance of every window of ``n`` devices, first device
+    ascending: ``(sum(x^2) - sum_rows(s1^2) / n) / ((n - 1) * rows)``, where
+    ``s1`` is a row's window sum."""
+    if n < 2:
+        raise ConfigurationError(f"a window needs at least 2 devices, got {n}")
+    s1 = prefix[:, n:] - prefix[:, :-n]
+    ss = np.einsum("ij,ij->j", s1, s1)
+    return ((squares[n:] - squares[:-n]) - ss / n) / ((n - 1) * prefix.shape[0])
 
 
 def group_variance_map(dev, min_group: int = DEFAULT_MIN_GROUP) -> GroupVarianceMap:
-    """Compute all windows from prefix sums of the centred rows,
-    O(rows * devices^2), one slice of the table per first device.
-
-    For the window a..a+n-1, the sum over rows of squared deviations from
-    each row's window mean is ``sum(x^2) - sum_rows(s1^2) / n``, where
-    ``s1`` is a row's window sum; ``sum(x^2)`` comes from one prefix over
-    the column sums of squares.
-    """
-    c = _centred(dev)
-    if min_group < 2:
-        raise ConfigurationError("min_group must be at least 2")
-    num_rows, num_devices = c.shape
+    """Compute all windows, O(rows * devices^2), one window length at a
+    time, each placed in its rows of the table."""
+    prefix, squares = _prefix_sums(dev)
+    num_devices = prefix.shape[1] - 1
+    shortest = _window_variances(prefix, squares, min_group)  # before the table is allocated
     if num_devices < min_group:
-        raise ConfigurationError(
-            f"need at least {min_group} devices, got {num_devices}"
-        )
-    prefix = np.zeros((num_rows, num_devices + 1))
-    np.cumsum(c, axis=1, out=prefix[:, 1:])
-    squares = np.concatenate([[0.0], np.cumsum(np.einsum("ij,ij->j", c, c))])
-    lengths = np.arange(1, num_devices + 1, dtype=np.float64)
-    devices = np.arange(num_devices, dtype=np.int32)
+        raise ConfigurationError(f"need at least {min_group} devices, got {num_devices}")
+    # First device a has starts - a rows, one per length, shortest first.
     starts = num_devices - min_group + 1
-    first = np.empty(starts * (starts + 1) // 2, dtype=np.int32)
+    offsets = np.concatenate([[0], np.cumsum(np.arange(starts, 1, -1))])
+    first = np.repeat(np.arange(starts, dtype=np.int32), np.arange(starts, 0, -1))
     last = np.empty_like(first)
     values = np.empty(first.size)
-    lo = 0
-    for a in range(starts):
-        s1 = prefix[:, a + min_group:] - prefix[:, a:a + 1]
-        n = lengths[min_group - 1:num_devices - a]
-        ss = np.einsum("ij,ij->j", s1, s1)
-        hi = lo + n.size
-        first[lo:hi] = a
-        last[lo:hi] = devices[a + min_group - 1:]
-        values[lo:hi] = ((squares[a + min_group:] - squares[a]) - ss / n) / ((n - 1.0) * num_rows)
-        lo = hi
+    for n in range(min_group, num_devices + 1):
+        index = offsets[:num_devices - n + 1] + (n - min_group)
+        values[index] = shortest if n == min_group else _window_variances(prefix, squares, n)
+        last[index] = np.arange(n - 1, num_devices, dtype=np.int32)
     return GroupVarianceMap(first, last, values, min_group)
 
 
@@ -102,32 +100,23 @@ def serial_correlation(dev, meta: DeviceMeta, group_size: int) -> float:
 
     Slides a window of ``group_size`` consecutive devices across ``dev``
     and computes the Pearson correlation between the group variance and the
-    difference of the serial numbers at the window ends. Only these windows
-    are computed, directly from the centred rows; the full map is not needed.
+    difference of the serial numbers at the window ends. The windows are
+    ``group_variance_map``'s of that length, bit for bit.
     """
     if meta is None:
         raise UnavailableAnalysisError("serial-number metadata is required")
-    c = _centred(dev)
-    if group_size < 2:
-        raise ConfigurationError(f"group size {group_size} below 2")
-    num_devices = c.shape[1]
+    prefix, squares = _prefix_sums(dev)
+    num_devices = prefix.shape[1] - 1
     if meta.num_devices != num_devices:
         raise ConfigurationError(
             f"metadata covers {meta.num_devices} devices, dev covers {num_devices}"
         )
-    starts = np.arange(0, num_devices - group_size + 1)
-    if starts.size < 3:
+    variances = _window_variances(prefix, squares, group_size)
+    if variances.size < 3:
         raise DegenerateDataError(
-            f"only {starts.size} windows of size {group_size}; need at least 3"
+            f"only {variances.size} windows of size {group_size}; need at least 3"
         )
-    ends = starts + group_size - 1
-    # Two passes over the window offsets, so the temporaries stay rows x
-    # windows; a (rows, windows, group_size) view's var() copies all of it.
-    offsets = [c[:, k:k + starts.size] for k in range(group_size)]
-    means = sum(offsets) / group_size
-    squares = sum((window - means) ** 2 for window in offsets)
-    variances = (squares / (group_size - 1)).mean(axis=0)
-    spans = (meta.serials[ends] - meta.serials[starts]).astype(np.float64)
+    spans = (meta.serials[group_size - 1:] - meta.serials[:variances.size]).astype(np.float64)
     if np.ptp(spans) == 0.0:
         raise DegenerateDataError("serial spans are constant across windows")
     return pearson(variances, spans)

@@ -15,7 +15,8 @@ from pufstat.bias import (
     entropy,
     key_logprob,
 )
-from pufstat.errors import DegenerateDataError, StructuralError, ValidationError
+from pufstat.errors import (DegenerateDataError, InsufficientSampleError, StructuralError,
+                            ValidationError)
 
 from oracles import relative_error
 
@@ -62,6 +63,8 @@ def test_bias_normal_degenerate_row():
     diff = np.asarray([[1.0, 1.0, 1.0], [0.5, 1.0, 2.0]])
     with pytest.raises(DegenerateDataError, match="\\[0\\]"):
         bias_normal(diff)
+    with pytest.raises(InsufficientSampleError, match="2 devices"):
+        bias_normal(diff[:, :1])
 
 
 def test_entropy_exact_values():

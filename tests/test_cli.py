@@ -1090,3 +1090,75 @@ def test_unexpected_error_ends_the_writers(tmp_path, monkeypatch):
     assert time.monotonic() - started < 30
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _synth(out, seed, preset, devices, ros, samples, geometry):
+    assert main(["synth", "--seed", str(seed), "--preset", preset, "--devices", str(devices),
+                 "--ros", str(ros), "--samples", str(samples), "--geometry", geometry,
+                 "--out", str(out)]) == 0
+
+
+def test_pca_bins_a_last_component_of_one_value_in_one_bin(tmp_path):
+    # Three devices, 16 ROs: the column-centred matrix has rank 2, so the
+    # third component scores one value up to rounding, a range too narrow
+    # for 40 bins.
+    _synth(tmp_path / "s", 3, "spatial", 3, 16, 2, "4x4:col")
+    out = tmp_path / "o"
+    assert main(["pca", "--dataset", str(tmp_path / "s" / "dataset"), "--geometry", "4x4:col",
+                 "--out", str(out)]) == 0
+    counts = [int(line.split(" ")[1])
+              for line in (out / "scores_hist_pc3.dat").read_text().splitlines()[3:]]
+    assert len(counts) == 40 and max(counts) == sum(counts) == 3
+
+
+def test_pca_on_two_devices_is_an_insufficient_sample(tmp_path, capsys):
+    _synth(tmp_path / "s", 1, "spatial", 2, 16, 2, "4x4:col")
+    capsys.readouterr()
+    assert main(["pca", "--dataset", str(tmp_path / "s" / "dataset"), "--geometry", "4x4:col",
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "pufstat: insufficient-sample error: need at least 3 points, got 2"]
+
+
+def test_correlate_on_one_pair_is_an_insufficient_sample(tmp_path, capsys):
+    # The diff profile of one pair is one coefficient: no line to fit.
+    _synth(tmp_path / "s", 1, "null", 8, 2, 2, "1x2:col")
+    capsys.readouterr()
+    assert main(["correlate", "--dataset", str(tmp_path / "s" / "dataset"),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "pufstat: insufficient-sample error: need at least 2 points for a line, got 1"]
+
+
+@pytest.mark.parametrize("values, binned", [
+    ([0.5, -1.0, 2.0, 7.25], [0.5, -1.0, 2.0, 7.25]),              # numpy's bins
+    ([3.0, 3.0, 3.0], [3.0, 3.0, 3.0]),                             # numpy's unit range
+    ([1e-15, 1e-15 + 2e-31, 1e-15 - 1e-31], [1e-15 - 1e-31] * 3),   # one value up to rounding
+], ids=["range", "zero-range", "rounding"])
+def test_score_histogram_bins_a_rounding_range_as_a_zero_range(values, binned):
+    counts, edges = pufstat.cli._histogram(np.asarray(values))
+    want_counts, want_edges = np.histogram(binned, bins=40)
+    assert counts.tolist() == want_counts.tolist() and edges.tolist() == want_edges.tolist()
+
+
+def test_every_stage_on_tiny_sets_exits_cleanly(tmp_path, capsys):
+    # Each dataset stage on spatial sets of 2 to 8 devices, 2 to 16 ROs and
+    # 1 or 2 samples: it succeeds, or refuses with one line and a category
+    # other than numeric. No exception escapes main.
+    geometries = {2: "1x2:col", 4: "2x2:col", 16: "4x4:col"}
+    sets = [(1, 2, 16, 2), (3, 3, 16, 2)] + [
+        (7, devices, ros, samples)
+        for devices in (2, 3, 5, 8) for ros in (2, 4, 16) for samples in (1, 2)]
+    for seed, devices, ros, samples in sets:
+        out = tmp_path / f"{seed}-{devices}-{ros}-{samples}"
+        _synth(out, seed, "spatial", devices, ros, samples, geometries[ros])
+        base = ["--dataset", str(out / "dataset"), "--meta", str(out / "dataset" / "serials.csv")]
+        for stage in (["ingest"], ["normality"], ["similarity"], ["entropy"], ["correlate"],
+                      ["attack", "--seed", "1"], ["pca", "--geometry", geometries[ros]]):
+            capsys.readouterr()
+            code = main(stage + base + ["--out", str(out / stage[0])])
+            err = capsys.readouterr().err.splitlines()
+            assert code in (0, 1), (out.name, stage)
+            if code:
+                assert len(err) == 1 and re.fullmatch(r"pufstat: [a-z-]+ error: .+", err[0]), err
+                assert not err[0].startswith("pufstat: numeric error"), (out.name, stage, err)

@@ -107,6 +107,13 @@ def test_fit_line():
     slope, intercept = fit_line([1.0, 3.0, 5.0])
     assert slope == pytest.approx(2.0, abs=1e-12)
     assert intercept == pytest.approx(1.0, abs=1e-12)
+    assert fit_line([2.0, 5.0]) == pytest.approx((3.0, 2.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("values", [[], [4.0]])
+def test_fit_line_refuses_fewer_than_two_points(values):
+    with pytest.raises(InsufficientSampleError, match=f"2 points for a line, got {len(values)}$"):
+        fit_line(values)
 
 
 def test_spatial_gradient_separates_dev_from_diff():

@@ -9,8 +9,14 @@ from pufstat.bias import bias_binary, bias_normal
 from pufstat.correlation import covariance_matrix, profile
 from pufstat.covfit import evaluate_attack
 from pufstat.dataset import ReadingsTensor
-from pufstat.errors import ConfigurationError, StructuralError
-from pufstat.matrices import build_matrices, pack_bits, response_bits, unpack_bits
+from pufstat.errors import (
+    ConfigurationError,
+    DegenerateDataError,
+    InsufficientSampleError,
+    StructuralError,
+    ValidationError,
+)
+from pufstat.matrices import build_matrices, pack_bits, response_bits, row_stds, unpack_bits
 from pufstat.normality import test_rows
 from pufstat.pca import pc_key_correlation, pca, standardize
 from pufstat.similarity import group_variance_map
@@ -115,6 +121,24 @@ def test_pack_device_major_order():
 def test_pack_rejects_non_multiple_of_eight():
     with pytest.raises(ConfigurationError):
         pack_bits(np.zeros((12, 3), dtype=np.uint8))
+
+
+def test_pack_refuses_an_entry_other_than_0_or_1():
+    bits = np.zeros((8, 2), dtype=np.uint8)
+    bits[3, 1] = 2
+    with pytest.raises(ValidationError, match="^bit matrix entries must be 0 or 1$"):
+        pack_bits(bits)
+
+
+def test_row_stds_owns_the_spread_rule():
+    m = np.asarray([[1.0, 2.0, 4.0], [5.0, 5.0, 5.0], [0.0, 3.0, 0.0], [7.0, 7.0, 7.0]])
+    assert row_stds(m[[0, 2]], "ROs").tolist() == m[[0, 2]].std(axis=1, ddof=1).tolist()
+    with pytest.raises(DegenerateDataError) as excinfo:
+        row_stds(m, "pair rows")
+    assert not isinstance(excinfo.value, InsufficientSampleError)
+    assert str(excinfo.value) == "pair rows with zero spread across devices: [1, 3]"
+    with pytest.raises(InsufficientSampleError, match="^a spread needs at least 2 devices, got 1$"):
+        row_stds(m[:, :1], "ROs")
 
 
 def test_pack_reference_shape_size():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pufstat.errors import ConfigurationError, DegenerateDataError, StructuralError
+from pufstat.errors import (ConfigurationError, DegenerateDataError, InsufficientSampleError,
+                            StructuralError)
 from pufstat.geometry import GridGeometry
 from pufstat.matrices import build_matrices, pair_differences, response_bits
 from pufstat.pca import (
@@ -52,7 +53,7 @@ def test_standardize_two_device_row():
 def test_standardize_guards():
     with pytest.raises(DegenerateDataError, match="\\[1\\]"):
         standardize(np.asarray([[1.0, 2.0], [5.0, 5.0]]))
-    with pytest.raises(DegenerateDataError):
+    with pytest.raises(InsufficientSampleError, match="2 devices"):
         standardize(np.asarray([[1.0], [2.0]]))
     with pytest.raises(StructuralError):
         standardize(np.zeros(4))

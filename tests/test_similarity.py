@@ -63,8 +63,9 @@ def test_window_variance_permutation_invariant():
 
 
 def test_map_guards():
-    with pytest.raises(ConfigurationError):
-        group_variance_map(np.zeros((3, 4)), min_group=1)
+    for min_group in (1, 0, -10**9):  # refused before a table is sized from it
+        with pytest.raises(ConfigurationError, match="at least 2 devices"):
+            group_variance_map(np.zeros((3, 4)), min_group=min_group)
     with pytest.raises(ConfigurationError):
         group_variance_map(np.zeros((3, 4)), min_group=5)
     gv = group_variance_map(np.random.default_rng(0).normal(size=(3, 8)), min_group=4)
@@ -90,17 +91,21 @@ def test_serial_correlation_shift_invariance():
 
 
 def test_serial_correlation_reads_the_map_diagonal():
-    # The windows serial_correlation computes are the map's windows of g devices.
+    # One kernel computes both: on each shape, for every g from min_group
+    # up, serial_correlation is pearson of the map's windows of g devices
+    # against their serial spans, exactly, and the map is the oracle's.
     rng = np.random.default_rng(15)
-    dev = rng.normal(size=(9, 40)) + rng.normal(scale=30.0, size=(9, 1))
-    serials = np.cumsum(rng.integers(1, 500, size=40)).astype(np.int64)
-    gv = group_variance_map(dev, min_group=3)
-    for g in (3, 7, 20):
-        starts = np.arange(40 - g + 1)
-        want = pearson(gv.values[gv.last - gv.first == g - 1],
-                       (serials[starts + g - 1] - serials[starts]).astype(np.float64))
-        got = serial_correlation(dev, DeviceMeta(serials=serials), group_size=g)
-        assert got == pytest.approx(want, rel=1e-12)
+    for rows, num_devices, min_group in [(9, 40, 3), (1, 7, 2), (16, 23, 5), (4, 14, 12)]:
+        dev = rng.normal(size=(rows, num_devices)) + rng.normal(scale=30.0, size=(rows, 1))
+        serials = np.cumsum(rng.integers(1, 500, size=num_devices)).astype(np.int64)
+        gv = group_variance_map(dev, min_group=min_group)
+        for a, b, s2 in zip(gv.first.tolist(), gv.last.tolist(), gv.values.tolist()):
+            assert s2 == pytest.approx(group_variance_reference(dev, a, b), rel=1e-12)
+        for g in range(min_group, num_devices - 1):
+            starts = np.arange(num_devices - g + 1)
+            want = pearson(gv.values[gv.last - gv.first == g - 1],
+                           (serials[starts + g - 1] - serials[starts]).astype(np.float64))
+            assert serial_correlation(dev, DeviceMeta(serials=serials), group_size=g) == want
 
 
 def test_serial_correlation_detects_planted_link():
