@@ -20,6 +20,7 @@ import gc
 import sys
 
 from pufstat.cli import run_chain
+from pufstat.covfit import REFERENCE_SEED
 
 
 def main() -> int:
@@ -29,7 +30,7 @@ def main() -> int:
     parser.add_argument("--meta", default=None, help="device,serial CSV (enables similarity)")
     parser.add_argument("--out", required=True)
     parser.add_argument("--geometry", default=None)
-    parser.add_argument("--seed", type=int, default=1, help="attack device/position seed")
+    parser.add_argument("--seed", type=int, default=REFERENCE_SEED, help="attack's seed")
     args = parser.parse_args()
     return run_chain(args.dataset, args.out, layout=args.layout, meta=args.meta,
                      geometry=args.geometry, seed=args.seed)

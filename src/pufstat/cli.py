@@ -27,27 +27,29 @@ import numpy as np
 from . import __version__, parallel
 from .bias import bias_histogram, bias_report
 from .correlation import fit_line, profile
-from .covfit import (DEFAULT_SELECTION, DEFAULT_TREND_MAGNITUDE, MODES, SELECTIONS,
-                     evaluate_attack, refuse_repeats)
+from .covfit import (DEFAULT_SELECTION, DEFAULT_TARGETS, DEFAULT_TREND_MAGNITUDE, MODES,
+                     SELECTIONS, auto_fixed_counts, choose_targets, evaluate_attack,
+                     refuse_repeats)
 from .dataset import DeviceMeta, LayoutSpec, load_metadata, load_readings, write_dataset
-from .errors import ParseError, PufStatError, StructuralError, UnavailableAnalysisError
+from .errors import (ConfigurationError, DegenerateDataError, ParseError, PufStatError,
+                     StructuralError, UnavailableAnalysisError, check_seed)
 from .geometry import DEFAULT_GEOMETRY, GridGeometry
 from .matrices import PufMatrices, build_matrices, pack_bits
 from .normality import REJECT_1PCT, test_rows
 from .output import ArtifactWriter, RunManifest, hash_input_files
 from .pca import loading_map, pca, pc_key_correlation, standardize, truncated_bits
-from .similarity import DEFAULT_MIN_GROUP, group_variance_map, serial_correlation
+from .similarity import (DEFAULT_GROUP_SIZES, DEFAULT_MIN_GROUP, group_variance_map,
+                         serial_correlation)
 from .syngen import PRESETS, generate, preset
 
 MATRIX_CHOICES = ("freq", "dev", "diff", "all")
-# "auto" spreads 8 counts over 0..7/8 of the pair count, each once; at 256
-# pairs that is 0,32,64,96,128,160,192,224.
 DEFAULT_FIXED_COUNTS = "auto"
 
 
 def _arg_type(convert, wanted: str, valid=lambda value: True):
     """argparse type: ``convert(text)`` where ``valid`` holds for it, else a
-    usage error that says what was ``wanted``."""
+    usage error that says what was ``wanted``, or the library's rule where
+    ``convert`` broke one."""
     def parse(text: str):
         try:
             value = convert(text)
@@ -55,6 +57,8 @@ def _arg_type(convert, wanted: str, valid=lambda value: True):
                 return value
         except ValueError:
             pass
+        except ConfigurationError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
     return parse
 
@@ -66,6 +70,7 @@ _group_sizes = _arg_type(_int_list, "comma-separated integers of at least 2",
                          lambda v: min(v) >= 2)
 _group_size = _arg_type(int, "an integer of at least 2", lambda v: v >= 2)
 _non_negative_int = _arg_type(int, "a non-negative integer", lambda v: v >= 0)
+_seed = _arg_type(lambda text: check_seed(int(text)), "an integer")
 _positive_int = _arg_type(int, "a positive integer", lambda v: v > 0)
 _positive_float = _arg_type(float, "a positive finite number",
                             lambda v: v > 0 and np.isfinite(v))
@@ -264,18 +269,9 @@ def cmd_correlate(args, inputs: Inputs) -> Writes:
 
 def cmd_attack(args, inputs: Inputs) -> Writes:
     matrices = inputs.matrices
-    num_devices = matrices.num_devices
-    if args.device_indices:
-        devices = args.device_indices
-    else:
-        rng = np.random.default_rng(args.seed)
-        devices = sorted(
-            int(j) for j in rng.choice(num_devices, size=min(args.devices, num_devices), replace=False)
-        )
-    if args.fixed_counts == "auto":
-        fixed_counts = sorted({matrices.num_pairs * k // 8 for k in range(8)})
-    else:
-        fixed_counts = args.fixed_counts
+    devices = args.device_indices or choose_targets(matrices.num_devices, args.devices, args.seed)
+    fixed_counts = (auto_fixed_counts(matrices.num_pairs) if args.fixed_counts == "auto"
+                    else args.fixed_counts)
     modes = MODES if args.mode == "both" else (args.mode,)
     cells = evaluate_attack(matrices.diff, devices, fixed_counts, mode=modes, seed=args.seed,
                             selection=args.select, trend_magnitude=args.trend_magnitude)
@@ -331,8 +327,12 @@ def cmd_pca(args, inputs: Inputs) -> Writes:
     )
     refuse_repeats(ranks, "truncation rank")
     agreements = [truncated_bits(result, scaled, r)[1] for r in ranks]
-    key_corr = {f"pc{pc_num}": pc_key_correlation(result, matrices.bits, pc_num)
-                for pc_num in range(1, min(3, result.rank) + 1)}
+    key_corr = {}
+    for pc_num in range(1, min(3, result.rank) + 1):
+        try:
+            key_corr[f"pc{pc_num}"] = pc_key_correlation(result, matrices.bits, pc_num)
+        except DegenerateDataError:  # under 3 devices, or a constant series: null
+            key_corr[f"pc{pc_num}"] = None
 
     def fill(writer: ArtifactWriter) -> None:
         writer.write_csv(
@@ -505,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("similarity", parents=[dataset_parent, out_parent],
                        help="group variance vs. serial numbers")
     p.add_argument("--min-group", type=_group_size, default=DEFAULT_MIN_GROUP)
-    p.add_argument("--group-sizes", type=_group_sizes, default="5,10,20")
+    p.add_argument("--group-sizes", type=_group_sizes, default=list(DEFAULT_GROUP_SIZES))
     p.set_defaults(func=cmd_similarity)
 
     p = sub.add_parser("entropy", parents=[dataset_parent, out_parent],
@@ -518,9 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", parents=[dataset_parent, out_parent],
                        help="leave-one-out covariance-fitting attack")
-    p.add_argument("--seed", type=_non_negative_int, required=True,
+    p.add_argument("--seed", type=_seed, required=True,
                    help="seed for device/position selection")
-    p.add_argument("--devices", type=_positive_int, default=8,
+    p.add_argument("--devices", type=_positive_int, default=DEFAULT_TARGETS,
                    help="number of target devices to sample")
     p.add_argument("--device-indices", type=_int_list, default=None,
                    help="explicit comma-separated targets")
@@ -546,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", parents=[out_parent],
                        help="generate a synthetic dataset with ground truth")
-    p.add_argument("--seed", type=_non_negative_int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--preset", choices=PRESETS, default="spatial")
     p.add_argument("--devices", type=_positive_int, default=None)
     p.add_argument("--ros", type=_positive_int, default=None)

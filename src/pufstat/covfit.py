@@ -54,7 +54,7 @@ import numpy as np
 
 from . import BLAS_PINNED
 from .correlation import covariance_matrix
-from .errors import ConfigurationError, NumericError, StructuralError
+from .errors import ConfigurationError, NumericError, StructuralError, check_seed
 from .matrices import as_matrix, response_bits
 from .parallel import run_parts
 
@@ -62,6 +62,8 @@ MODES = ("trend", "exact")
 SELECTIONS = ("even", "random")
 DEFAULT_SELECTION = "even"
 DEFAULT_TREND_MAGNITUDE = 1.0  # MHz
+DEFAULT_TARGETS = 8  # attack targets per run, as in the paper
+REFERENCE_SEED = 1  # the reference chain's attack seed, unless given another
 
 # Armijo sufficient-decrease constant, and the factor that shrinks a step
 # which fails the test.
@@ -422,11 +424,22 @@ def choose_fixed_positions(
     if selection == "even":
         return np.floor(np.arange(count) * num_pairs / max(count, 1)).astype(np.int64)
     if selection == "random":
-        if seed is None:
-            raise ConfigurationError("random position selection requires a seed")
-        rng = np.random.default_rng([seed, count])
+        rng = np.random.default_rng([check_seed(seed), count])
         return np.sort(rng.choice(num_pairs, size=count, replace=False))
     raise ConfigurationError(f"unknown selection {selection!r}")
+
+
+def choose_targets(num_devices: int, count: int, seed: int) -> list[int]:
+    """``count`` target devices, or all where there are fewer, drawn without
+    replacement from ``seed``, ascending."""
+    rng = np.random.default_rng(check_seed(seed))
+    return sorted(int(j) for j in rng.choice(num_devices, min(count, num_devices), replace=False))
+
+
+def auto_fixed_counts(num_pairs: int) -> list[int]:
+    """The ``auto`` pinned counts: 8 spread over 0..7/8 of the pair count,
+    each once; at 256 pairs that is 0,32,64,96,128,160,192,224."""
+    return sorted({num_pairs * k // 8 for k in range(8)})
 
 
 @dataclass(frozen=True)

@@ -53,22 +53,24 @@ _E16 = _U64(10**16)
 
 
 def word_table(rows) -> np.ndarray:
-    """Rows of 24 bytes as three little-endian uint64 words, word-major: row
-    ``r`` of the bytes is column ``r`` of the result."""
-    return np.frombuffer(b"".join(rows), "<u8").reshape(-1, 3).T.copy()
+    """Rows of 24 bytes, a uint8 matrix, as three little-endian uint64
+    words, word-major: row ``r`` of the bytes is column ``r`` of the
+    result."""
+    return np.ascontiguousarray(rows, dtype=np.uint8).view("<u8").T.copy()
 
 
 def _frame_masks(keep) -> np.ndarray:
     """For a token of ``24 - n`` bytes whose "." is frame byte ``d`` (-1:
-    none), the bytes ``keep(n, d, b)`` holds: column ``n * 25 + d + 1``."""
-    return word_table(bytes(0xFF if keep(n, d, b) else 0 for b in range(_FRAME))
-                      for n in range(_FRAME) for d in range(-1, _FRAME))
+    none), the bytes where the array ``keep(n, d, b)`` holds: column
+    ``n * 25 + d + 1``."""
+    n, d, b = np.ogrid[:_FRAME, -1:_FRAME, :_FRAME]
+    return word_table((keep(n, d, b) * np.uint8(0xFF)).reshape(-1, _FRAME))
 
 
 # The token's digits before its "." (which move one byte up) and after it;
 # with no ".", all its digits stay.
-_LOW = _frame_masks(lambda n, d, b: n <= b < d)
-_HIGH = _frame_masks(lambda n, d, b: b >= n and b > d)
+_LOW = _frame_masks(lambda n, d, b: (n <= b) & (b < d))
+_HIGH = _frame_masks(lambda n, d, b: (b >= n) & (b > d))
 
 
 def _pow5(k: int) -> int:

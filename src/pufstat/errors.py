@@ -5,6 +5,8 @@ short machine-readable ``category``. The command line tool maps categories to
 exit codes; library users can catch the base class.
 """
 
+import numbers
+
 
 class PufStatError(Exception):
     """Base class for all errors raised by pufstat."""
@@ -58,3 +60,11 @@ class NumericError(PufStatError):
     """A numeric routine failed to produce a finite result."""
 
     category = "numeric"
+
+
+def check_seed(seed):
+    """``seed``, if it is a non-negative integer: the only seeds pufstat
+    draws from. Anything else is a ``ConfigurationError``."""
+    if isinstance(seed, numbers.Integral) and seed >= 0:
+        return seed
+    raise ConfigurationError(f"a seed is a non-negative integer, got {seed!r}")

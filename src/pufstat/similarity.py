@@ -24,6 +24,8 @@ from .errors import ConfigurationError, DegenerateDataError, UnavailableAnalysis
 from .matrices import as_matrix
 
 DEFAULT_MIN_GROUP = 5
+# The window sizes whose serial correlations the paper compares.
+DEFAULT_GROUP_SIZES = (5, 10, 20)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import DeviceMeta, ReadingsTensor
-from .errors import ConfigurationError, ParseError, StructuralError
+from .errors import ConfigurationError, ParseError, StructuralError, check_seed
 from .geometry import DEFAULT_GEOMETRY, GridGeometry
 from .output import ArtifactWriter
 
@@ -51,6 +51,7 @@ class SynthConfig:
     def __post_init__(self):
         if self.num_devices < 1 or self.num_ros < 1 or self.num_samples < 1:
             raise ConfigurationError("device, RO and sample counts must be positive")
+        check_seed(self.seed)
         self.geometry.check_ros(self.num_ros)
         for name in ("device_sigma", "gradient_x_sigma", "gradient_y_sigma",
                      "local_sigma", "meas_sigma"):

@@ -424,6 +424,38 @@ def decimal_table_reference(text: str, sep: str | None = None) -> np.ndarray:
                      for line in text.splitlines()], dtype=np.float64)
 
 
+def _word_table_reference(rows) -> np.ndarray:
+    """Byte strings of 24 bytes as three little-endian uint64 words each,
+    word-major."""
+    return np.frombuffer(b"".join(rows), "<u8").reshape(-1, 3).T.copy()
+
+
+def codec_tables_reference() -> dict[str, np.ndarray]:
+    """The lookup tables of ``decimals`` and ``output``, by module and
+    name, built byte string by byte string in Python from what each byte
+    means, not by broadcasting."""
+    pad, frame = 0xFF, 24
+
+    def frame_masks(keep):
+        return _word_table_reference(bytes(pad if keep(n, d, b) else 0 for b in range(frame))
+                                     for n in range(frame) for d in range(-1, frame))
+
+    return {
+        "decimals._LOW": frame_masks(lambda n, d, b: n <= b < d),
+        "decimals._HIGH": frame_masks(lambda n, d, b: b >= n and b > d),
+        "output._DIGITS4": np.frombuffer("".join(f"{i:04d}" for i in range(10_000))
+                                         .encode("ascii"), "<u4"),
+        "output._TAIL_LOW": _word_table_reference(
+            [bytes(pad * (b < p) for b in range(24)) for p in range(17)]),
+        "output._TAIL_HIGH": _word_table_reference(
+            [bytes(pad * (b > p) for b in range(24)) for p in range(17)]),
+        "output._TAIL_FILL": _word_table_reference([
+            bytes(pad if b - (b > p) >= t or b == p >= t else ord(".") if b == p else 0
+                  for b in range(24))
+            for p in range(17) for t in range(17)]),
+    }
+
+
 def load_csv_reference(path) -> np.ndarray:
     """A consolidated ``device,ro,sample,freq_mhz`` CSV read record by record
     through ``csv.reader`` and ``int()``/``float()``, then placed into a NaN

@@ -21,7 +21,12 @@ from pufstat.bias import bias_report
 from pufstat.cli import main
 from pufstat.correlation import covariance_matrix
 from pufstat.covfit import (
+    DEFAULT_TARGETS,
+    MODES,
+    REFERENCE_SEED,
     CovFitProblem,
+    auto_fixed_counts,
+    choose_targets,
     evaluate_attack,
     expanded_cov_residual,
     fit,
@@ -31,11 +36,8 @@ from pufstat.geometry import GridGeometry
 from pufstat.matrices import build_matrices, pack_bits, unpack_bits
 from pufstat.normality import anderson_darling, normal_cdf, test_rows
 from pufstat.pca import pc_key_correlation, pca, standardize, truncated_bits
-from pufstat.similarity import serial_correlation
+from pufstat.similarity import DEFAULT_GROUP_SIZES, serial_correlation
 from pufstat.syngen import SynthConfig, generate, preset
-
-ATTACK_DEVICE_SEED = 1
-ATTACK_FIXED_COUNTS = (0, 32, 64, 96, 128, 160, 192, 224)
 
 NORMALITY_QUANTILE_TARGETS = {
     "freq": (0.3990, 0.5040, 0.5996, 0.6753),
@@ -83,10 +85,12 @@ def test_criterion_02_entropy(reference_matrices):
 
 def test_criterion_03_serial_correlation(reference_dataset, reference_matrices):
     meta = _require_meta(reference_dataset)
-    r = {g: abs(serial_correlation(reference_matrices.dev, meta, g)) for g in (5, 10, 20)}
-    ok = abs(r[10] - 0.21) <= 0.04 and r[10] > r[5] and r[10] > r[20]
+    # The group sizes similarity runs on by default: |r| peaks at the middle one.
+    r = [abs(serial_correlation(reference_matrices.dev, meta, g)) for g in DEFAULT_GROUP_SIZES]
+    ok = abs(r[1] - 0.21) <= 0.04 and r[1] > r[0] and r[1] > r[2]
     _criterion(3, "group variance vs serials", ok,
-               f"|r| at 5/10/20 = {r[5]:.3f}/{r[10]:.3f}/{r[20]:.3f}")
+               f"|r| at {'/'.join(map(str, DEFAULT_GROUP_SIZES))} = "
+               + "/".join(f"{v:.3f}" for v in r))
 
 
 def _reference_pca(matrices):
@@ -121,11 +125,11 @@ def test_criterion_06_pc3_key_correlation(reference_matrices):
 
 
 def test_criterion_07_attack_envelope(reference_matrices):
-    rng = np.random.default_rng(ATTACK_DEVICE_SEED)
-    num_devices = reference_matrices.num_devices
-    devices = sorted(int(j) for j in rng.choice(num_devices, size=8, replace=False))
-    cells = evaluate_attack(reference_matrices.diff, devices, ATTACK_FIXED_COUNTS,
-                            mode=("trend", "exact"), seed=ATTACK_DEVICE_SEED)
+    # The targets and pinned counts the reference chain's attack runs on.
+    devices = choose_targets(reference_matrices.num_devices, DEFAULT_TARGETS, REFERENCE_SEED)
+    cells = evaluate_attack(reference_matrices.diff, devices,
+                            auto_fixed_counts(reference_matrices.num_pairs),
+                            mode=MODES, seed=REFERENCE_SEED)
     assert all(c.error is None for c in cells)
     deltas = np.asarray([c.delta_correct for c in cells], dtype=np.float64)
     ok = float(deltas.min()) >= -5 and float(deltas.max()) <= 5 \

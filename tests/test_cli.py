@@ -8,23 +8,27 @@ import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pufstat.cli
 from oracles import format_rows_reference, report_payload_reference
 from pufstat.cli import REPORT_OPTIONAL, REPORT_REQUIRED, main, run_chain
-from pufstat.covfit import evaluate_attack
+from pufstat.covfit import DEFAULT_TARGETS, auto_fixed_counts, choose_targets, evaluate_attack
 from pufstat.dataset import DeviceMeta, LayoutSpec, ReadingsTensor, load_readings, write_dataset
+from pufstat.errors import InsufficientSampleError
 from pufstat.matrices import build_matrices, pack_bits, unpack_bits
 from pufstat.geometry import GridGeometry
 from pufstat.output import hash_input_files
-from pufstat.pca import loading_map, pca, standardize
-from pufstat.similarity import group_variance_map
+from pufstat.pca import loading_map, pc_key_correlation, pca, standardize
+from pufstat.similarity import DEFAULT_GROUP_SIZES, group_variance_map
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +121,7 @@ def test_full_chain_exit_codes_and_artifacts(synth_out, dataset_args, tmp_path):
     assert corr_lines[0] == "group_size,corr"
     assert len(corr_lines) == 4
     similarity = json.loads((out / "similarity.json").read_text())
-    assert [e["group_size"] for e in similarity["serial_correlation"]] == [5, 10, 20]
+    assert [e["group_size"] for e in similarity["serial_correlation"]] == list(DEFAULT_GROUP_SIZES)
 
     assert main(["attack", "--seed", "3", "--devices", "3",
                  "--fixed-counts", "0,8,32", "--mode", "both"] + base) == 0
@@ -399,6 +403,21 @@ def test_attack_select_random_runs_the_library_selection(synth_out, dataset_args
     assert want != rows(evaluate_attack(*args, selection="even"))
 
 
+@settings(max_examples=12, deadline=None)
+@given(devices=st.one_of(st.none(), st.integers(1, 50)), seed=st.integers(0, 2**63))
+def test_attack_manifest_records_the_library_protocol(devices, seed, dataset_args):
+    # The targets and pinned counts attack runs on are the library's draw
+    # and auto schedule, the default count included (the 40-device set
+    # holds fewer devices than the largest count asked for).
+    count = [] if devices is None else ["--devices", str(devices)]
+    with tempfile.TemporaryDirectory() as out:
+        assert main(["attack", "--seed", str(seed), "--mode", "trend", *count, "--out", out]
+                    + dataset_args) == 0
+        params = json.loads((Path(out) / "attack_manifest.json").read_text())["params"]
+    assert params["devices"] == choose_targets(40, devices or DEFAULT_TARGETS, seed)
+    assert params["fixed_counts"] == auto_fixed_counts(32)
+
+
 @pytest.mark.parametrize("option, value, message", [
     ("--device-indices", "3,5,3", "target device 3 is repeated"),
     ("--fixed-counts", "0,8,0", "fixed count 0 is repeated"),
@@ -666,12 +685,17 @@ def test_negative_count_is_usage_error(argv, flag, dataset_args, tmp_path, capsy
         main(argv + extra + ["--out", str(out)])
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
-    wanted = {"--trend-magnitude": "a positive finite number",
-              "--min-group": "an integer of at least 2",
-              "--group-sizes": "comma-separated integers of at least 2",
-              **dict.fromkeys(("--devices", "--ros", "--samples"), "a positive integer")
-              }.get(flag, "a non-negative integer")
-    assert f"argument {flag}: expected {wanted}" in err
+    wanted = {"--trend-magnitude": "expected a positive finite number",
+              "--min-group": "expected an integer of at least 2",
+              "--group-sizes": "expected comma-separated integers of at least 2",
+              "--pcs": "expected a non-negative integer",
+              **dict.fromkeys(("--devices", "--ros", "--samples"), "expected a positive integer"),
+              # A negative seed breaks the library's own rule, check_seed.
+              "--seed": "a seed is a non-negative integer, got -1",
+              }[flag]
+    if argv[1:] == ["--seed", "x"]:
+        wanted = "expected an integer, got 'x'"
+    assert f"argument {flag}: {wanted}" in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -906,7 +930,7 @@ def test_chain_failure_joins_the_writers_in_flight(tmp_path, monkeypatch, capsys
     monkeypatch.chdir(tmp_path)
     base = ["--dataset", dataset, "--meta", meta, "--out", "stages"]
     for stage in (["ingest"], ["similarity"], ["correlate"],
-                  ["attack", "--seed", "1", "--devices", "8", "--mode", "both"]):
+                  ["attack", "--seed", "1", "--devices", str(DEFAULT_TARGETS), "--mode", "both"]):
         assert main(stage + base) == 0
     assert not (tmp_path / "chain" / "report.json").exists()
     assert _digests(tmp_path / "chain") == _digests(tmp_path / "stages")
@@ -921,7 +945,7 @@ def test_chain_usage_error_exits_2_before_out_exists(tmp_path, monkeypatch, caps
                         "--seed", "-1", "--out", "chain"], monkeypatch) == 2
     out, err = capsys.readouterr()
     assert "==>" not in out
-    assert "argument --seed: expected a non-negative integer, got '-1'" in err
+    assert "argument --seed: a seed is a non-negative integer, got -1" in err
     assert not (tmp_path / "chain").exists()
 
 
@@ -1111,13 +1135,19 @@ def test_pca_bins_a_last_component_of_one_value_in_one_bin(tmp_path):
     assert len(counts) == 40 and max(counts) == sum(counts) == 3
 
 
-def test_pca_on_two_devices_is_an_insufficient_sample(tmp_path, capsys):
+def test_pca_on_two_devices_records_null_key_correlations(tmp_path, capsys):
+    # A correlation needs 3 devices: the library refuses it, and pca writes
+    # every artifact with a null ones-count correlation for each PC.
     _synth(tmp_path / "s", 1, "spatial", 2, 16, 2, "4x4:col")
     capsys.readouterr()
     assert main(["pca", "--dataset", str(tmp_path / "s" / "dataset"), "--geometry", "4x4:col",
-                 "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        "pufstat: insufficient-sample error: need at least 3 points, got 2"]
+                 "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((tmp_path / "o" / "pca_summary.json").read_text())
+    assert summary["ones_count_correlation"] == {"pc1": None, "pc2": None}
+    matrices = build_matrices(load_readings(tmp_path / "s" / "dataset", LayoutSpec()))
+    with pytest.raises(InsufficientSampleError, match="need at least 3 points, got 2"):
+        pc_key_correlation(pca(standardize(matrices.freq)), matrices.bits, 1)
 
 
 def test_correlate_on_one_pair_is_an_insufficient_sample(tmp_path, capsys):
@@ -1144,7 +1174,9 @@ def test_score_histogram_bins_a_rounding_range_as_a_zero_range(values, binned):
 def test_every_stage_on_tiny_sets_exits_cleanly(tmp_path, capsys):
     # Each dataset stage on spatial sets of 2 to 8 devices, 2 to 16 ROs and
     # 1 or 2 samples: it succeeds, or refuses with one line and a category
-    # other than numeric. No exception escapes main.
+    # other than numeric. No exception escapes main. pca succeeds on every
+    # set, with a null ones-count correlation where it is undefined (2
+    # devices, or a constant ones count).
     geometries = {2: "1x2:col", 4: "2x2:col", 16: "4x4:col"}
     sets = [(1, 2, 16, 2), (3, 3, 16, 2)] + [
         (7, devices, ros, samples)
@@ -1159,6 +1191,8 @@ def test_every_stage_on_tiny_sets_exits_cleanly(tmp_path, capsys):
             code = main(stage + base + ["--out", str(out / stage[0])])
             err = capsys.readouterr().err.splitlines()
             assert code in (0, 1), (out.name, stage)
+            if stage[0] == "pca":
+                assert code == 0, (out.name, err)
             if code:
                 assert len(err) == 1 and re.fullmatch(r"pufstat: [a-z-]+ error: .+", err[0]), err
                 assert not err[0].startswith("pufstat: numeric error"), (out.name, stage, err)

@@ -26,8 +26,10 @@ from pufstat.covfit import (
     AttackCell,
     CovFitProblem,
     FitOptions,
+    auto_fixed_counts,
     check_covariance,
     choose_fixed_positions,
+    choose_targets,
     evaluate_attack,
     expanded_cov_residual,
     fit,
@@ -280,6 +282,35 @@ def test_choose_fixed_positions_guards():
         choose_fixed_positions(16, 4, selection="random")
     with pytest.raises(ConfigurationError, match="selection"):
         choose_fixed_positions(16, 4, selection="first")
+
+
+@pytest.mark.parametrize("draw", [
+    lambda seed: choose_fixed_positions(16, 4, "random", seed),
+    lambda seed: choose_targets(16, 4, seed),
+])
+@pytest.mark.parametrize("seed", [-1, None, 1.5, "1"])
+def test_every_draw_refuses_a_seed_that_is_not_a_non_negative_integer(draw, seed):
+    with pytest.raises(ConfigurationError,
+                       match=f"a seed is a non-negative integer, got {seed!r}"):
+        draw(seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(num_devices=st.integers(1, 400), count=st.integers(1, 500),
+       seed=st.integers(0, 2**64 - 1))
+@example(num_devices=5, count=8, seed=1)
+def test_choose_targets_is_the_attack_draw(num_devices, count, seed):
+    # The draw the attack stage once made inline, more targets asked for
+    # than there are devices included.
+    rng = np.random.default_rng(seed)
+    want = sorted(int(j) for j in rng.choice(num_devices, size=min(count, num_devices),
+                                              replace=False))
+    assert choose_targets(num_devices, count, seed) == want
+
+
+def test_auto_fixed_counts_is_the_old_schedule():
+    for num_pairs in range(1, 601):
+        assert auto_fixed_counts(num_pairs) == sorted({num_pairs * k // 8 for k in range(8)})
 
 
 def test_attack_sweep_shape_and_edges():

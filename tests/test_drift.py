@@ -18,22 +18,20 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from pufstat import normality
 from pufstat.bias import bias_report
-from pufstat.covfit import evaluate_attack
+from pufstat.covfit import (DEFAULT_TARGETS, MODES, REFERENCE_SEED, auto_fixed_counts,
+                            choose_targets, evaluate_attack)
 from pufstat.geometry import GridGeometry
 from pufstat.matrices import build_matrices, pack_bits
 from pufstat.pca import pc_key_correlation, pca, standardize, truncated_bits
-from pufstat.similarity import serial_correlation
+from pufstat.similarity import DEFAULT_GROUP_SIZES, serial_correlation
 from pufstat.syngen import generate, preset
 
 SNAPSHOT = Path(__file__).with_name("drift_snapshot.json")
 GEOMETRY = GridGeometry(16, 32, "col")
-ATTACK_SEED = 1
-ATTACK_FIXED_COUNTS = (0, 32, 64, 96, 128, 160, 192, 224)
 
 # Relative tolerance of every float in the snapshot. With OpenBLAS 0.3.31 on
 # x86-64 the values are bit-identical at one BLAS thread and at the default
@@ -55,16 +53,17 @@ def drift_values() -> dict:
                            summary.quantile_99, summary.max]
     report = bias_report(matrices.diff, matrices.bits)  # criterion 2
     serial = {str(g): abs(serial_correlation(matrices.dev, meta, g))  # criterion 3
-              for g in (5, 10, 20)}
+              for g in DEFAULT_GROUP_SIZES}
     scaled = standardize(matrices.freq)  # criteria 4-6
     result = pca(scaled)
     _, agreement = truncated_bits(result, scaled, 102)
 
-    rng = np.random.default_rng(ATTACK_SEED)  # criterion 7
-    devices = sorted(int(j) for j in rng.choice(matrices.num_devices, size=8, replace=False))
+    # criterion 7
+    devices = choose_targets(matrices.num_devices, DEFAULT_TARGETS, REFERENCE_SEED)
     deltas = [cell.delta_correct
-              for cell in evaluate_attack(matrices.diff, devices, ATTACK_FIXED_COUNTS,
-                                          mode=("trend", "exact"), seed=ATTACK_SEED)]
+              for cell in evaluate_attack(matrices.diff, devices,
+                                          auto_fixed_counts(matrices.num_pairs),
+                                          mode=MODES, seed=REFERENCE_SEED)]
 
     packed = pack_bits(matrices.bits)  # criterion 8
     return {

@@ -11,9 +11,10 @@ import pytest
 from conftest import force_parts
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import fmt_num_reference, format_rows_reference, write_dataset_reference
+from oracles import (codec_tables_reference, fmt_num_reference, format_rows_reference,
+                     write_dataset_reference)
 
-from pufstat import output
+from pufstat import decimals, output
 from pufstat.dataset import DeviceMeta, LayoutSpec, ReadingsTensor, write_dataset
 from pufstat.output import ArtifactWriter, RunManifest, format_table
 
@@ -82,6 +83,14 @@ def _cells(values) -> list[str]:
 def _want(values) -> list[str]:
     """The oracle's cells of one column, from its ``tolist()`` scalars."""
     return [fmt_num_reference(v) for v in np.asarray(values).tolist()]
+
+
+@pytest.mark.parametrize("name, want", codec_tables_reference().items())
+def test_codec_tables_equal_their_byte_string_definitions(name, want):
+    module, table = name.split(".")
+    got = getattr({"decimals": decimals, "output": output}[module], table)
+    assert got.dtype == want.dtype and got.flags.c_contiguous
+    assert np.array_equal(got, want)
 
 
 def test_float_cells_match_random_bit_patterns():

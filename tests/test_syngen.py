@@ -115,6 +115,8 @@ def test_config_validation():
     with pytest.raises(ConfigurationError, match="ro_mean_offsets"):
         SynthConfig(num_devices=2, num_ros=4, num_samples=1, geometry=geo,
                     seed=1, ro_mean_offsets=[1.0, 2.0])
+    with pytest.raises(ConfigurationError, match="a seed is a non-negative integer, got -1"):
+        preset("spatial", seed=-1, num_devices=2, num_ros=4, geometry=geo)
 
 
 def test_odd_ro_config_builds_and_ingest_refuses_its_dataset(tmp_path, capsys):
