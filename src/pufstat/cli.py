@@ -28,8 +28,8 @@ from . import __version__, parallel
 from .bias import bias_histogram, bias_report
 from .correlation import fit_line, profile
 from .covfit import (DEFAULT_SELECTION, DEFAULT_TARGETS, DEFAULT_TREND_MAGNITUDE, MODES,
-                     SELECTIONS, auto_fixed_counts, choose_targets, evaluate_attack,
-                     refuse_repeats)
+                     SELECTIONS, auto_fixed_counts, check_trend_magnitude, choose_targets,
+                     evaluate_attack, refuse_repeats)
 from .dataset import DeviceMeta, LayoutSpec, load_metadata, load_readings, write_dataset
 from .errors import (ConfigurationError, DegenerateDataError, ParseError, PufStatError,
                      StructuralError, UnavailableAnalysisError, check_seed)
@@ -38,9 +38,9 @@ from .matrices import PufMatrices, build_matrices, pack_bits
 from .normality import REJECT_1PCT, test_rows
 from .output import ArtifactWriter, RunManifest, hash_input_files
 from .pca import loading_map, pca, pc_key_correlation, standardize, truncated_bits
-from .similarity import (DEFAULT_GROUP_SIZES, DEFAULT_MIN_GROUP, group_variance_map,
-                         serial_correlation)
-from .syngen import PRESETS, generate, preset
+from .similarity import (DEFAULT_GROUP_SIZES, DEFAULT_MIN_GROUP, check_group_size,
+                         group_variance_map, serial_correlation)
+from .syngen import PRESETS, check_count, generate, preset
 
 MATRIX_CHOICES = ("freq", "dev", "diff", "all")
 DEFAULT_FIXED_COUNTS = "auto"
@@ -66,14 +66,14 @@ def _arg_type(convert, wanted: str, valid=lambda value: True):
 # An empty field ("5,,10", "5,", ",5") is not an integer.
 _int_list = _arg_type(lambda text: [int(tok) for tok in text.split(",")],
                       "comma-separated integers")
-_group_sizes = _arg_type(_int_list, "comma-separated integers of at least 2",
-                         lambda v: min(v) >= 2)
-_group_size = _arg_type(int, "an integer of at least 2", lambda v: v >= 2)
+_group_sizes = _arg_type(lambda text: [check_group_size(n) for n in _int_list(text)],
+                         "comma-separated integers")
+_group_size = _arg_type(lambda text: check_group_size(int(text)), "an integer")
 _non_negative_int = _arg_type(int, "a non-negative integer", lambda v: v >= 0)
 _seed = _arg_type(lambda text: check_seed(int(text)), "an integer")
+_count = _arg_type(lambda text: check_count(int(text)), "an integer")
+_trend_magnitude = _arg_type(lambda text: check_trend_magnitude(float(text)), "a number")
 _positive_int = _arg_type(int, "a positive integer", lambda v: v > 0)
-_positive_float = _arg_type(float, "a positive finite number",
-                            lambda v: v > 0 and np.isfinite(v))
 
 
 def _fixed_counts(text: str) -> str | list[int]:
@@ -193,13 +193,10 @@ def cmd_normality(args, inputs: Inputs) -> Writes:
 
 
 def cmd_similarity(args, inputs: Inputs) -> Writes:
-    if inputs.meta is None:
-        raise UnavailableAnalysisError(
-            "similarity needs per-device serial numbers; pass --meta"
-        )
     refuse_repeats(args.group_sizes, "group size")
-    gv = group_variance_map(inputs.matrices.dev, min_group=args.min_group)
+    # serial_correlation refuses a run without --meta before the costly map.
     corrs = [serial_correlation(inputs.matrices.dev, inputs.meta, g) for g in args.group_sizes]
+    gv = group_variance_map(inputs.matrices.dev, min_group=args.min_group)
 
     def fill(writer: ArtifactWriter) -> None:
         writer.write_dat("group_variance.dat", "a b s2", [gv.first, gv.last, gv.values], "MHz^2")
@@ -374,13 +371,8 @@ def cmd_pca(args, inputs: Inputs) -> Writes:
 
 def cmd_synth(args) -> Writes:
     layout = LayoutSpec.parse(args.layout)
-    overrides = {}
-    if args.devices is not None:
-        overrides["num_devices"] = args.devices
-    if args.ros is not None:
-        overrides["num_ros"] = args.ros
-    if args.samples is not None:
-        overrides["num_samples"] = args.samples
+    overrides = {name: getattr(args, name) for name in ("num_devices", "num_ros", "num_samples")
+                 if getattr(args, name) is not None}
     if args.geometry is not None:
         overrides["geometry"] = GridGeometry.parse(args.geometry)
     config = preset(args.preset, seed=args.seed, **overrides)
@@ -530,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--mode", choices=(*MODES, "both"), default="both")
     p.add_argument("--select", choices=SELECTIONS, default=DEFAULT_SELECTION)
-    p.add_argument("--trend-magnitude", type=_positive_float, default=DEFAULT_TREND_MAGNITUDE)
+    p.add_argument("--trend-magnitude", type=_trend_magnitude, default=DEFAULT_TREND_MAGNITUDE)
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("pca", parents=[dataset_parent, out_parent],
@@ -548,9 +540,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="generate a synthetic dataset with ground truth")
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--preset", choices=PRESETS, default="spatial")
-    p.add_argument("--devices", type=_positive_int, default=None)
-    p.add_argument("--ros", type=_positive_int, default=None)
-    p.add_argument("--samples", type=_positive_int, default=None)
+    p.add_argument("--devices", dest="num_devices", type=_count, default=None)
+    p.add_argument("--ros", dest="num_ros", type=_count, default=None)
+    p.add_argument("--samples", dest="num_samples", type=_count, default=None)
     p.add_argument("--geometry", default=None)
     p.add_argument("--layout", default=LayoutSpec.kind, help="layout for the written dataset")
     p.set_defaults(func=cmd_synth)

@@ -502,10 +502,7 @@ def evaluate_attack(
     for m in modes:
         if m not in MODES:
             raise ConfigurationError(f"mode must be one of {MODES}, got {m!r}")
-    if not (trend_magnitude > 0.0 and math.isfinite(trend_magnitude)):
-        raise ConfigurationError(
-            f"trend magnitude must be positive and finite, got {trend_magnitude!r}"
-        )
+    check_trend_magnitude(trend_magnitude)
     counts = [int(count) for count in fixed_counts]
     refuse_repeats(counts, "fixed count")
     masks = []
@@ -524,6 +521,13 @@ def evaluate_attack(
     run_parts(data, sizes, _PART_WORK if BLAS_PINNED else sum(sizes) + 1, part)
     stream = io.BytesIO(data)
     return [cell for _ in devices for cell in pickle.load(stream)]
+
+
+def check_trend_magnitude(magnitude):
+    """``magnitude``, if positive and finite; else a ``ConfigurationError``."""
+    if magnitude > 0.0 and math.isfinite(magnitude):
+        return magnitude
+    raise ConfigurationError(f"trend magnitude must be positive and finite, got {magnitude!r}")
 
 
 def refuse_repeats(values: list[int], what: str) -> None:

@@ -65,12 +65,17 @@ def _prefix_sums(dev) -> tuple[np.ndarray, np.ndarray]:
     return prefix, squares
 
 
+def check_group_size(n):
+    """``n``, if a window of ``n`` devices has a variance; else a ``ConfigurationError``."""
+    if n >= 2:
+        return n
+    raise ConfigurationError(f"a window needs at least 2 devices, got {n}")
+
+
 def _window_variances(prefix: np.ndarray, squares: np.ndarray, n: int) -> np.ndarray:
     """The group variance of every window of ``n`` devices, first device
     ascending: ``(sum(x^2) - sum_rows(s1^2) / n) / ((n - 1) * rows)``, where
     ``s1`` is a row's window sum."""
-    if n < 2:
-        raise ConfigurationError(f"a window needs at least 2 devices, got {n}")
     s1 = prefix[:, n:] - prefix[:, :-n]
     ss = np.einsum("ij,ij->j", s1, s1)
     return ((squares[n:] - squares[:-n]) - ss / n) / ((n - 1) * prefix.shape[0])
@@ -81,8 +86,7 @@ def group_variance_map(dev, min_group: int = DEFAULT_MIN_GROUP) -> GroupVariance
     time, each placed in its rows of the table."""
     prefix, squares = _prefix_sums(dev)
     num_devices = prefix.shape[1] - 1
-    shortest = _window_variances(prefix, squares, min_group)  # before the table is allocated
-    if num_devices < min_group:
+    if num_devices < check_group_size(min_group):  # before the table is sized from it
         raise ConfigurationError(f"need at least {min_group} devices, got {num_devices}")
     # First device a has starts - a rows, one per length, shortest first.
     starts = num_devices - min_group + 1
@@ -92,7 +96,7 @@ def group_variance_map(dev, min_group: int = DEFAULT_MIN_GROUP) -> GroupVariance
     values = np.empty(first.size)
     for n in range(min_group, num_devices + 1):
         index = offsets[:num_devices - n + 1] + (n - min_group)
-        values[index] = shortest if n == min_group else _window_variances(prefix, squares, n)
+        values[index] = _window_variances(prefix, squares, n)
         last[index] = np.arange(n - 1, num_devices, dtype=np.int32)
     return GroupVarianceMap(first, last, values, min_group)
 
@@ -113,7 +117,7 @@ def serial_correlation(dev, meta: DeviceMeta, group_size: int) -> float:
         raise ConfigurationError(
             f"metadata covers {meta.num_devices} devices, dev covers {num_devices}"
         )
-    variances = _window_variances(prefix, squares, group_size)
+    variances = _window_variances(prefix, squares, check_group_size(group_size))
     if variances.size < 3:
         raise DegenerateDataError(
             f"only {variances.size} windows of size {group_size}; need at least 3"

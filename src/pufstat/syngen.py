@@ -33,6 +33,13 @@ from .geometry import DEFAULT_GEOMETRY, GridGeometry
 from .output import ArtifactWriter
 
 
+def check_count(count):
+    """``count`` of devices, ROs or samples, if positive; else a ``ConfigurationError``."""
+    if count >= 1:
+        return count
+    raise ConfigurationError(f"device, RO and sample counts must be positive, got {count!r}")
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     num_devices: int
@@ -49,8 +56,7 @@ class SynthConfig:
     ro_mean_offsets: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.num_devices < 1 or self.num_ros < 1 or self.num_samples < 1:
-            raise ConfigurationError("device, RO and sample counts must be positive")
+        check_count(min(self.num_devices, self.num_ros, self.num_samples))
         check_seed(self.seed)
         self.geometry.check_ros(self.num_ros)
         for name in ("device_sigma", "gradient_x_sigma", "gradient_y_sigma",

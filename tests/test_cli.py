@@ -21,14 +21,16 @@ from hypothesis import strategies as st
 import pufstat.cli
 from oracles import format_rows_reference, report_payload_reference
 from pufstat.cli import REPORT_OPTIONAL, REPORT_REQUIRED, main, run_chain
-from pufstat.covfit import DEFAULT_TARGETS, auto_fixed_counts, choose_targets, evaluate_attack
+from pufstat.covfit import (DEFAULT_TARGETS, auto_fixed_counts, check_trend_magnitude,
+                            choose_targets, evaluate_attack)
 from pufstat.dataset import DeviceMeta, LayoutSpec, ReadingsTensor, load_readings, write_dataset
-from pufstat.errors import InsufficientSampleError
+from pufstat.errors import ConfigurationError, InsufficientSampleError
 from pufstat.matrices import build_matrices, pack_bits, unpack_bits
 from pufstat.geometry import GridGeometry
 from pufstat.output import hash_input_files
 from pufstat.pca import loading_map, pc_key_correlation, pca, standardize
-from pufstat.similarity import DEFAULT_GROUP_SIZES, group_variance_map
+from pufstat.similarity import DEFAULT_GROUP_SIZES, check_group_size, group_variance_map
+from pufstat.syngen import check_count
 
 
 @pytest.fixture(scope="module")
@@ -212,13 +214,15 @@ def test_missing_dataset_exits_3(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
-def test_analysis_error_exits_1(synth_out, tmp_path, capsys):
+def test_analysis_error_exits_1(synth_out, tmp_path, monkeypatch, capsys):
+    # similarity without --meta: serial_correlation refuses it before the
+    # window map is computed.
+    monkeypatch.setattr(pufstat.cli, "group_variance_map", None)
     code = main(["similarity", "--dataset", str(synth_out / "dataset"),
                  "--out", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err
-    assert "unavailable-analysis" in err
-    assert "--meta" in err
+    assert err == "pufstat: unavailable-analysis error: serial-number metadata is required\n"
 
 
 def test_report_missing_inputs_exits_1(tmp_path, capsys):
@@ -685,18 +689,57 @@ def test_negative_count_is_usage_error(argv, flag, dataset_args, tmp_path, capsy
         main(argv + extra + ["--out", str(out)])
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
-    wanted = {"--trend-magnitude": "expected a positive finite number",
-              "--min-group": "expected an integer of at least 2",
-              "--group-sizes": "expected comma-separated integers of at least 2",
-              "--pcs": "expected a non-negative integer",
-              **dict.fromkeys(("--devices", "--ros", "--samples"), "expected a positive integer"),
-              # A negative seed breaks the library's own rule, check_seed.
-              "--seed": "a seed is a non-negative integer, got -1",
-              }[flag]
+    if flag in LIBRARY_RULES and (argv[0], flag) != ("attack", "--devices"):
+        wanted = _library_refusal(flag, argv[-1])
+    else:
+        wanted = {"--pcs": "expected a non-negative integer",
+                  "--devices": "expected a positive integer",
+                  # A negative seed breaks the library's own rule, check_seed.
+                  "--seed": "a seed is a non-negative integer, got -1",
+                  }[flag]
     if argv[1:] == ["--seed", "x"]:
         wanted = "expected an integer, got 'x'"
     assert f"argument {flag}: {wanted}" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+# Flags whose rule a library check owns: the check, and how the flag's text
+# (each field of a list) converts before it is checked.
+LIBRARY_RULES = {"--trend-magnitude": (check_trend_magnitude, float),
+                 "--min-group": (check_group_size, int), "--group-sizes": (check_group_size, int),
+                 **dict.fromkeys(("--devices", "--ros", "--samples"), (check_count, int))}
+
+
+def _library_refusal(flag: str, text: str) -> str:
+    """The message of the ConfigurationError that the library check behind
+    ``flag`` raises for the value ``text``, at its first refused field."""
+    check, convert = LIBRARY_RULES[flag]
+    with pytest.raises(ConfigurationError) as refused:
+        for field in text.split(","):
+            check(convert(field))
+    return str(refused.value)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["attack", "--seed", "1", "--trend-magnitude", "0"], "--trend-magnitude"),
+    (["attack", "--seed", "1", "--trend-magnitude", "inf"], "--trend-magnitude"),
+    (["attack", "--seed", "1", "--trend-magnitude", "nan"], "--trend-magnitude"),
+    (["similarity", "--min-group", "1"], "--min-group"),
+    (["similarity", "--group-sizes", "5,1"], "--group-sizes"),
+    (["synth", "--seed", "1", "--ros", "0"], "--ros"),
+])
+def test_library_rule_is_a_usage_error_in_its_words(argv, flag, dataset_args, tmp_path,
+                                                      capsys):
+    # The flag's type only converts the text and calls the library's check:
+    # a usage error before --out exists, whose message is the check's own.
+    out = tmp_path / "out"
+    extra = [] if argv[0] == "synth" else dataset_args
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + extra + ["--out", str(out)])
+    assert excinfo.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == f"pufstat {argv[0]}: error: argument {flag}: {_library_refusal(flag, argv[-1])}"
     assert not out.exists()
 
 

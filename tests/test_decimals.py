@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import decimal_table_reference, load_csv_reference
 
-from pufstat import dataset
+from pufstat import dataset, parallel
 from pufstat.dataset import LayoutSpec, load_readings, write_dataset
 from pufstat.decimals import multiply_128, parse_tables
 from pufstat.errors import PufStatError
@@ -224,3 +224,32 @@ def test_loaded_tensor_equals_np_loadtxt(name, layout_text, kernel_bytes, tmp_pa
     assert loaded.digests == tuple((f, hashlib.sha256(f.read_bytes()).hexdigest())
                                    for f in files)
     assert hash_input_files([], loaded.digests) == hash_input_files(files)
+
+
+def test_device_files_are_parsed_in_groups_of_kernel_bytes(tmp_path, monkeypatch):
+    # 400 small device files of 2,048 bytes each, loaded on one CPU so that
+    # every share runs here: the first file is parsed alone, for the shape,
+    # and the other 399 in groups of at most _KERNEL_BYTES, one kernel call
+    # per group. A loader that called the kernel once per file would make
+    # 400 calls.
+    monkeypatch.setattr(parallel, "_cpus", lambda: 1)
+    calls = []
+
+    def counted(blobs, *args):
+        calls.append(len(blobs))
+        return parse_tables(blobs, *args)
+
+    monkeypatch.setattr(dataset, "parse_tables", counted)
+    num_files, size = 400, 2048
+    for j in range(num_files):
+        # 32 lines of 4 fixed-width tokens: 32 * (4 * 15 + 4) bytes.
+        lines = (" ".join(f"{200 + (i + j) % 50:3d}.{i * 4 + t:011d}" for t in range(4))
+                 for i in range(32))
+        (tmp_path / f"device_{j:04d}.txt").write_text("".join(f"{line}\n" for line in lines))
+        assert (tmp_path / f"device_{j:04d}.txt").stat().st_size == size
+    loaded = load_readings(tmp_path)
+    per_group = dataset._KERNEL_BYTES // size
+    groups = -(-(num_files - 1) // per_group)
+    assert calls == [1] + [per_group] * (groups - 1) + [num_files - 1 - per_group * (groups - 1)]
+    assert len(calls) == 1 + groups < num_files // 50
+    assert loaded.values[-1, 31, 3] == float(f"{200 + (31 + 399) % 50}.{31 * 4 + 3:011d}")
